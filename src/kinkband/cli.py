@@ -104,23 +104,10 @@ def _cmd_run(args):
 
 
 def _cmd_check_gradient(args):
-    from .energy import MaterialParams
-    from .evolution import LoadProgram, _startup_gradient_check
-    from .kinematics import SlipSystem
-    from .mesh import build_dofmap, build_structured_mesh
+    from .evolution import _startup_gradient_check, build_problem
 
     config = _load_config(args)
-    mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
-    dofmap = build_dofmap(mesh)
-    params = MaterialParams(
-        C=config.C, D=config.D, aniso=config.aniso, beta=config.beta,
-        eps_grad=config.eps_grad, sigma=config.sigma, p=config.p, r=config.r,
-        grad_exponent=config.grad_exponent, delta=config.delta,
-        det_penalty=config.det_penalty, det_floor=config.det_floor)
-    slip = SlipSystem(s=np.array([config.s1, config.s2]),
-                      m=np.array([config.m1, config.m2]))
-    program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
-    err = _startup_gradient_check(mesh, dofmap, params, slip, program)
+    err = _startup_gradient_check(*build_problem(config))
     print(f"max relative gradient error: {err:.6e}")
     if not np.isfinite(err) or err > 1e-3:
         print("gradient check FAILED", file=sys.stderr)

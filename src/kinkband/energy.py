@@ -15,8 +15,17 @@ dissipation between two slip fields is
 
     sigma * integral sqrt(delta^2 + (gamma1 - gamma2)^2) dx .
 
-Assembly integrates with the 3-point edge-midpoint rule in a fixed element
-order, so results are bitwise reproducible.
+Assembly integrates with the 3-point edge-midpoint rule of
+``mesh.midpoint_rule`` in a fixed element order, so results are bitwise
+reproducible.  The kernel ``_assemble`` keeps grad y, Fe, its cofactor and
+the stresses as separate 2x2 component arrays: (nt,) per element, (nt, nq)
+per quadrature point.  Every sum keeps the order of the original einsum
+kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip systems
+the results are bit-identical to it: |Fe|^2 is (F00^2 + F10^2) +
+(F01^2 + F11^2), every other contraction is a left-to-right sum, the
+integrals are ``area @ (q @ weights)`` and each nodal scatter one
+``bincount``.  (For rotated slip systems the old kernel's stacked matmul
+fused multiply-adds, so the two agree to rounding.)
 """
 
 from __future__ import annotations
@@ -26,13 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import SlipSystem
-from .mesh import Mesh2D
+from .mesh import Mesh2D, midpoint_rule
 
-# Edge-midpoint quadrature: barycentric points and area-normalized weights.
-_QP = np.array([[0.5, 0.5, 0.0],
-                [0.0, 0.5, 0.5],
-                [0.5, 0.0, 0.5]])
-_QW = np.full(3, 1.0 / 3.0)
+_RULE = midpoint_rule()
 
 
 @dataclass
@@ -118,48 +123,74 @@ def _check_lengths(mesh: Mesh2D, *arrays):
                 f"{mesh.n_nodes} nodes")
 
 
+def _p1_gradient(vt, bg):
+    """Element gradient (d/dx1, d/dx2) of a P1 field from its (nt, 3) corner
+    values, as two (nt,) arrays summed in corner order."""
+    return (vt[:, 0] * bg[:, 0, 0] + vt[:, 1] * bg[:, 1, 0] + vt[:, 2] * bg[:, 2, 0],
+            vt[:, 0] * bg[:, 0, 1] + vt[:, 1] * bg[:, 1, 1] + vt[:, 2] * bg[:, 2, 1])
+
+
+def element_grad_y(mesh: Mesh2D, a1, a2):
+    """Element-constant grad y as components (Y00, Y01, Y10, Y11) and its
+    determinant, which equals det Fe at every point (det P = 1)."""
+    tri, bg = mesh.triangles, mesh.basis_gradients
+    y00, y01 = _p1_gradient(a1[tri], bg)
+    y10, y11 = _p1_gradient(a2[tri], bg)
+    return y00, y01, y10, y11, y00 * y11 - y01 * y10
+
+
+def _qmean(t, W):
+    """Weighted quadrature sum over the columns of an (nt, nq) array, in order."""
+    return t[:, 0] * W[0] + t[:, 1] * W[1] + t[:, 2] * W[2]
+
+
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
               b_prev=None, need_grad=False):
-    """Vectorized quadrature assembly of energy (and dissipation / gradients).
+    """Quadrature assembly of energy (and dissipation / gradients).
 
     Returns (breakdown, dissipation, grads) where grads is None or a tuple
     of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta.
     """
     tri = mesh.triangles
     area = mesh.element_area
-    bg = mesh.basis_gradients                       # (nt, 3, 2)
-    s, m = slip.s, slip.m
+    bg = mesh.basis_gradients
+    (s0, s1), (m0, m1) = slip.s, slip.m
+    P, W = _RULE.points, _RULE.weights
+    PT = np.ascontiguousarray(P.T)                  # 3x faster in BLAS than P.T
 
-    ny = np.empty((len(tri), 2, 2))
-    ny[:, 0, :] = np.einsum("ei,eij->ej", a1[tri], bg)
-    ny[:, 1, :] = np.einsum("ei,eij->ej", a2[tri], bg)
-    gam = b[tri] @ _QP.T                            # (nt, nq) slip at quad points
-    grad_gam = np.einsum("ei,eij->ej", b[tri], bg)  # (nt, 2), element-constant
-
-    u = ny @ s                                      # grad_y . s  (nt, 2)
-    # Fe[e,q] = grad_y[e] - gam[e,q] * outer(u[e], m)
-    Fe = ny[:, None, :, :] - gam[:, :, None, None] * (u[:, None, :, None] * m)
-    det = Fe[..., 0, 0] * Fe[..., 1, 1] - Fe[..., 0, 1] * Fe[..., 1, 0]
+    y00, y01 = _p1_gradient(a1[tri], bg)            # rows of grad_y, (nt,)
+    y10, y11 = _p1_gradient(a2[tri], bg)
+    bt = b[tri]
+    g0, g1 = _p1_gradient(bt, bg)                   # grad gamma
+    gam = bt @ PT                                   # (nt, nq) slip at quad points
+    u0 = (y00 * s0 + y01 * s1)[:, None]             # grad_y . s
+    u1 = (y10 * s0 + y11 * s1)[:, None]
+    # Fe = grad_y - gam * outer(u, m), one (nt, nq) array per component
+    f00 = y00[:, None] - gam * (u0 * m0)
+    f01 = y01[:, None] - gam * (u0 * m1)
+    f10 = y10[:, None] - gam * (u1 * m0)
+    f11 = y11[:, None] - gam * (u1 * m1)
+    det = f00 * f11 - f01 * f10
     ok = det > params.det_floor
     det_safe = np.where(ok, det, 1.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        frob2 = np.einsum("eqij,eqij->eq", Fe, Fe)
-        fem = Fe @ m                                # (nt, nq, 2)
-        fem2 = np.einsum("eqi,eqi->eq", fem, fem)
+        frob2 = (f00 * f00 + f10 * f10) + (f01 * f01 + f11 * f11)
+        fem0 = f00 * m0 + f01 * m1                  # Fe m
+        fem1 = f10 * m0 + f11 * m1
         w_smooth = (params.C * (frob2 ** (params.p / 2.0)
                                 - 2.0 ** (params.p / 2.0)
                                 - 2.0 * np.log(det_safe))
                     + params.D * (det - 1.0) ** 2
-                    + params.aniso * fem2)
+                    + params.aniso * (fem0 * fem0 + fem1 * fem1))
         el_q = np.where(ok, w_smooth, 0.0)
         pen_q = np.where(ok, 0.0, params.det_penalty)
         hard_q = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
 
-    elastic = float(area @ (el_q @ _QW))
-    penalty = float(area @ (pen_q @ _QW))
-    hardening = float(area @ (hard_q @ _QW))
-    slip_grad = params.eps_grad * float(area @ np.einsum("ej,ej->e", grad_gam, grad_gam))
+    elastic = float(area @ (el_q @ W))
+    penalty = float(area @ (pen_q @ W))
+    hardening = float(area @ (hard_q @ W))
+    slip_grad = params.eps_grad * float(area @ (g0 * g0 + g1 * g1))
     breakdown = EnergyBreakdown(
         elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
         penalty=penalty, total=elastic + hardening + slip_grad + penalty)
@@ -168,49 +199,52 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     diff = None
     root = None
     if b_prev is not None:
-        gam_prev = b_prev[tri] @ _QP.T
-        diff = gam - gam_prev
+        diff = gam - b_prev[tri] @ PT
         root = np.sqrt(params.delta ** 2 + diff * diff)
-        diss = params.sigma * float(area @ (root @ _QW))
+        diss = params.sigma * float(area @ (root @ W))
 
     if not need_grad:
         return breakdown, diss, None
 
-    # dW/dFe on the smooth branch; zero at penalty points.
-    cof = np.empty_like(Fe)
-    cof[..., 0, 0] = Fe[..., 1, 1]
-    cof[..., 0, 1] = -Fe[..., 1, 0]
-    cof[..., 1, 0] = -Fe[..., 0, 1]
-    cof[..., 1, 1] = Fe[..., 0, 0]
+    # S = dW/dFe on the smooth branch (cofactor of Fe in the det term); zero
+    # at penalty points.
     with np.errstate(over="ignore", invalid="ignore"):
         coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
         coef_det = 2.0 * params.D * (det - 1.0) - 2.0 * params.C / det_safe
-        S = (coef_p[..., None, None] * Fe
-             + coef_det[..., None, None] * cof
-             + 2.0 * params.aniso * fem[..., :, None] * m)
-    S *= ok[..., None, None]
+        am0 = 2.0 * params.aniso * fem0
+        am1 = 2.0 * params.aniso * fem1
+        s00 = (coef_p * f00 + coef_det * f11) + am0 * m0
+        s01 = (coef_p * f01 - coef_det * f10) + am0 * m1
+        s10 = (coef_p * f10 - coef_det * f01) + am1 * m0
+        s11 = (coef_p * f11 + coef_det * f00) + am1 * m1
+    for s_ij in (s00, s01, s10, s11):
+        s_ij *= ok
 
-    # Chain rule to grad_y: dW/d(grad_y) = S P^T = S - gam * outer(S m, s).
-    Sm = S @ m                                      # (nt, nq, 2)
-    T = S - gam[..., None, None] * (Sm[..., :, None] * s)
-    Tbar = np.einsum("q,eqij->eij", _QW, T)         # (nt, 2, 2)
-    loc_a1 = area[:, None] * np.einsum("ej,eij->ei", Tbar[:, 0, :], bg)
-    loc_a2 = area[:, None] * np.einsum("ej,eij->ei", Tbar[:, 1, :], bg)
+    def corner_dots(d0, d1):                        # (d0, d1) . grad of each hat
+        return d0[:, None] * bg[..., 0] + d1[:, None] * bg[..., 1]
+
+    def scatter(loc):
+        return np.bincount(tri.ravel(), weights=loc.ravel(), minlength=mesh.n_nodes)
+
+    # Chain rule to grad_y: dW/d(grad_y) = S P^T = S - gam * outer(S m, s),
+    # averaged over the quadrature points.
+    sm0 = s00 * m0 + s01 * m1
+    sm1 = s10 * m0 + s11 * m1
+    t00 = _qmean(s00 - gam * (sm0 * s0), W)
+    t01 = _qmean(s01 - gam * (sm0 * s1), W)
+    t10 = _qmean(s10 - gam * (sm1 * s0), W)
+    t11 = _qmean(s11 - gam * (sm1 * s1), W)
+    ga1 = scatter(area[:, None] * corner_dots(t00, t01))
+    ga2 = scatter(area[:, None] * corner_dots(t10, t11))
 
     # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
-    dW_dg = -np.einsum("ei,eqi->eq", u, Sm)
+    dW_dg = -(u0 * sm0 + u1 * sm1)
     dW_dg += params.beta * params.r * (2.0 + gam * gam) ** (params.r / 2.0 - 1.0) * gam
     if diff is not None:
         dW_dg += params.sigma * diff / root
-    loc_b = area[:, None] * ((dW_dg * _QW) @ _QP)
-    loc_b += area[:, None] * (2.0 * params.eps_grad
-                              * np.einsum("ej,eij->ei", grad_gam, bg))
-
-    n = mesh.n_nodes
-    flat = tri.ravel()
-    ga1 = np.bincount(flat, weights=loc_a1.ravel(), minlength=n)
-    ga2 = np.bincount(flat, weights=loc_a2.ravel(), minlength=n)
-    gb = np.bincount(flat, weights=loc_b.ravel(), minlength=n)
+    loc_b = area[:, None] * ((dW_dg * W) @ P)
+    loc_b += area[:, None] * (2.0 * params.eps_grad * corner_dots(g0, g1))
+    gb = scatter(loc_b)
     return breakdown, diss, (ga1, ga2, gb)
 
 
@@ -231,9 +265,9 @@ def dissipation_increment(gamma_prev, gamma, mesh: Mesh2D,
     gamma_prev = np.asarray(gamma_prev, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     _check_lengths(mesh, gamma_prev, gamma)
-    diff = (gamma - gamma_prev)[mesh.triangles] @ _QP.T
+    diff = (gamma - gamma_prev)[mesh.triangles] @ _RULE.points.T
     root = np.sqrt(params.delta ** 2 + diff * diff)
-    return params.sigma * float(mesh.element_area @ (root @ _QW))
+    return params.sigma * float(mesh.element_area @ (root @ _RULE.weights))
 
 
 def energy_nodal_gradient(state, mesh: Mesh2D, params: MaterialParams,
@@ -257,12 +291,14 @@ def energy_gradient_analytic(state, mesh: Mesh2D, dofmap, params: MaterialParams
     return dofmap.pack(ga1, ga2, gb)
 
 
-def energy_gradient_fd(objective, x: np.ndarray, h: float) -> np.ndarray:
-    """Forward-difference gradient, one objective call per coordinate."""
+def energy_gradient_fd(objective, x: np.ndarray, h: float, f0=None) -> np.ndarray:
+    """Forward-difference gradient, one objective call per coordinate
+    (plus one at x unless its value f0 is given)."""
     if not h > 0:
         raise ValueError(f"perturbation must be positive, got {h}")
     x = np.asarray(x, dtype=float)
-    f0 = objective(x)
+    if f0 is None:
+        f0 = objective(x)
     g = np.empty_like(x)
     for i in range(len(x)):
         xp = x.copy()

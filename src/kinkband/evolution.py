@@ -10,17 +10,18 @@ affinely lifted copy of the previous state.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .energy import (EnergyBreakdown, MaterialParams, _assemble,
-                     dissipation_increment, energy_nodal_gradient)
+                     dissipation_increment, element_grad_y,
+                     energy_nodal_gradient)
 from .kinematics import SlipSystem
 from .mesh import (BOTTOM, LEFT, RIGHT, TOP, DofMap, Mesh2D, build_dofmap,
                    build_structured_mesh)
 from .optimizer import (InvalidStartError, MinimizeOptions, MinimizeResult,
-                        gradient_check, minimize)
+                        fd_objective, gradient_check, minimize)
 
 log = logging.getLogger("kinkband")
 
@@ -28,7 +29,7 @@ _ALTERNATING_MAX_SWEEPS = 100
 
 
 class StepFailureError(RuntimeError):
-    """A time step could not be solved; partial results are attached."""
+    """The run could not be solved; partial results, if any, are attached."""
 
     def __init__(self, message, records=None, states=None):
         super().__init__(message)
@@ -130,7 +131,8 @@ def lift_state(state: State, mesh: Mesh2D, program: LoadProgram,
 
 
 def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
-    """Objective and analytic gradient of I + D^delta over the packed free DOFs."""
+    """I + D^delta over the packed free DOFs: ``fun(x)`` is the value alone,
+    ``fun_grad(x)`` the value and analytic gradient from one assembly."""
     a1_t, a2_t, b_t = template.a1, template.a2, template.b
 
     def fun(x):
@@ -139,16 +141,28 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
                                        b_prev=b_prev)
         return breakdown.total + diss
 
-    def grad(x):
+    def fun_grad(x):
         a1, a2, b = dofmap.unpack(x, a1_t, a2_t, b_t)
-        _, _, grads = _assemble(mesh, a1, a2, b, params, slip,
-                                b_prev=b_prev, need_grad=True)
-        return dofmap.pack(*grads)
+        breakdown, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
+                                           b_prev=b_prev, need_grad=True)
+        return breakdown.total + diss, dofmap.pack(*grads)
 
-    return fun, grad
+    return fun, fun_grad
 
 
-def _minimize_subset(fun, grad, x_full, idx, options):
+def _minimizer_objective(fun, fun_grad, options):
+    """What ``minimize`` takes: (f, gradient) from one analytic assembly, or
+    ``fun`` with forward differences, as options.gradient_mode says."""
+    if options.gradient_mode == "finite-difference":
+        return fd_objective(fun, options.fd_perturbation)
+
+    def objective(x):
+        f, g = fun_grad(x)
+        return f, lambda: g
+    return objective
+
+
+def _minimize_subset(fun, fun_grad, x_full, idx, options):
     """Minimize over a subset of coordinates, complement held fixed."""
     base = x_full.copy()
 
@@ -156,13 +170,12 @@ def _minimize_subset(fun, grad, x_full, idx, options):
         base[idx] = xs
         return fun(base)
 
-    gs = None
-    if grad is not None:
-        def gs(xs):
-            base[idx] = xs
-            return grad(base)[idx]
+    def fgs(xs):
+        base[idx] = xs
+        f, g = fun_grad(base)
+        return f, g[idx]
 
-    res = minimize(fs, gs, x_full[idx], options)
+    res = minimize(_minimizer_objective(fs, fgs, options), x_full[idx], options)
     out = x_full.copy()
     out[idx] = res.x_min
     return out, res
@@ -211,8 +224,8 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     if not warm_start_plastic:
         template.b = np.zeros_like(template.b)
     b_prev = prev.b
-    fun, grad_fn = _make_objective(mesh, dofmap, params, slip, template, b_prev)
-    grad = grad_fn if options.gradient_mode == "analytic" else None
+    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
+    objective = _minimizer_objective(fun, fun_grad, options)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     if perturb_init > 0.0:
         rng = np.random.default_rng(perturb_seed)
@@ -220,10 +233,11 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
 
     try:
         if mode == "joint":
-            res = minimize(fun, grad, x0, options)
+            res = minimize(objective, x0, options)
             iterations = res.iterations
         else:
-            res, iterations = _alternating_minimize(fun, grad, x0, dofmap, options)
+            res, iterations = _alternating_minimize(fun, fun_grad, x0, dofmap,
+                                                    options)
     except InvalidStartError as exc:
         raise StepFailureError(
             f"step to t={t_next:g} failed to start: {exc}") from exc
@@ -234,7 +248,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     f_lift = fun(x_lift)
     if np.isfinite(f_lift) and f_lift < res.f_min:
-        res_lift = minimize(fun, grad, x_lift, options)
+        res_lift = minimize(objective, x_lift, options)
         iterations += res_lift.iterations
         if res_lift.f_min < res.f_min:
             res = res_lift
@@ -260,7 +274,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     return new_state, record
 
 
-def _alternating_minimize(fun, grad, x0, dofmap, options):
+def _alternating_minimize(fun, fun_grad, x0, dofmap, options):
     """Sweep elastic block (slip fixed) then slip block until joint decrease
     drops below tol_fun."""
     idx_a = np.arange(dofmap.sl_a2.stop)
@@ -272,8 +286,8 @@ def _alternating_minimize(fun, grad, x0, dofmap, options):
     iterations = 0
     res = None
     for _ in range(_ALTERNATING_MAX_SWEEPS):
-        x, res_a = _minimize_subset(fun, grad, x, idx_a, options)
-        x, res = _minimize_subset(fun, grad, x, idx_b, options)
+        x, res_a = _minimize_subset(fun, fun_grad, x, idx_a, options)
+        x, res = _minimize_subset(fun, fun_grad, x, idx_b, options)
         iterations += res_a.iterations + res.iterations
         decrease = f - res.f_min
         f = res.f_min
@@ -286,12 +300,7 @@ def _alternating_minimize(fun, grad, x0, dofmap, options):
 
 
 def _min_det(mesh, a1, a2, b, slip):
-    bg = mesh.basis_gradients
-    tri = mesh.triangles
-    g1 = np.einsum("ei,eij->ej", a1[tri], bg)
-    g2 = np.einsum("ei,eij->ej", a2[tri], bg)
-    # det Fe = det grad_y exactly (det P = 1)
-    return float(np.min(g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]))
+    return float(np.min(element_grad_y(mesh, a1, a2)[4]))
 
 
 def reaction_force(state: State, mesh: Mesh2D, params: MaterialParams,
@@ -371,34 +380,38 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program, h=1e-6):
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, program, 0.0)
     rng = np.random.default_rng(12345)
-    fun, grad = _make_objective(mesh, dofmap, params, slip, probe,
-                                np.zeros(mesh.n_nodes))
+    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, probe,
+                                    np.zeros(mesh.n_nodes))
     x = dofmap.pack(probe.a1, probe.a2, probe.b)
     # a visibly strained, slipped probe keeps all gradient blocks well scaled
     x = x + 0.6 * _smooth_bumps(mesh, dofmap, rng) \
         + 0.6 * _smooth_bumps(mesh, dofmap, rng)
     x[dofmap.sl_b] += 0.2
-    return gradient_check(fun, grad, x, h)
+    return gradient_check(fun, lambda v: fun_grad(v)[1], x, h)
+
+
+def build_problem(config):
+    """Mesh, dofmap, material, slip system and load program of a
+    SimulationConfig, in the argument order of the solver functions."""
+    mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
+    params = MaterialParams(**{f.name: getattr(config, f.name)
+                               for f in fields(MaterialParams)})
+    params.validate()
+    slip = SlipSystem(s=np.array([config.s1, config.s2]),
+                      m=np.array([config.m1, config.m2]))
+    program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
+    return mesh, build_dofmap(mesh), params, slip, program
 
 
 def run_simulation(config):
     """Run the full load program described by a SimulationConfig.
 
     Returns (records, states): one StepRecord per step and the state list
-    including the initial state.  On an unrecoverable step failure raises
-    StepFailureError carrying the partial records and states.
+    including the initial state.  A failed start-up gradient check raises
+    StepFailureError; so does an unrecoverable step failure, carrying the
+    partial records and states.
     """
-    mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
-    dofmap = build_dofmap(mesh)
-    params = MaterialParams(
-        C=config.C, D=config.D, aniso=config.aniso, beta=config.beta,
-        eps_grad=config.eps_grad, sigma=config.sigma, p=config.p, r=config.r,
-        grad_exponent=config.grad_exponent, delta=config.delta,
-        det_penalty=config.det_penalty, det_floor=config.det_floor)
-    params.validate()
-    slip = SlipSystem(s=np.array([config.s1, config.s2]),
-                      m=np.array([config.m1, config.m2]))
-    program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
+    mesh, dofmap, params, slip, program = build_problem(config)
     grid = TimeGrid.uniform(config.T, config.K)
     options = MinimizeOptions(
         tol_step=config.tol_step, tol_fun=config.tol_fun,
@@ -414,9 +427,9 @@ def run_simulation(config):
         err = _startup_gradient_check(probe_mesh, build_dofmap(probe_mesh),
                                       params, slip, program)
         if not err < 1e-3:
-            log.warning("analytic gradient check failed (%.3e); "
-                        "falling back to finite differences", err)
-            options = replace(options, gradient_mode="finite-difference")
+            raise StepFailureError(
+                f"start-up gradient check failed: max relative error {err:.3e} "
+                "is not below 1e-3, so the analytic gradient cannot be trusted")
 
     state = initial_state(mesh)
     records: list[StepRecord] = []

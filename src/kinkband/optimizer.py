@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import energy_gradient_fd
+
 _LBFGS_MEMORY = 10
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
@@ -55,86 +57,85 @@ class MinimizeResult:
     gradient_norm: float
 
 
-def _fd_forward(objective, x, f0, h):
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        xp = x.copy()
-        xp[i] += h
-        g[i] = (objective(xp) - f0) / h
-    return g
+def _line_search(objective, x, f0, g0, d, t0):
+    """Strong-Wolfe search along d; returns (t, f, g) or None.
 
-
-def _line_search(fun, grad_at, x, f0, g0, d, t0):
-    """Strong-Wolfe search along d; returns (t, f, g, evals) or None.
-
-    Non-finite trial values behave like Armijo failures, which brackets the
-    step away from penalty cliffs.
+    Each trial point costs one ``objective`` call; its gradient is asked
+    for only if the point passes the Armijo test, and the accepted point's
+    gradient is the one already computed.  Non-finite trial values behave
+    like Armijo failures, which brackets the step away from penalty cliffs.
     """
     dg0 = float(g0 @ d)
 
     def phi(t):
-        return float(fun(x + t * d))
+        ft, grad = objective(x + t * d)
+        return float(ft), grad
 
-    def zoom(lo, f_lo, hi):
+    def zoom(lo, f_lo, g_lo, hi):
         for _ in range(_MAX_ZOOM):
             t = 0.5 * (lo + hi)
-            ft = phi(t)
+            ft, grad = phi(t)
             if not np.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 or ft >= f_lo:
                 hi = t
                 continue
-            gt = grad_at(x + t * d, ft)
+            gt = grad()
             dphi = float(gt @ d)
             if abs(dphi) <= -_WOLFE_C2 * dg0:
                 return t, ft, gt
             if dphi * (hi - lo) >= 0.0:
                 hi = lo
-            lo, f_lo = t, ft
+            lo, f_lo, g_lo = t, ft, gt
         if f_lo < f0:                        # best Armijo point found so far
-            gt = grad_at(x + lo * d, f_lo)
-            return lo, f_lo, gt
+            return lo, f_lo, g_lo
         return None
 
-    t_prev, f_prev = 0.0, f0
+    t_prev, f_prev, g_prev = 0.0, f0, g0
     t = t0
     for i in range(_MAX_LS_EVALS):
-        ft = phi(t)
+        ft, grad = phi(t)
         if not np.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
                 or (i > 0 and ft >= f_prev):
-            return zoom(t_prev, f_prev, t)
-        gt = grad_at(x + t * d, ft)
+            return zoom(t_prev, f_prev, g_prev, t)
+        gt = grad()
         dphi = float(gt @ d)
         if abs(dphi) <= -_WOLFE_C2 * dg0:
             return t, ft, gt
         if dphi >= 0.0:
-            return zoom(t, ft, t_prev)
-        t_prev, f_prev = t, ft
+            return zoom(t, ft, gt, t_prev)
+        t_prev, f_prev, g_prev = t, ft, gt
         t *= 2.0
     if t_prev <= 0.0:
         return None
-    return t_prev, f_prev, grad_at(x + t_prev * d, f_prev)
+    return t_prev, f_prev, g_prev
 
 
-def minimize(objective, gradient, x0, options: MinimizeOptions | None = None) -> MinimizeResult:
+def fd_objective(fun, h: float):
+    """Objective for ``minimize`` from a value-only ``fun``: the gradient is
+    a forward-difference sweep with step h, run only when asked for."""
+    def objective(x):
+        f = float(fun(x))
+        return f, lambda: energy_gradient_fd(fun, x, h, f0=f)
+    return objective
+
+
+def minimize(objective, x0, options: MinimizeOptions | None = None) -> MinimizeResult:
     """Minimize a smooth objective from x0.
 
-    ``gradient`` may be None, in which case forward differences with
-    ``options.fd_perturbation`` are used.  Termination: step norm below
-    tol_step, two consecutive accepted decreases below tol_fun, gradient
-    infinity-norm below the derived threshold, or max_iters.
+    ``objective(x)`` returns ``(f, grad)``, where ``grad()`` gives the
+    gradient at x; it is called only at the start and at trial points that
+    pass the Armijo test (see ``fd_objective`` for forward differences).
+    Termination: step norm below tol_step, two consecutive accepted
+    decreases below tol_fun, gradient infinity-norm below the derived
+    threshold, or max_iters.
     """
     opts = options or MinimizeOptions()
     opts.validate()
     x = np.asarray(x0, dtype=float).copy()
-    f = float(objective(x))
+    f, grad = objective(x)
+    f = float(f)
     if not np.isfinite(f):
         raise InvalidStartError(f"objective is {f} at the starting point")
-
-    def grad_at(xv, fv):
-        if gradient is not None:
-            return np.asarray(gradient(xv), dtype=float)
-        return _fd_forward(objective, xv, fv, opts.fd_perturbation)
-
-    g = grad_at(x, f)
+    g = grad()
     gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
     if gnorm <= opts.grad_tol:
         return MinimizeResult(x_min=x, f_min=f, iterations=0,
@@ -163,7 +164,7 @@ def minimize(objective, gradient, x0, options: MinimizeOptions | None = None) ->
             if dnorm > 0:
                 t0 = min(1.0, 1.0 / dnorm)
 
-        hit = _line_search(objective, grad_at, x, f, g, d, t0)
+        hit = _line_search(objective, x, f, g, d, t0)
         if hit is None or hit[1] >= f:
             # No acceptable decrease along a descent direction: vanishing step.
             converged_by = "step"

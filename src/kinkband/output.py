@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import csv
 
-import numpy as np
-
-from .energy import EnergyBreakdown
+from .energy import EnergyBreakdown, element_grad_y
 from .evolution import StepRecord
 
 CSV_HEADER = ("k,time_s,top_displacement_mm,engineering_strain,"
@@ -83,16 +81,13 @@ def read_history_csv(path):
 
 
 def _cell_fields(state, mesh):
-    """Element-constant displacement gradient, Green-Lagrange strain, det."""
-    bg = mesh.basis_gradients
-    tri = mesh.triangles
-    g1 = np.einsum("ei,eij->ej", state.a1[tri], bg)   # rows of grad_y
-    g2 = np.einsum("ei,eij->ej", state.a2[tri], bg)
-    det = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
-    gy = np.stack([g1, g2], axis=1)                    # (nt, 2, 2) = grad_y
-    gu = gy - np.eye(2)
-    # E = (grad_y^T grad_y - I) / 2
-    E = 0.5 * (np.einsum("eki,ekj->eij", gy, gy) - np.eye(2))
+    """Element-constant det Fe, Green-Lagrange strain E = (grad_y^T grad_y - I)/2
+    and displacement gradient grad_y - I, each component an (nt,) array."""
+    y00, y01, y10, y11, det = element_grad_y(mesh, state.a1, state.a2)
+    E = {"11": 0.5 * ((y00 * y00 + y10 * y10) - 1.0),
+         "22": 0.5 * ((y01 * y01 + y11 * y11) - 1.0),
+         "12": 0.5 * (y00 * y01 + y10 * y11)}
+    gu = {"11": y00 - 1.0, "12": y01, "21": y10, "22": y11 - 1.0}
     return det, E, gu
 
 
@@ -128,13 +123,10 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
         _write_scalars(fh, "gamma", state.b)
         fh.write(f"CELL_DATA {nt}\n")
         _write_scalars(fh, "det_Fe", det)
-        _write_scalars(fh, "E_11", E[:, 0, 0])
-        _write_scalars(fh, "E_22", E[:, 1, 1])
-        _write_scalars(fh, "E_12", E[:, 0, 1])
-        _write_scalars(fh, "grad_u_11", gu[:, 0, 0])
-        _write_scalars(fh, "grad_u_12", gu[:, 0, 1])
-        _write_scalars(fh, "grad_u_21", gu[:, 1, 0])
-        _write_scalars(fh, "grad_u_22", gu[:, 1, 1])
+        for name, values in E.items():
+            _write_scalars(fh, f"E_{name}", values)
+        for name, values in gu.items():
+            _write_scalars(fh, f"grad_u_{name}", values)
 
 
 def _write_scalars(fh, name, values):

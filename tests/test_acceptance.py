@@ -107,10 +107,10 @@ def test_criterion_3_gradient_correctness(params, slip, mesh_4x6, dofmap_4x6):
         # keep the slip increment clear of the dissipation smoothing zone,
         # where the central-difference oracle itself loses accuracy
         b_prev = st.b - 0.05 - 0.3 * np.abs(rng.standard_normal(mesh_4x6.n_nodes))
-        fun, grad = _make_objective(mesh_4x6, dofmap_4x6, params, slip, st,
-                                    b_prev)
+        fun, fun_grad = _make_objective(mesh_4x6, dofmap_4x6, params, slip, st,
+                                        b_prev)
         x = dofmap_4x6.pack(st.a1, st.a2, st.b)
-        ga = grad(x)
+        _, ga = fun_grad(x)
         h = 1e-6
         fd = np.empty_like(x)
         for i in range(len(x)):

@@ -10,7 +10,7 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
                       stability_check, total_energy)
 from kinkband.evolution import (LoadProgram, TimeGrid,
                                 apply_boundary_conditions, _make_objective,
-                                _minimize_subset)
+                                _minimize_subset, _minimizer_objective)
 from kinkband.mesh import BOTTOM, LEFT, RIGHT, TOP
 
 
@@ -135,10 +135,10 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
     # oracle: minimize over the elastic blocks only, slip frozen at zero
     template = apply_boundary_conditions(prev, mesh, program, 10.0)
     template.b = np.zeros(mesh.n_nodes)
-    fun, grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
+    fun, fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     idx_a = np.arange(dofmap.sl_a2.stop)
-    _, res = _minimize_subset(fun, grad, x0, idx_a, options)
+    _, res = _minimize_subset(fun, fun_grad, x0, idx_a, options)
     assert rec.energy.total + rec.dissipation_increment \
         <= res.f_min + options.tol_fun
 
@@ -257,9 +257,10 @@ def test_stability_negative_control(small_problem):
     mesh, dofmap, params, slip, program, _ = small_problem
     prev = initial_state(mesh)
     template = apply_boundary_conditions(prev, mesh, program, 40.0)
-    fun, grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
+    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    res = minimize(fun, grad, x0, MinimizeOptions(max_iters=1))
+    options = MinimizeOptions(max_iters=1)
+    res = minimize(_minimizer_objective(fun, fun_grad, options), x0, options)
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     state = evolution.State(a1=a1, a2=a2, b=b, time=40.0)
     v = stability_check(state, 40.0, mesh, dofmap, params, slip, program,

@@ -366,3 +366,20 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 0
     assert (env_dir / "history.csv").exists()
+
+
+def test_cli_run_fails_on_bad_startup_gradient_check(tmp_path, monkeypatch,
+                                                     capsys):
+    # a failed start-up check must stop the run, not switch gradients
+    import kinkband.evolution as evolution
+
+    monkeypatch.setattr(evolution, "_startup_gradient_check",
+                        lambda *args, **kwargs: 1.0)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n")
+    out_dir = tmp_path / "o"
+    code = cli_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "gradient check failed" in err
+    assert not (out_dir / "history.csv").exists()

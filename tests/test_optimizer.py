@@ -4,7 +4,9 @@ import pytest
 from kinkband import (InvalidStartError, MaterialParams, MinimizeOptions,
                       SlipSystem, build_dofmap, build_structured_mesh,
                       gradient_check, initial_state, minimize)
-from kinkband.evolution import LoadProgram, _make_objective, apply_boundary_conditions
+from kinkband.evolution import (LoadProgram, _make_objective, _minimizer_objective,
+                                apply_boundary_conditions)
+from kinkband.optimizer import fd_objective
 
 
 def rosenbrock(x):
@@ -18,27 +20,33 @@ def rosenbrock_grad(x):
     ])
 
 
+def _fg(f, g):
+    """The (f, gradient) objective minimize takes, from separate f and g."""
+    return lambda x: (f(x), lambda: g(x))
+
+
 def _tight():
     return MinimizeOptions(tol_fun=1e-12, tol_step=1e-12, max_iters=2000)
 
 
 def test_quadratic_bowl():
     c = np.array([3.0, -1.0, 2.0, 0.5])
-    res = minimize(lambda x: 0.5 * float((x - c) @ (x - c)), lambda x: x - c,
+    res = minimize(_fg(lambda x: 0.5 * float((x - c) @ (x - c)), lambda x: x - c),
                    np.zeros(4), _tight())
     assert np.max(np.abs(res.x_min - c)) < 1e-8
     assert res.f_min == pytest.approx(0.0, abs=1e-16)
 
 
 def test_rosenbrock():
-    res = minimize(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), _tight())
+    res = minimize(_fg(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), _tight())
     assert np.max(np.abs(res.x_min - 1.0)) < 1e-4
 
 
 def test_rosenbrock_fd_gradient():
     opts = MinimizeOptions(tol_fun=1e-12, tol_step=1e-12, max_iters=2000,
                            fd_perturbation=1e-8)
-    res = minimize(rosenbrock, None, np.array([-1.2, 1.0]), opts)
+    res = minimize(fd_objective(rosenbrock, opts.fd_perturbation),
+                   np.array([-1.2, 1.0]), opts)
     assert np.max(np.abs(res.x_min - 1.0)) < 1e-4
 
 
@@ -48,7 +56,7 @@ def test_result_invariants():
     def f(x):
         return 0.5 * float((x - c) @ (x - c))
 
-    res = minimize(f, lambda x: x - c, np.zeros(2), _tight())
+    res = minimize(_fg(f, lambda x: x - c), np.zeros(2), _tight())
     assert res.f_min == f(res.x_min)
     assert res.converged_by in ("step", "function", "gradient", "max_iters")
 
@@ -58,7 +66,7 @@ def test_monotone_in_iteration_budget():
     prev = np.inf
     for k in range(1, 40):
         opts = MinimizeOptions(tol_fun=1e-16, tol_step=1e-16, max_iters=k)
-        res = minimize(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), opts)
+        res = minimize(_fg(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), opts)
         assert res.f_min <= prev + 1e-15
         prev = res.f_min
 
@@ -70,15 +78,15 @@ def test_translation_equivariance():
     def f(x):
         return 0.5 * float((x - c) @ (x - c))
 
-    res = minimize(f, lambda x: x - c, np.zeros(3), _tight())
-    res_shift = minimize(lambda x: f(x - d), lambda x: (x - d) - c,
+    res = minimize(_fg(f, lambda x: x - c), np.zeros(3), _tight())
+    res_shift = minimize(_fg(lambda x: f(x - d), lambda x: (x - d) - c),
                          np.zeros(3) + d, _tight())
     np.testing.assert_allclose(res_shift.x_min, res.x_min + d, atol=1e-10)
 
 
 def test_determinism():
-    r1 = minimize(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), _tight())
-    r2 = minimize(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), _tight())
+    r1 = minimize(_fg(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), _tight())
+    r2 = minimize(_fg(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), _tight())
     assert (r1.x_min == r2.x_min).all()
     assert r1.f_min == r2.f_min
     assert r1.iterations == r2.iterations
@@ -86,7 +94,7 @@ def test_determinism():
 
 def test_invalid_start_raises():
     with pytest.raises(InvalidStartError):
-        minimize(lambda x: np.inf, lambda x: x, np.zeros(2), _tight())
+        minimize(_fg(lambda x: np.inf, lambda x: x), np.zeros(2), _tight())
 
 
 def test_nonfinite_trial_points_are_rejected():
@@ -96,12 +104,57 @@ def test_nonfinite_trial_points_are_rejected():
         r2 = float(x @ x)
         return r2 if r2 < 1.0 else np.inf
 
-    res = minimize(f, lambda x: 2 * x, np.array([0.6, -0.5]), _tight())
+    res = minimize(_fg(f, lambda x: 2 * x), np.array([0.6, -0.5]), _tight())
     assert np.max(np.abs(res.x_min)) < 1e-6
 
 
+def test_gradient_is_asked_only_at_finite_points():
+    # the minimizer of this objective lies on its cliff at |x| = 1, so trial
+    # points fall off it; the gradient is never asked for at those
+    c = np.array([2.0, 0.0])
+    values = []
+
+    def objective(x):
+        f = float((x - c) @ (x - c)) if float(x @ x) < 1.0 else np.inf
+        values.append(f)
+
+        def grad():
+            assert np.isfinite(f)
+            return 2 * (x - c)
+        return f, grad
+
+    minimize(objective, np.array([0.6, -0.5]), _tight())
+    assert not np.isfinite(values).all()
+    with pytest.raises(InvalidStartError):
+        minimize(lambda x: (np.inf, pytest.fail), np.zeros(2), _tight())
+
+
+def test_fd_sweep_runs_only_where_the_gradient_is_used():
+    # forward differences cost one value call per trial point plus n per
+    # gradient; trial points that fail the Armijo test pay no sweep
+    calls = [0, 0]
+
+    def counted(x):
+        calls[0] += 1
+        return rosenbrock(x)
+
+    inner = fd_objective(counted, 1e-8)
+
+    def objective(x):
+        f, grad = inner(x)
+
+        def counted_grad():
+            calls[1] += 1
+            return grad()
+        return f, counted_grad
+
+    res = minimize(objective, np.array([-1.2, 1.0]), _tight())
+    n_points = calls[0] - 2 * calls[1]
+    assert res.iterations < calls[1] < n_points
+
+
 def test_zero_gradient_start_exits_immediately():
-    res = minimize(lambda x: 1.0 + 0.5 * float(x @ x), lambda x: x,
+    res = minimize(_fg(lambda x: 1.0 + 0.5 * float(x @ x), lambda x: x),
                    np.zeros(3), MinimizeOptions())
     assert res.iterations == 0
     assert res.converged_by == "gradient"
@@ -169,11 +222,12 @@ def test_assembled_step_matches_coordinate_descent_oracle():
     t1 = 100.0 / 76.0
     template = apply_boundary_conditions(initial_state(mesh), mesh, program, t1)
     b_prev = np.zeros(mesh.n_nodes)
-    fun, grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
+    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     assert dofmap.n_free <= 27
 
-    res = minimize(fun, grad, x0, MinimizeOptions())
+    res = minimize(_minimizer_objective(fun, fun_grad, MinimizeOptions()), x0,
+                   MinimizeOptions())
 
     x = x0.copy()
     f = fun(x)
