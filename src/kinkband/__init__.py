@@ -4,8 +4,7 @@ minimization, reproducing kink-band formation in compressed layered media."""
 from .config import ConfigError, SimulationConfig, parse_config, serialize_config
 from .energy import (EnergyBreakdown, MaterialParams, dissipation_increment,
                      elastic_density, energy_gradient_analytic,
-                     energy_gradient_fd, hardening_density,
-                     slip_gradient_density, total_energy)
+                     hardening_density, slip_gradient_density, total_energy)
 from .evolution import (LoadProgram, State, StepFailureError, StepRecord,
                         TimeGrid, apply_boundary_conditions,
                         energy_inequality_check, incremental_step,
@@ -25,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "SimulationConfig", "parse_config", "serialize_config",
     "EnergyBreakdown", "MaterialParams", "dissipation_increment",
-    "elastic_density", "energy_gradient_analytic", "energy_gradient_fd",
-    "hardening_density", "slip_gradient_density", "total_energy",
+    "elastic_density", "energy_gradient_analytic", "hardening_density",
+    "slip_gradient_density", "total_energy",
     "LoadProgram", "State", "StepFailureError", "StepRecord", "TimeGrid",
     "apply_boundary_conditions", "energy_inequality_check", "incremental_step",
     "initial_state", "lift_state", "reaction_force", "run_simulation",

@@ -46,7 +46,6 @@ class SimulationConfig:
     sigma: float = 0.001
     p: float = 2.2
     r: float = 2.0
-    grad_exponent: float = 2.0
     delta: float = 1e-5
     det_penalty: float = 1e6
     det_floor: float = 1e-8
@@ -63,12 +62,6 @@ class SimulationConfig:
     tol_step: float = 1e-10
     tol_fun: float = 1e-4
     max_iters: int = 5000
-    fd_perturbation: float = 1e-8
-    gradient_mode: str = "analytic"
-    # run control
-    mode: str = "joint"
-    warm_start_plastic: bool = False
-    perturb_init: float = 0.0
     # output
     directory: str = "out"
     snapshot_stride: int = 1
@@ -89,8 +82,6 @@ _KEYS = {
     "material.sigma": ("sigma", float, _positive, "must be positive"),
     "material.p": ("p", float, lambda v: v > 2, "must exceed 2"),
     "material.r": ("r", float, lambda v: v >= 1, "must be at least 1"),
-    "material.grad_exponent": ("grad_exponent", float, lambda v: v == 2.0,
-                               "is fixed at 2"),
     "material.delta": ("delta", float, _positive, "must be positive"),
     "material.det_penalty": ("det_penalty", float, _positive, "must be positive"),
     "material.det_floor": ("det_floor", float, _positive, "must be positive"),
@@ -104,15 +95,6 @@ _KEYS = {
     "optimizer.tol_step": ("tol_step", float, _positive, "must be positive"),
     "optimizer.tol_fun": ("tol_fun", float, _positive, "must be positive"),
     "optimizer.max_iters": ("max_iters", int, _at_least_one, "must be at least 1"),
-    "optimizer.fd_perturbation": ("fd_perturbation", float, _positive,
-                                  "must be positive"),
-    "optimizer.gradient_mode": ("gradient_mode", str,
-                                lambda v: v in ("analytic", "finite-difference"),
-                                "must be 'analytic' or 'finite-difference'"),
-    "run.mode": ("mode", str, lambda v: v in ("joint", "alternating"),
-                 "must be 'joint' or 'alternating'"),
-    "run.warm_start_plastic": ("warm_start_plastic", bool, None, ""),
-    "run.perturb_init": ("perturb_init", float, _nonnegative, "must be nonnegative"),
     "output.directory": ("directory", str, None, ""),
     "output.snapshot_stride": ("snapshot_stride", int, _at_least_one,
                                "must be at least 1"),
@@ -127,13 +109,6 @@ _ATTR_TO_KEY = {attr: key for key, (attr, _, _, _) in _KEYS.items()}
 def _convert(key, kind, raw, line_no):
     raw = raw.strip()
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
         if kind is int:
             return int(raw)
         if kind is float:
@@ -199,9 +174,7 @@ def serialize_config(config: SimulationConfig) -> str:
     for f in fields(config):
         key = _ATTR_TO_KEY[f.name]
         value = getattr(config, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             text = format(value, ".17g")
         else:
             text = str(value)

@@ -58,7 +58,6 @@ class MaterialParams:
     sigma: float = 0.001        # MPa, slip resistance
     p: float = 2.2              # growth exponent, > 2
     r: float = 2.0              # hardening exponent
-    grad_exponent: float = 2.0  # slip-gradient exponent, fixed at 2
     delta: float = 1e-5         # dissipation smoothing
     det_penalty: float = 1e6    # MPa, density where det Fe <= det_floor
     det_floor: float = 1e-8
@@ -74,8 +73,6 @@ class MaterialParams:
             raise ValueError(f"p must exceed 2, got {self.p}")
         if not self.r >= 1:
             raise ValueError(f"r must be at least 1, got {self.r}")
-        if self.grad_exponent != 2.0:
-            raise ValueError("grad_exponent is fixed at 2")
 
 
 @dataclass
@@ -289,19 +286,3 @@ def energy_gradient_analytic(state, mesh: Mesh2D, dofmap, params: MaterialParams
     ga1, ga2, gb = energy_nodal_gradient(state, mesh, params, slip,
                                          gamma_prev=gamma_prev)
     return dofmap.pack(ga1, ga2, gb)
-
-
-def energy_gradient_fd(objective, x: np.ndarray, h: float, f0=None) -> np.ndarray:
-    """Forward-difference gradient, one objective call per coordinate
-    (plus one at x unless its value f0 is given)."""
-    if not h > 0:
-        raise ValueError(f"perturbation must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    if f0 is None:
-        f0 = objective(x)
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        xp = x.copy()
-        xp[i] += h
-        g[i] = (objective(xp) - f0) / h
-    return g

@@ -20,12 +20,13 @@ from .energy import (EnergyBreakdown, MaterialParams, _assemble,
 from .kinematics import SlipSystem
 from .mesh import (BOTTOM, LEFT, RIGHT, TOP, DofMap, Mesh2D, build_dofmap,
                    build_structured_mesh)
-from .optimizer import (InvalidStartError, MinimizeOptions, MinimizeResult,
-                        fd_objective, gradient_check, minimize)
+from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
 
 log = logging.getLogger("kinkband")
 
-_ALTERNATING_MAX_SWEEPS = 100
+# largest max relative error of the analytic gradient against central
+# differences that the start-up check and ``check-gradient`` accept
+GRADIENT_CHECK_TOL = 1e-3
 
 
 class StepFailureError(RuntimeError):
@@ -150,37 +151,6 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
     return fun, fun_grad
 
 
-def _minimizer_objective(fun, fun_grad, options):
-    """What ``minimize`` takes: (f, gradient) from one analytic assembly, or
-    ``fun`` with forward differences, as options.gradient_mode says."""
-    if options.gradient_mode == "finite-difference":
-        return fd_objective(fun, options.fd_perturbation)
-
-    def objective(x):
-        f, g = fun_grad(x)
-        return f, lambda: g
-    return objective
-
-
-def _minimize_subset(fun, fun_grad, x_full, idx, options):
-    """Minimize over a subset of coordinates, complement held fixed."""
-    base = x_full.copy()
-
-    def fs(xs):
-        base[idx] = xs
-        return fun(base)
-
-    def fgs(xs):
-        base[idx] = xs
-        f, g = fun_grad(base)
-        return f, g[idx]
-
-    res = minimize(_minimizer_objective(fs, fgs, options), x_full[idx], options)
-    out = x_full.copy()
-    out[idx] = res.x_min
-    return out, res
-
-
 def _smooth_bumps(mesh, dofmap, rng):
     """One random smooth admissible perturbation of the free DOFs (packed)."""
     x = mesh.nodes[:, 0] / mesh.Lx
@@ -207,40 +177,28 @@ def _smooth_bumps(mesh, dofmap, rng):
 def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
                      params: MaterialParams, slip: SlipSystem,
                      program: LoadProgram, options: MinimizeOptions,
-                     mode: str = "joint", warm_start_plastic: bool = False,
-                     perturb_init: float = 0.0, perturb_seed: int = 0,
                      prev_cumulative: float = 0.0, k: int = 0):
     """Advance one step: minimize H over free DOFs with boundary data at t_next.
 
     The initial guess keeps the elastic coefficients from the previous
-    solution (top row re-imposed) and restarts the slip block at zero unless
-    warm_start_plastic.  The result is also checked against the affinely
-    lifted previous state; if that admissible competitor is lower, the
-    minimization restarts from it and the better local minimizer wins.
+    solution (top row re-imposed) and restarts the slip block at zero.  The
+    result is also checked against the affinely lifted previous state; if
+    that admissible competitor is lower, the minimization restarts from it
+    and the better local minimizer wins.  prev_cumulative is the cumulative
+    dissipation before the step and k the step number, both for the record.
     """
-    if mode not in ("joint", "alternating"):
-        raise ValueError(f"unknown mode {mode!r}")
     template = apply_boundary_conditions(prev, mesh, program, t_next)
-    if not warm_start_plastic:
-        template.b = np.zeros_like(template.b)
+    template.b = np.zeros_like(template.b)
     b_prev = prev.b
     fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
-    objective = _minimizer_objective(fun, fun_grad, options)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    if perturb_init > 0.0:
-        rng = np.random.default_rng(perturb_seed)
-        x0 = x0 + perturb_init * _smooth_bumps(mesh, dofmap, rng)
 
     try:
-        if mode == "joint":
-            res = minimize(objective, x0, options)
-            iterations = res.iterations
-        else:
-            res, iterations = _alternating_minimize(fun, fun_grad, x0, dofmap,
-                                                    options)
+        res = minimize(fun_grad, x0, options)
     except InvalidStartError as exc:
         raise StepFailureError(
             f"step to t={t_next:g} failed to start: {exc}") from exc
+    iterations = res.iterations
 
     # Compare with the lifted previous state (admissible, keeps gamma): if it
     # beats the found minimizer, descend from it instead.
@@ -248,7 +206,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     f_lift = fun(x_lift)
     if np.isfinite(f_lift) and f_lift < res.f_min:
-        res_lift = minimize(objective, x_lift, options)
+        res_lift = minimize(fun_grad, x_lift, options)
         iterations += res_lift.iterations
         if res_lift.f_min < res.f_min:
             res = res_lift
@@ -268,38 +226,13 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         reaction_force=reaction_force(new_state, mesh, params, slip),
         top_displacement=program.top_displacement(t_next),
         max_abs_gamma=float(np.max(np.abs(b))),
-        min_det_Fe=_min_det(mesh, a1, a2, b, slip),
+        min_det_Fe=_min_det(mesh, a1, a2),
         optimizer_iterations=iterations,
     )
     return new_state, record
 
 
-def _alternating_minimize(fun, fun_grad, x0, dofmap, options):
-    """Sweep elastic block (slip fixed) then slip block until joint decrease
-    drops below tol_fun."""
-    idx_a = np.arange(dofmap.sl_a2.stop)
-    idx_b = np.arange(dofmap.sl_b.start, dofmap.sl_b.stop)
-    x = x0.copy()
-    f = fun(x)
-    if not np.isfinite(f):
-        raise InvalidStartError(f"objective is {f} at the starting point")
-    iterations = 0
-    res = None
-    for _ in range(_ALTERNATING_MAX_SWEEPS):
-        x, res_a = _minimize_subset(fun, fun_grad, x, idx_a, options)
-        x, res = _minimize_subset(fun, fun_grad, x, idx_b, options)
-        iterations += res_a.iterations + res.iterations
-        decrease = f - res.f_min
-        f = res.f_min
-        if decrease < options.tol_fun:
-            break
-    final = MinimizeResult(x_min=x, f_min=f, iterations=iterations,
-                           converged_by=res.converged_by,
-                           gradient_norm=res.gradient_norm)
-    return final, iterations
-
-
-def _min_det(mesh, a1, a2, b, slip):
+def _min_det(mesh, a1, a2):
     return float(np.min(element_grad_y(mesh, a1, a2)[4]))
 
 
@@ -375,8 +308,8 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program, h=1e-6):
     """Verify the analytic gradient against central differences once per run.
 
     Uses a perturbed admissible state.  The check perturbation defaults to
-    1e-6: central differences at the runtime forward-difference step 1e-8
-    are dominated by summation roundoff on energies of this magnitude.
+    1e-6: central differences at a step of 1e-8 are dominated by summation
+    roundoff on energies of this magnitude.
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, program, 0.0)
     rng = np.random.default_rng(12345)
@@ -413,23 +346,20 @@ def run_simulation(config):
     """
     mesh, dofmap, params, slip, program = build_problem(config)
     grid = TimeGrid.uniform(config.T, config.K)
-    options = MinimizeOptions(
-        tol_step=config.tol_step, tol_fun=config.tol_fun,
-        max_iters=config.max_iters, fd_perturbation=config.fd_perturbation,
-        gradient_mode=config.gradient_mode)
+    options = MinimizeOptions(tol_step=config.tol_step, tol_fun=config.tol_fun,
+                              max_iters=config.max_iters)
     options.validate()
 
-    if options.gradient_mode == "analytic":
-        # the check exercises the same assembly path, so a capped probe mesh
-        # keeps the startup cost negligible on production meshes
-        probe_mesh = build_structured_mesh(config.Lx, config.Ly,
-                                           min(config.nx, 6), min(config.ny, 8))
-        err = _startup_gradient_check(probe_mesh, build_dofmap(probe_mesh),
-                                      params, slip, program)
-        if not err < 1e-3:
-            raise StepFailureError(
-                f"start-up gradient check failed: max relative error {err:.3e} "
-                "is not below 1e-3, so the analytic gradient cannot be trusted")
+    # the check exercises the same assembly path, so a capped probe mesh
+    # keeps the startup cost negligible on production meshes
+    probe_mesh = build_structured_mesh(config.Lx, config.Ly,
+                                       min(config.nx, 6), min(config.ny, 8))
+    err = _startup_gradient_check(probe_mesh, build_dofmap(probe_mesh),
+                                  params, slip, program)
+    if not err < GRADIENT_CHECK_TOL:
+        raise StepFailureError(
+            f"start-up gradient check failed: max relative error {err:.3e} "
+            "is not below 1e-3, so the analytic gradient cannot be trusted")
 
     state = initial_state(mesh)
     records: list[StepRecord] = []
@@ -439,23 +369,20 @@ def run_simulation(config):
     for k in range(1, grid.K + 1):
         t_next = float(grid.times[k])
         step_kwargs = dict(mesh=mesh, dofmap=dofmap, params=params, slip=slip,
-                           program=program, options=options, mode=config.mode,
-                           warm_start_plastic=config.warm_start_plastic,
-                           perturb_init=config.perturb_init)
+                           program=program, options=options)
         try:
             state_new, rec = incremental_step(
-                state, t_next, perturb_seed=k, prev_cumulative=cumulative,
-                k=k, **step_kwargs)
+                state, t_next, prev_cumulative=cumulative, k=k, **step_kwargs)
         except StepFailureError as exc:
             # Retry once through the interval midpoint, then give up.
             t_mid = 0.5 * (state.time + t_next)
             log.warning("step %d failed (%s); retrying via t=%g", k, exc, t_mid)
             try:
                 state_mid, rec_mid = incremental_step(
-                    state, t_mid, perturb_seed=10 * k + 1,
-                    prev_cumulative=cumulative, k=k, **step_kwargs)
+                    state, t_mid, prev_cumulative=cumulative, k=k,
+                    **step_kwargs)
                 state_new, rec = incremental_step(
-                    state_mid, t_next, perturb_seed=10 * k + 2,
+                    state_mid, t_next,
                     prev_cumulative=rec_mid.cumulative_dissipation, k=k,
                     **step_kwargs)
                 rec.dissipation_increment += rec_mid.dissipation_increment

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy_gradient_fd
-
 _LBFGS_MEMORY = 10
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
@@ -31,16 +29,12 @@ class MinimizeOptions:
     tol_step: float = 1e-10        # step-norm tolerance (TolX)
     tol_fun: float = 1e-4          # function-decrease tolerance (TolFun)
     max_iters: int = 5000
-    fd_perturbation: float = 1e-8  # forward-difference step for FD gradients
-    gradient_mode: str = "analytic"
 
     def validate(self) -> None:
-        if not (self.tol_step > 0 and self.tol_fun > 0 and self.fd_perturbation > 0):
+        if not (self.tol_step > 0 and self.tol_fun > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.gradient_mode not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
 
     @property
     def grad_tol(self) -> float:
@@ -57,28 +51,27 @@ class MinimizeResult:
     gradient_norm: float
 
 
-def _line_search(objective, x, f0, g0, d, t0):
+def _line_search(fun_grad, x, f0, g0, d, t0):
     """Strong-Wolfe search along d; returns (t, f, g) or None.
 
-    Each trial point costs one ``objective`` call; its gradient is asked
-    for only if the point passes the Armijo test, and the accepted point's
-    gradient is the one already computed.  Non-finite trial values behave
-    like Armijo failures, which brackets the step away from penalty cliffs.
+    Each trial point costs one ``fun_grad`` call, and the accepted point's
+    gradient is the one computed there.  The gradient of a point that fails
+    the Armijo test is not used.  Non-finite trial values behave like
+    Armijo failures, which brackets the step away from penalty cliffs.
     """
     dg0 = float(g0 @ d)
 
     def phi(t):
-        ft, grad = objective(x + t * d)
-        return float(ft), grad
+        ft, gt = fun_grad(x + t * d)
+        return float(ft), gt
 
     def zoom(lo, f_lo, g_lo, hi):
         for _ in range(_MAX_ZOOM):
             t = 0.5 * (lo + hi)
-            ft, grad = phi(t)
+            ft, gt = phi(t)
             if not np.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 or ft >= f_lo:
                 hi = t
                 continue
-            gt = grad()
             dphi = float(gt @ d)
             if abs(dphi) <= -_WOLFE_C2 * dg0:
                 return t, ft, gt
@@ -92,11 +85,10 @@ def _line_search(objective, x, f0, g0, d, t0):
     t_prev, f_prev, g_prev = 0.0, f0, g0
     t = t0
     for i in range(_MAX_LS_EVALS):
-        ft, grad = phi(t)
+        ft, gt = phi(t)
         if not np.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
                 or (i > 0 and ft >= f_prev):
             return zoom(t_prev, f_prev, g_prev, t)
-        gt = grad()
         dphi = float(gt @ d)
         if abs(dphi) <= -_WOLFE_C2 * dg0:
             return t, ft, gt
@@ -109,21 +101,12 @@ def _line_search(objective, x, f0, g0, d, t0):
     return t_prev, f_prev, g_prev
 
 
-def fd_objective(fun, h: float):
-    """Objective for ``minimize`` from a value-only ``fun``: the gradient is
-    a forward-difference sweep with step h, run only when asked for."""
-    def objective(x):
-        f = float(fun(x))
-        return f, lambda: energy_gradient_fd(fun, x, h, f0=f)
-    return objective
-
-
-def minimize(objective, x0, options: MinimizeOptions | None = None) -> MinimizeResult:
+def minimize(fun_grad, x0, options: MinimizeOptions | None = None) -> MinimizeResult:
     """Minimize a smooth objective from x0.
 
-    ``objective(x)`` returns ``(f, grad)``, where ``grad()`` gives the
-    gradient at x; it is called only at the start and at trial points that
-    pass the Armijo test (see ``fd_objective`` for forward differences).
+    ``fun_grad(x)`` returns the value and the gradient at x, ``(f, g)``.
+    The gradient is used only at the start and at trial points that pass
+    the Armijo test, so it may be anything where f is not finite.
     Termination: step norm below tol_step, two consecutive accepted
     decreases below tol_fun, gradient infinity-norm below the derived
     threshold, or max_iters.
@@ -131,11 +114,10 @@ def minimize(objective, x0, options: MinimizeOptions | None = None) -> MinimizeR
     opts = options or MinimizeOptions()
     opts.validate()
     x = np.asarray(x0, dtype=float).copy()
-    f, grad = objective(x)
+    f, g = fun_grad(x)
     f = float(f)
     if not np.isfinite(f):
         raise InvalidStartError(f"objective is {f} at the starting point")
-    g = grad()
     gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
     if gnorm <= opts.grad_tol:
         return MinimizeResult(x_min=x, f_min=f, iterations=0,
@@ -164,7 +146,7 @@ def minimize(objective, x0, options: MinimizeOptions | None = None) -> MinimizeR
             if dnorm > 0:
                 t0 = min(1.0, 1.0 / dnorm)
 
-        hit = _line_search(objective, x, f, g, d, t0)
+        hit = _line_search(fun_grad, x, f, g, d, t0)
         if hit is None or hit[1] >= f:
             # No acceptable decrease along a descent direction: vanishing step.
             converged_by = "step"

@@ -5,9 +5,8 @@ import pytest
 
 from kinkband import (MaterialParams, build_structured_mesh,
                       dissipation_increment, elastic_density,
-                      energy_gradient_analytic, energy_gradient_fd,
-                      hardening_density, initial_state, slip_gradient_density,
-                      total_energy)
+                      energy_gradient_analytic, hardening_density,
+                      initial_state, slip_gradient_density, total_energy)
 from kinkband.energy import _assemble
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
@@ -257,23 +256,6 @@ def test_dissipation_dimension_mismatch(params, mesh_4x6):
 
 # ---------------------------------------------------------------------------
 # gradients
-
-
-def test_fd_gradient_quadratic():
-    h = 1e-8
-    x = np.array([0.3, -1.2, 2.0])
-    g = energy_gradient_fd(lambda v: 0.5 * float(v @ v), x, h)
-    assert np.max(np.abs(g - x)) < h * (1 + np.max(np.abs(x))) * 10
-
-
-def test_fd_gradient_constant():
-    g = energy_gradient_fd(lambda v: 4.2, np.ones(5), 1e-8)
-    np.testing.assert_allclose(g, 0.0)
-
-
-def test_fd_gradient_needs_positive_h():
-    with pytest.raises(ValueError):
-        energy_gradient_fd(lambda v: 0.0, np.ones(2), 0.0)
 
 
 def _packed_objective(mesh, dofmap, params, slip, template, b_prev):

@@ -6,11 +6,10 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
                       SlipSystem, StepFailureError, build_dofmap,
                       build_structured_mesh, dissipation_increment,
                       energy_inequality_check, incremental_step, initial_state,
-                      lift_state, reaction_force, run_simulation,
+                      lift_state, minimize, reaction_force, run_simulation,
                       stability_check, total_energy)
 from kinkband.evolution import (LoadProgram, TimeGrid,
-                                apply_boundary_conditions, _make_objective,
-                                _minimize_subset, _minimizer_objective)
+                                apply_boundary_conditions, _make_objective)
 from kinkband.mesh import BOTTOM, LEFT, RIGHT, TOP
 
 
@@ -124,6 +123,21 @@ def test_step_satisfies_boundary_program(small_problem):
     assert state.time == 20.0
 
 
+def _minimize_subset(fun_grad, x_full, idx, options):
+    """Minimize over a subset of coordinates, complement held fixed."""
+    base = x_full.copy()
+
+    def fgs(xs):
+        base[idx] = xs
+        f, g = fun_grad(base)
+        return f, g[idx]
+
+    res = minimize(fgs, x_full[idx], options)
+    out = x_full.copy()
+    out[idx] = res.x_min
+    return out, res
+
+
 def test_slip_suppressed_matches_elastic_minimization(small_problem):
     mesh, dofmap, params, slip, program, options = small_problem
     stiff = MaterialParams(sigma=params.sigma * 1e6)
@@ -135,29 +149,12 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
     # oracle: minimize over the elastic blocks only, slip frozen at zero
     template = apply_boundary_conditions(prev, mesh, program, 10.0)
     template.b = np.zeros(mesh.n_nodes)
-    fun, fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
+    _, fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     idx_a = np.arange(dofmap.sl_a2.stop)
-    _, res = _minimize_subset(fun, fun_grad, x0, idx_a, options)
+    _, res = _minimize_subset(fun_grad, x0, idx_a, options)
     assert rec.energy.total + rec.dissipation_increment \
         <= res.f_min + options.tol_fun
-
-
-def test_joint_and_alternating_agree(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
-    prev = initial_state(mesh)
-    s_j, r_j = incremental_step(prev, 30.0, mesh, dofmap, params, slip,
-                                program, options, mode="joint")
-    s_a, r_a = incremental_step(prev, 30.0, mesh, dofmap, params, slip,
-                                program, options, mode="alternating")
-    assert abs(r_j.energy.total - r_a.energy.total) <= options.tol_fun * 10
-
-
-def test_unknown_mode_rejected(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
-    with pytest.raises(ValueError):
-        incremental_step(initial_state(mesh), 1.0, mesh, dofmap, params, slip,
-                         program, options, mode="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +249,13 @@ def test_stability_after_converged_step(small_problem):
 def test_stability_negative_control(small_problem):
     # one optimizer iteration from the raw boundary-updated start leaves a
     # visibly unstable state; the check must flag it
-    from kinkband import minimize
-
     mesh, dofmap, params, slip, program, _ = small_problem
     prev = initial_state(mesh)
     template = apply_boundary_conditions(prev, mesh, program, 40.0)
-    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
+    _, fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     options = MinimizeOptions(max_iters=1)
-    res = minimize(_minimizer_objective(fun, fun_grad, options), x0, options)
+    res = minimize(fun_grad, x0, options)
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     state = evolution.State(a1=a1, a2=a2, b=b, time=40.0)
     v = stability_check(state, 40.0, mesh, dofmap, params, slip, program,

@@ -78,7 +78,7 @@ def test_platen_through_floor_rejected():
 
 def test_config_roundtrip():
     config = parse_config("mesh.nx = 5\nmaterial.p = 2.7\n"
-                          "run.warm_start_plastic = true")
+                          "output.formats = csv")
     again = parse_config(serialize_config(config))
     assert again == config
 
@@ -352,7 +352,7 @@ def test_cli_run_mesh_and_steps_overrides(tmp_path):
     cfg.write_text("")
     out_dir = tmp_path / "o2"
     code = cli_main(["run", "--config", str(cfg), "--out", str(out_dir),
-                     "--steps", "2", "--mesh", "2", "3", "--mode", "joint"])
+                     "--steps", "2", "--mesh", "2", "3"])
     assert code == 0
     assert len(read_history_csv(out_dir / "history.csv")) == 2
 

@@ -103,11 +103,10 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
 
     monkeypatch.setattr(evolution, "_assemble", recording)
     template = apply_boundary_conditions(prev, mesh, program, 20.0)
-    fun, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
-                                              template, prev.b)
+    _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
+                                            template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    objective = evolution._minimizer_objective(fun, fun_grad, MinimizeOptions())
-    res = minimize(objective, x0, MinimizeOptions())
+    res = minimize(fun_grad, x0, MinimizeOptions())
     assert res.iterations > 5
     # every point the minimizer looked at was assembled once, value and
     # gradient together: the start plus at least one trial per iteration

@@ -4,9 +4,8 @@ import pytest
 from kinkband import (InvalidStartError, MaterialParams, MinimizeOptions,
                       SlipSystem, build_dofmap, build_structured_mesh,
                       gradient_check, initial_state, minimize)
-from kinkband.evolution import (LoadProgram, _make_objective, _minimizer_objective,
+from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions)
-from kinkband.optimizer import fd_objective
 
 
 def rosenbrock(x):
@@ -21,8 +20,8 @@ def rosenbrock_grad(x):
 
 
 def _fg(f, g):
-    """The (f, gradient) objective minimize takes, from separate f and g."""
-    return lambda x: (f(x), lambda: g(x))
+    """The (f, g) objective minimize takes, from separate f and g."""
+    return lambda x: (f(x), g(x))
 
 
 def _tight():
@@ -39,14 +38,6 @@ def test_quadratic_bowl():
 
 def test_rosenbrock():
     res = minimize(_fg(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0]), _tight())
-    assert np.max(np.abs(res.x_min - 1.0)) < 1e-4
-
-
-def test_rosenbrock_fd_gradient():
-    opts = MinimizeOptions(tol_fun=1e-12, tol_step=1e-12, max_iters=2000,
-                           fd_perturbation=1e-8)
-    res = minimize(fd_objective(rosenbrock, opts.fd_perturbation),
-                   np.array([-1.2, 1.0]), opts)
     assert np.max(np.abs(res.x_min - 1.0)) < 1e-4
 
 
@@ -99,58 +90,21 @@ def test_invalid_start_raises():
 
 def test_nonfinite_trial_points_are_rejected():
     # objective is +inf outside the unit ball; the line search must shrink
-    # through the cliff instead of failing
-    def f(x):
-        r2 = float(x @ x)
-        return r2 if r2 < 1.0 else np.inf
+    # through the cliff instead of failing.  The narrow valley makes the
+    # first step cross it and leave the ball.  The gradient there is NaN,
+    # so a gradient from an off-cliff point in the step or the L-BFGS
+    # memory would poison the result
+    off_cliff = []
 
-    res = minimize(_fg(f, lambda x: 2 * x), np.array([0.6, -0.5]), _tight())
+    def fun_grad(x):
+        if float(x @ x) >= 1.0:
+            off_cliff.append(x)
+            return np.inf, np.full_like(x, np.nan)
+        return x[0] ** 2 + 100.0 * x[1] ** 2, np.array([2.0 * x[0], 200.0 * x[1]])
+
+    res = minimize(fun_grad, np.array([0.9, 0.1]), _tight())
+    assert off_cliff
     assert np.max(np.abs(res.x_min)) < 1e-6
-
-
-def test_gradient_is_asked_only_at_finite_points():
-    # the minimizer of this objective lies on its cliff at |x| = 1, so trial
-    # points fall off it; the gradient is never asked for at those
-    c = np.array([2.0, 0.0])
-    values = []
-
-    def objective(x):
-        f = float((x - c) @ (x - c)) if float(x @ x) < 1.0 else np.inf
-        values.append(f)
-
-        def grad():
-            assert np.isfinite(f)
-            return 2 * (x - c)
-        return f, grad
-
-    minimize(objective, np.array([0.6, -0.5]), _tight())
-    assert not np.isfinite(values).all()
-    with pytest.raises(InvalidStartError):
-        minimize(lambda x: (np.inf, pytest.fail), np.zeros(2), _tight())
-
-
-def test_fd_sweep_runs_only_where_the_gradient_is_used():
-    # forward differences cost one value call per trial point plus n per
-    # gradient; trial points that fail the Armijo test pay no sweep
-    calls = [0, 0]
-
-    def counted(x):
-        calls[0] += 1
-        return rosenbrock(x)
-
-    inner = fd_objective(counted, 1e-8)
-
-    def objective(x):
-        f, grad = inner(x)
-
-        def counted_grad():
-            calls[1] += 1
-            return grad()
-        return f, counted_grad
-
-    res = minimize(objective, np.array([-1.2, 1.0]), _tight())
-    n_points = calls[0] - 2 * calls[1]
-    assert res.iterations < calls[1] < n_points
 
 
 def test_zero_gradient_start_exits_immediately():
@@ -165,8 +119,6 @@ def test_options_validation():
         MinimizeOptions(tol_fun=0.0).validate()
     with pytest.raises(ValueError):
         MinimizeOptions(max_iters=0).validate()
-    with pytest.raises(ValueError):
-        MinimizeOptions(gradient_mode="magic").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +178,7 @@ def test_assembled_step_matches_coordinate_descent_oracle():
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     assert dofmap.n_free <= 27
 
-    res = minimize(_minimizer_objective(fun, fun_grad, MinimizeOptions()), x0,
-                   MinimizeOptions())
+    res = minimize(fun_grad, x0, MinimizeOptions())
 
     x = x0.copy()
     f = fun(x)
