@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import SlipSystem
-from .mesh import Mesh2D, midpoint_rule
+from .mesh import DofMap, Mesh2D, midpoint_rule
 
 _RULE = midpoint_rule()
 
@@ -141,6 +141,12 @@ def _qmean(t, W):
     return t[:, 0] * W[0] + t[:, 1] * W[1] + t[:, 2] * W[2]
 
 
+def _scatter(mesh: Mesh2D, loc):
+    """Sum (nt, 3) per-corner element values into a nodal array."""
+    return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(),
+                       minlength=mesh.n_nodes)
+
+
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
               b_prev=None, need_grad=False):
     """Quadrature assembly of energy (and dissipation / gradients).
@@ -220,9 +226,6 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     def corner_dots(d0, d1):                        # (d0, d1) . grad of each hat
         return d0[:, None] * bg[..., 0] + d1[:, None] * bg[..., 1]
 
-    def scatter(loc):
-        return np.bincount(tri.ravel(), weights=loc.ravel(), minlength=mesh.n_nodes)
-
     # Chain rule to grad_y: dW/d(grad_y) = S P^T = S - gam * outer(S m, s),
     # averaged over the quadrature points.
     sm0 = s00 * m0 + s01 * m1
@@ -231,8 +234,8 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     t01 = _qmean(s01 - gam * (sm0 * s1), W)
     t10 = _qmean(s10 - gam * (sm1 * s0), W)
     t11 = _qmean(s11 - gam * (sm1 * s1), W)
-    ga1 = scatter(area[:, None] * corner_dots(t00, t01))
-    ga2 = scatter(area[:, None] * corner_dots(t10, t11))
+    ga1 = _scatter(mesh, area[:, None] * corner_dots(t00, t01))
+    ga2 = _scatter(mesh, area[:, None] * corner_dots(t10, t11))
 
     # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
     dW_dg = -(u0 * sm0 + u1 * sm1)
@@ -241,8 +244,36 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         dW_dg += params.sigma * diff / root
     loc_b = area[:, None] * ((dW_dg * W) @ P)
     loc_b += area[:, None] * (2.0 * params.eps_grad * corner_dots(g0, g1))
-    gb = scatter(loc_b)
+    gb = _scatter(mesh, loc_b)
     return breakdown, diss, (ga1, ga2, gb)
+
+
+def curvature_scale(mesh: Mesh2D, dofmap: DofMap,
+                    params: MaterialParams) -> np.ndarray:
+    """Per-DOF scale h of the L-BFGS initial Hessian over the free DOFs.
+
+    Displacement DOFs get 1.  Slip DOF i gets
+
+        h_i = max(1, (sigma/delta) m_i / (k m_i + 2 eps_grad l_i)),
+
+    the dissipation curvature at zero slip increment over the stored-energy
+    curvature at Fe = I, gamma = 0, so only slip DOFs whose dissipation
+    curvature dominates are scaled.  m_i is the midpoint-rule lumped mass,
+    l_i the diagonal of the P1 Laplacian and k = d^2 W / d gamma^2 at the
+    reference state, C p 2^{(p-2)/2} + 2 aniso + beta r 2^{(r-2)/2} (exact
+    because s is orthogonal to m).
+    """
+    area, bg = mesh.element_area, mesh.basis_gradients
+    P, W = _RULE.points, _RULE.weights
+    mass = _scatter(mesh, area[:, None] * ((P * P).T @ W))
+    lap = _scatter(mesh, area[:, None] * (bg[..., 0] ** 2 + bg[..., 1] ** 2))
+    k = (params.C * params.p * 2.0 ** ((params.p - 2.0) / 2.0)
+         + 2.0 * params.aniso
+         + params.beta * params.r * 2.0 ** ((params.r - 2.0) / 2.0))
+    h_b = np.maximum(1.0, (params.sigma / params.delta) * mass
+                     / (k * mass + 2.0 * params.eps_grad * lap))
+    ones = np.ones(mesh.n_nodes)
+    return dofmap.pack(ones, ones, h_b)
 
 
 def total_energy(state, mesh: Mesh2D, params: MaterialParams,

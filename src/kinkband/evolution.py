@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .energy import (EnergyBreakdown, MaterialParams, _assemble,
-                     dissipation_increment, element_grad_y,
+                     curvature_scale, dissipation_increment, element_grad_y,
                      energy_nodal_gradient)
 from .kinematics import SlipSystem
 from .mesh import (BOTTOM, LEFT, RIGHT, TOP, DofMap, Mesh2D, build_dofmap,
@@ -192,9 +192,10 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     b_prev = prev.b
     fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
+    h = curvature_scale(mesh, dofmap, params)
 
     try:
-        res = minimize(fun_grad, x0, options)
+        res = minimize(fun_grad, x0, options, h=h)
     except InvalidStartError as exc:
         raise StepFailureError(
             f"step to t={t_next:g} failed to start: {exc}") from exc
@@ -206,7 +207,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     f_lift = fun(x_lift)
     if np.isfinite(f_lift) and f_lift < res.f_min:
-        res_lift = minimize(fun_grad, x_lift, options)
+        res_lift = minimize(fun_grad, x_lift, options, h=h)
         iterations += res_lift.iterations
         if res_lift.f_min < res.f_min:
             res = res_lift

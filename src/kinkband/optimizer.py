@@ -1,6 +1,7 @@
 """Quasi-Newton minimization over the free DOF vector.
 
-Limited-memory BFGS with a strong-Wolfe line search.  Non-finite trial
+Limited-memory BFGS with a strong-Wolfe line search and an optional
+per-coordinate scale of the initial inverse Hessian.  Non-finite trial
 values (the determinant penalty creates cliffs) are treated as failed
 sufficient-decrease tests, so the search shrinks through them instead of
 aborting the run.  Accepted objective values are monotone non-increasing
@@ -101,12 +102,16 @@ def _line_search(fun_grad, x, f0, g0, d, t0):
     return t_prev, f_prev, g_prev
 
 
-def minimize(fun_grad, x0, options: MinimizeOptions | None = None) -> MinimizeResult:
+def minimize(fun_grad, x0, options: MinimizeOptions | None = None,
+             h=None) -> MinimizeResult:
     """Minimize a smooth objective from x0.
 
     ``fun_grad(x)`` returns the value and the gradient at x, ``(f, g)``.
     The gradient is used only at the start and at trial points that pass
     the Armijo test, so it may be anything where f is not finite.
+    ``h`` is a constant positive per-coordinate curvature scale (default
+    all ones): the initial inverse Hessian of every L-BFGS update is
+    theta * diag(1/h), and a direction without memory is -g/h.
     Termination: step norm below tol_step, two consecutive accepted
     decreases below tol_fun, gradient infinity-norm below the derived
     threshold, or max_iters.
@@ -114,6 +119,9 @@ def minimize(fun_grad, x0, options: MinimizeOptions | None = None) -> MinimizeRe
     opts = options or MinimizeOptions()
     opts.validate()
     x = np.asarray(x0, dtype=float).copy()
+    h = np.ones(len(x)) if h is None else np.asarray(h, dtype=float)
+    if h.shape != x.shape or not np.all((h > 0) & np.isfinite(h)):
+        raise ValueError("h must be a finite positive scale per coordinate")
     f, g = fun_grad(x)
     f = float(f)
     if not np.isfinite(f):
@@ -131,13 +139,13 @@ def minimize(fun_grad, x0, options: MinimizeOptions | None = None) -> MinimizeRe
     it = 0
     small_decreases = 0
     for it in range(1, opts.max_iters + 1):
-        d = _lbfgs_direction(g, s_hist, y_hist, rho_hist)
+        d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, h)
         dg = float(d @ g)
         if dg >= 0.0:                       # not a descent direction: reset memory
             s_hist.clear()
             y_hist.clear()
             rho_hist.clear()
-            d = -g
+            d = -g / h
             dg = float(d @ g)
 
         t0 = 1.0
@@ -187,18 +195,21 @@ def minimize(fun_grad, x0, options: MinimizeOptions | None = None) -> MinimizeRe
                           converged_by=converged_by, gradient_norm=gnorm)
 
 
-def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
-    """Two-loop recursion; scaled steepest descent when the memory is empty."""
-    q = -g.copy()
+def _lbfgs_direction(g, s_hist, y_hist, rho_hist, h):
+    """Two-loop recursion with initial inverse Hessian theta * diag(1/h),
+    theta = s'y / (y' diag(1/h) y) of the newest pair; -g/h when the memory
+    is empty.  With h all ones every product by 1/h is a division by 1.0,
+    which is exact, so this is the unscaled recursion bit for bit."""
+    q = -g
     if not s_hist:
-        return q
+        return q / h
     k = len(s_hist)
     alphas = np.empty(k)
     for i in range(k - 1, -1, -1):
         alphas[i] = rho_hist[i] * float(s_hist[i] @ q)
         q -= alphas[i] * y_hist[i]
-    ys = 1.0 / (rho_hist[-1] * float(y_hist[-1] @ y_hist[-1]))
-    q *= ys
+    theta = 1.0 / (rho_hist[-1] * float(y_hist[-1] @ (y_hist[-1] / h)))
+    q *= theta / h
     for i in range(k):
         beta = rho_hist[i] * float(y_hist[i] @ q)
         q += (alphas[i] - beta) * s_hist[i]
@@ -206,17 +217,19 @@ def _lbfgs_direction(g, s_hist, y_hist, rho_hist):
 
 
 def gradient_check(objective, gradient, x, h: float) -> float:
-    """Max over coordinates of |analytic - central FD| / (1 + |central FD|)."""
+    """Max over coordinates of |analytic - central FD| / (1 + |central FD|).
+
+    NaN in any coordinate, of the gradient or of a difference quotient,
+    makes the result NaN, so no threshold test passes it.
+    """
     x = np.asarray(x, dtype=float)
     ga = np.asarray(gradient(x), dtype=float)
-    worst = 0.0
+    errs = np.zeros(len(x))
     for i in range(len(x)):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
         fd = (objective(xp) - objective(xm)) / (2.0 * h)
-        err = abs(ga[i] - fd) / (1.0 + abs(fd))
-        if err > worst:
-            worst = err
-    return worst
+        errs[i] = abs(ga[i] - fd) / (1.0 + abs(fd))
+    return float(np.max(errs, initial=0.0))

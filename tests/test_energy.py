@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kinkband import (MaterialParams, build_structured_mesh,
+from kinkband import (MaterialParams, build_dofmap, build_structured_mesh,
                       dissipation_increment, elastic_density,
                       energy_gradient_analytic, hardening_density,
                       initial_state, slip_gradient_density, total_energy)
-from kinkband.energy import _assemble
+from kinkband.energy import _assemble, curvature_scale
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
 from conftest import random_rotation
@@ -348,3 +348,50 @@ def test_material_params_validation():
         MaterialParams(p=2.0).validate()
     with pytest.raises(ValueError, match="beta"):
         MaterialParams(beta=-0.1).validate()
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS curvature scale
+
+
+@pytest.mark.parametrize("nx, ny", [(10, 18), (20, 36), (34, 61)])
+def test_curvature_scale_is_one_for_default_material(nx, ny):
+    # sigma/delta = 100 is below the stored-energy curvature k ~ 1615, so
+    # the default problem runs the unscaled L-BFGS
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    h = curvature_scale(mesh, build_dofmap(mesh), MaterialParams())
+    assert (h == 1.0).all()
+
+
+def test_curvature_scale_slip_suppressed():
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    dofmap = build_dofmap(mesh)
+    h = curvature_scale(mesh, dofmap, MaterialParams(sigma=1000.0))
+    assert len(h) == dofmap.n_free
+    assert (h[:dofmap.sl_b.start] == 1.0).all()
+    assert h[dofmap.sl_b].min() > 4e4
+
+
+def test_curvature_scale_is_the_curvature_ratio(mesh_4x6, dofmap_4x6, slip):
+    # h_i is the dissipation over the stored-energy second derivative in
+    # slip DOF i at the reference state, here from central differences of
+    # the analytic gradient at a step far below delta
+    params = MaterialParams(sigma=1000.0)
+    st = initial_state(mesh_4x6)
+    zero = np.zeros(mesh_4x6.n_nodes)
+    t = 1e-9
+    h = curvature_scale(mesh_4x6, dofmap_4x6, params)[dofmap_4x6.sl_b]
+    for i in (0, 7, 12, mesh_4x6.n_nodes - 1):
+        e = np.zeros(mesh_4x6.n_nodes)
+        e[i] = t
+
+        def curvature(b_prev):
+            gp = _assemble(mesh_4x6, st.a1, st.a2, e, params, slip,
+                           b_prev=b_prev, need_grad=True)[2][2]
+            gm = _assemble(mesh_4x6, st.a1, st.a2, -e, params, slip,
+                           b_prev=b_prev, need_grad=True)[2][2]
+            return (gp[i] - gm[i]) / (2.0 * t)
+
+        stored = curvature(None)
+        dissipation = curvature(zero) - stored
+        assert h[i] == pytest.approx(dissipation / stored, rel=1e-5)

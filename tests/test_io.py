@@ -331,6 +331,34 @@ def test_cli_check_gradient(tmp_path, capsys):
     assert err < 1e-5
 
 
+def test_cli_check_gradient_fails_on_nan_gradient(tmp_path, monkeypatch,
+                                                  capsys):
+    # one NaN coordinate of the analytic gradient must fail the check
+    import kinkband.evolution as evolution
+
+    make_objective = evolution._make_objective
+
+    def nan_objective(*args):
+        fun, fun_grad = make_objective(*args)
+
+        def nan_fun_grad(x):
+            f, g = fun_grad(x)
+            g = g.copy()
+            g[3] = np.nan
+            return f, g
+        return fun, nan_fun_grad
+
+    monkeypatch.setattr(evolution, "_make_objective", nan_objective)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("")
+    code = cli_main(["check-gradient", "--config", str(cfg),
+                     "--mesh", "4", "6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.strip().endswith("nan")
+    assert "gradient check FAILED" in captured.err
+
+
 def test_cli_run_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("mesh.nx = 3\nmesh.ny = 4\nload.K = 3\n"

@@ -6,6 +6,7 @@ from kinkband import (InvalidStartError, MaterialParams, MinimizeOptions,
                       gradient_check, initial_state, minimize)
 from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions)
+from kinkband.optimizer import _lbfgs_direction
 
 
 def rosenbrock(x):
@@ -122,6 +123,67 @@ def test_options_validation():
 
 
 # ---------------------------------------------------------------------------
+# per-coordinate curvature scale
+
+
+def _unscaled_direction(g, s_hist, y_hist, rho_hist):
+    """The two-loop recursion with the scalar initial Hessian s'y / y'y."""
+    q = -g.copy()
+    if not s_hist:
+        return q
+    k = len(s_hist)
+    alphas = np.empty(k)
+    for i in range(k - 1, -1, -1):
+        alphas[i] = rho_hist[i] * float(s_hist[i] @ q)
+        q -= alphas[i] * y_hist[i]
+    q *= 1.0 / (rho_hist[-1] * float(y_hist[-1] @ y_hist[-1]))
+    for i in range(k):
+        beta = rho_hist[i] * float(y_hist[i] @ q)
+        q += (alphas[i] - beta) * s_hist[i]
+    return q
+
+
+def test_unit_scale_direction_is_the_unscaled_recursion_bitwise():
+    rng = np.random.default_rng(7)
+    for n, k in ((1, 1), (7, 3), (600, 10), (2203, 10), (50, 0)):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        s_hist, y_hist, rho_hist = [], [], []
+        for _ in range(k):
+            s = rng.standard_normal(n)
+            y = rng.uniform(0.5, 1e4, n) * s + 1e-3 * rng.standard_normal(n)
+            s_hist.append(s)
+            y_hist.append(y)
+            rho_hist.append(1.0 / float(y @ s))
+        d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, np.ones(n))
+        assert (d == _unscaled_direction(g, s_hist, y_hist, rho_hist)).all()
+
+
+def test_curvature_scale_speeds_up_a_stiff_diagonal_quadratic():
+    # curvatures spread over [1, 2] and [1e8, 2e8]: the scalar initial
+    # Hessian stalls on the soft block, the matching scale sees both
+    spread = np.linspace(1.0, 2.0, 20)
+    c = np.concatenate([spread, 1e8 * spread])
+    h = np.concatenate([np.ones(20), np.full(20, 1e8)])
+
+    def fun_grad(x):
+        return 0.5 * float(x @ (c * x)), c * x
+
+    x0 = np.ones(40)
+    plain = minimize(fun_grad, x0, _tight())
+    scaled = minimize(fun_grad, x0, _tight(), h=h)
+    assert np.max(np.abs(scaled.x_min)) < 1e-8
+    assert 10 * scaled.iterations < plain.iterations
+
+
+def test_curvature_scale_validation():
+    fg = _fg(lambda x: 0.5 * float(x @ x), lambda x: x)
+    for bad in (np.ones(2), np.array([1.0, 0.0, 1.0]),
+                np.array([1.0, np.nan, 1.0]), np.array([1.0, np.inf, 1.0])):
+        with pytest.raises(ValueError):
+            minimize(fg, np.ones(3), _tight(), h=bad)
+
+
+# ---------------------------------------------------------------------------
 # gradient_check
 
 
@@ -140,6 +202,22 @@ def test_gradient_check_detects_broken_gradient():
     err = gradient_check(lambda x: 0.5 * float(x @ x), broken,
                          np.array([1.5, -1.0]), 1e-6)
     assert err > 1e-2
+
+
+def test_gradient_check_nan_coordinate_gives_nan():
+    x = np.array([0.2, -1.0, 3.0])
+
+    def nan_grad(v):
+        g = v.copy()
+        g[1] = np.nan
+        return g
+
+    def nan_fun(v):                  # NaN at one finite-difference point
+        return np.nan if v[2] > 3.0 else 0.5 * float(v @ v)
+
+    assert np.isnan(gradient_check(lambda v: 0.5 * float(v @ v), nan_grad,
+                                   x, 1e-6))
+    assert np.isnan(gradient_check(nan_fun, lambda v: v, x, 1e-6))
 
 
 # ---------------------------------------------------------------------------
