@@ -6,10 +6,9 @@ from .energy import (EnergyBreakdown, MaterialParams, dissipation_increment,
                      elastic_density, energy_gradient_analytic,
                      hardening_density, slip_gradient_density, total_energy)
 from .evolution import (LoadProgram, State, StepFailureError, StepRecord,
-                        TimeGrid, apply_boundary_conditions,
-                        energy_inequality_check, incremental_step,
-                        initial_state, lift_state, reaction_force,
-                        run_simulation, stability_check)
+                        apply_boundary_conditions, energy_inequality_check,
+                        incremental_step, initial_state, lift_state,
+                        reaction_force, run_simulation, stability_check)
 from .kinematics import (SlipSystem, elastic_strain, gradient_of_field,
                          inverse_plastic, plastic_distortion)
 from .mesh import (DofMap, GeometryError, Mesh2D, QuadratureRule,
@@ -26,7 +25,7 @@ __all__ = [
     "EnergyBreakdown", "MaterialParams", "dissipation_increment",
     "elastic_density", "energy_gradient_analytic", "hardening_density",
     "slip_gradient_density", "total_energy",
-    "LoadProgram", "State", "StepFailureError", "StepRecord", "TimeGrid",
+    "LoadProgram", "State", "StepFailureError", "StepRecord",
     "apply_boundary_conditions", "energy_inequality_check", "incremental_step",
     "initial_state", "lift_state", "reaction_force", "run_simulation",
     "stability_check",

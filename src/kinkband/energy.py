@@ -63,11 +63,12 @@ class MaterialParams:
     det_floor: float = 1e-8
 
     def validate(self) -> None:
+        """Raise ValueError whose message starts with the bad field's name."""
         for name in ("C", "D", "aniso", "eps_grad", "sigma", "delta",
                      "det_penalty", "det_floor"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if not self.p > 2:
             raise ValueError(f"p must exceed 2, got {self.p}")

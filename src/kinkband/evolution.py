@@ -10,7 +10,7 @@ affinely lifted copy of the previous state.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,19 +62,6 @@ class LoadProgram:
 
     def top_displacement(self, t: float) -> float:
         return self.Ly - self.speed * t
-
-
-@dataclass
-class TimeGrid:
-    K: int
-    tau: float
-    times: np.ndarray
-
-    @classmethod
-    def uniform(cls, T: float, K: int) -> "TimeGrid":
-        if K < 1:
-            raise ValueError(f"K must be at least 1, got {K}")
-        return cls(K=K, tau=T / K, times=np.linspace(0.0, T, K + 1))
 
 
 @dataclass
@@ -268,12 +255,8 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
     breakdown, _, _ = _assemble(mesh, bc.a1, bc.a2, state.b, params, slip)
     f_state = breakdown.total
     x = dofmap.pack(bc.a1, bc.a2, state.b)
-
-    def competitor_value(xc):
-        a1, a2, b = dofmap.unpack(xc, bc.a1, bc.a2, state.b)
-        bd, diss, _ = _assemble(mesh, a1, a2, b, params, slip, b_prev=state.b)
-        return bd.total + diss
-
+    competitor_value, _ = _make_objective(mesh, dofmap, params, slip, bc,
+                                          state.b)
     worst = f_state - competitor_value(x)          # the state itself
     if prev_state is not None:
         lifted = lift_state(prev_state, mesh, program, prev_state.time, t)
@@ -325,20 +308,17 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program, h=1e-6):
 
 
 def build_problem(config):
-    """Mesh, dofmap, material, slip system and load program of a
+    """Mesh, dofmap, material, slip system and load program of a validated
     SimulationConfig, in the argument order of the solver functions."""
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
-    params = MaterialParams(**{f.name: getattr(config, f.name)
-                               for f in fields(MaterialParams)})
-    params.validate()
     slip = SlipSystem(s=np.array([config.s1, config.s2]),
                       m=np.array([config.m1, config.m2]))
     program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
-    return mesh, build_dofmap(mesh), params, slip, program
+    return mesh, build_dofmap(mesh), config.material, slip, program
 
 
 def run_simulation(config):
-    """Run the full load program described by a SimulationConfig.
+    """Run the full load program described by a validated SimulationConfig.
 
     Returns (records, states): one StepRecord per step and the state list
     including the initial state.  A failed start-up gradient check raises
@@ -346,10 +326,6 @@ def run_simulation(config):
     partial records and states.
     """
     mesh, dofmap, params, slip, program = build_problem(config)
-    grid = TimeGrid.uniform(config.T, config.K)
-    options = MinimizeOptions(tol_step=config.tol_step, tol_fun=config.tol_fun,
-                              max_iters=config.max_iters)
-    options.validate()
 
     # the check exercises the same assembly path, so a capped probe mesh
     # keeps the startup cost negligible on production meshes
@@ -360,17 +336,19 @@ def run_simulation(config):
     if not err < GRADIENT_CHECK_TOL:
         raise StepFailureError(
             f"start-up gradient check failed: max relative error {err:.3e} "
-            "is not below 1e-3, so the analytic gradient cannot be trusted")
+            f"is not below {GRADIENT_CHECK_TOL:g}, so the analytic gradient "
+            "cannot be trusted")
 
     state = initial_state(mesh)
     records: list[StepRecord] = []
     states: list[State] = [state]
     cumulative = 0.0
 
-    for k in range(1, grid.K + 1):
-        t_next = float(grid.times[k])
+    times = np.linspace(0.0, config.T, config.K + 1)
+    for k in range(1, config.K + 1):
+        t_next = float(times[k])
         step_kwargs = dict(mesh=mesh, dofmap=dofmap, params=params, slip=slip,
-                           program=program, options=options)
+                           program=program, options=config.optimizer)
         try:
             state_new, rec = incremental_step(
                 state, t_next, prev_cumulative=cumulative, k=k, **step_kwargs)

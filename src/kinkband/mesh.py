@@ -14,14 +14,6 @@ TOP = 2
 LEFT = 3
 RIGHT = 4
 
-TAG_NAMES = {
-    INTERIOR: "interior",
-    BOTTOM: "bottom",
-    TOP: "top",
-    LEFT: "left",
-    RIGHT: "right",
-}
-
 
 class GeometryError(ValueError):
     """Degenerate (zero or negative area) element geometry."""

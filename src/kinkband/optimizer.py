@@ -32,8 +32,10 @@ class MinimizeOptions:
     max_iters: int = 5000
 
     def validate(self) -> None:
-        if not (self.tol_step > 0 and self.tol_fun > 0):
-            raise ValueError("tolerances must be positive")
+        """Raise ValueError whose message starts with the bad field's name."""
+        for name in ("tol_step", "tol_fun"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 

@@ -38,7 +38,8 @@ def kink_run_20x36():
 
 @pytest.fixture(scope="module")
 def elastic_limit_run():
-    config = SimulationConfig(nx=10, ny=18, K=20, sigma=0.001 * 1e6)
+    config = SimulationConfig(nx=10, ny=18, K=20,
+                              material=MaterialParams(sigma=0.001 * 1e6))
     records, states = run_simulation(config)
     return config, records, states
 

@@ -8,8 +8,8 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
                       energy_inequality_check, incremental_step, initial_state,
                       lift_state, minimize, reaction_force, run_simulation,
                       stability_check, total_energy)
-from kinkband.evolution import (LoadProgram, TimeGrid,
-                                apply_boundary_conditions, _make_objective)
+from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
+                                _make_objective)
 from kinkband.mesh import BOTTOM, LEFT, RIGHT, TOP
 
 
@@ -70,16 +70,6 @@ def test_apply_bc_leaves_free_entries(small_problem):
 def test_load_program_starts_at_ly():
     program = LoadProgram(speed=0.18, T=100.0, Ly=75.0)
     assert program.top_displacement(0.0) == 75.0
-
-
-def test_time_grid():
-    grid = TimeGrid.uniform(100.0, 76)
-    assert grid.tau == pytest.approx(100.0 / 76.0)
-    assert grid.times[0] == 0.0
-    assert grid.times[-1] == pytest.approx(100.0)
-    assert (np.diff(grid.times) > 0).all()
-    with pytest.raises(ValueError):
-        TimeGrid.uniform(1.0, 0)
 
 
 def test_lift_state_admissible(small_problem):
@@ -318,7 +308,8 @@ def test_single_step_zero_load_run():
     assert len(states) == 2
     assert records[0].max_abs_gamma < 1e-10
     # state untouched: the platen reaction is the reference prestress pull
-    prestress = config.C * (config.p * 2.0 ** (config.p / 2.0 - 1.0) - 2.0)
+    material = config.material
+    prestress = material.C * (material.p * 2.0 ** (material.p / 2.0 - 1.0) - 2.0)
     assert records[0].reaction_force == pytest.approx(-prestress * config.Lx,
                                                       rel=1e-10)
     np.testing.assert_allclose(states[1].a2, states[0].a2, atol=1e-12)

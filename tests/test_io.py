@@ -1,12 +1,13 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from kinkband import (ConfigError, SimulationConfig,
-                      build_structured_mesh, initial_state, parse_config,
-                      read_history_csv, run_simulation, serialize_config,
-                      write_history_csv, write_snapshot_vtk)
+from kinkband import (ConfigError, MaterialParams, MinimizeOptions,
+                      SimulationConfig, build_structured_mesh, initial_state,
+                      parse_config, read_history_csv, run_simulation,
+                      serialize_config, write_history_csv, write_snapshot_vtk)
 from kinkband.cli import cli_main
 from kinkband.output import CSV_HEADER
 
@@ -17,20 +18,20 @@ from kinkband.output import CSV_HEADER
 
 def test_empty_config_gives_reference_defaults():
     config = parse_config("")
-    assert config.C == 600.0
-    assert config.D == 200.0
-    assert config.aniso == 100.0
-    assert config.beta == 0.02
-    assert config.eps_grad == 500.0
-    assert config.sigma == 0.001
-    assert config.delta == 1e-5
-    assert config.det_penalty == 1e6
+    assert config.material.C == 600.0
+    assert config.material.D == 200.0
+    assert config.material.aniso == 100.0
+    assert config.material.beta == 0.02
+    assert config.material.eps_grad == 500.0
+    assert config.material.sigma == 0.001
+    assert config.material.delta == 1e-5
+    assert config.material.det_penalty == 1e6
     assert config.T == 100.0
     assert config.speed == 0.18
     assert config.K == 76
     assert config.Lx == 42.0 and config.Ly == 75.0
     assert (config.s1, config.s2, config.m1, config.m2) == (0.0, 1.0, 1.0, 0.0)
-    assert config.tol_step == 1e-10 and config.tol_fun == 1e-4
+    assert config.optimizer.tol_step == 1e-10 and config.optimizer.tol_fun == 1e-4
 
 
 def test_invalid_value_names_key():
@@ -38,10 +39,38 @@ def test_invalid_value_names_key():
         parse_config("material.C = -1")
 
 
+# out-of-range values, at least one for every key that MaterialParams or
+# MinimizeOptions declares
+_BAD_SECTION_VALUES = [
+    ("material.C", "-1"), ("material.D", "0"), ("material.aniso", "-100"),
+    ("material.beta", "-0.1"), ("material.beta", "nan"),
+    ("material.eps_grad", "0"), ("material.sigma", "-1"), ("material.p", "2"),
+    ("material.r", "0.5"), ("material.delta", "0"),
+    ("material.det_penalty", "-1"), ("material.det_floor", "0"),
+    ("optimizer.tol_step", "0"), ("optimizer.tol_fun", "-1e-4"),
+    ("optimizer.max_iters", "0"),
+]
+
+
+def test_bad_section_values_cover_every_section_key():
+    keys = {f"{section}.{f.name}"
+            for section, cls in (("material", MaterialParams),
+                                 ("optimizer", MinimizeOptions))
+            for f in fields(cls)}
+    assert {key for key, _ in _BAD_SECTION_VALUES} == keys
+
+
+@pytest.mark.parametrize("key, value", _BAD_SECTION_VALUES)
+def test_out_of_range_section_value_names_full_key(key, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"{key} = {value}")
+    assert str(info.value).startswith(f"{key} must ")
+
+
 def test_single_override():
     config = parse_config("load.K = 10")
     assert config.K == 10
-    assert config.C == 600.0
+    assert config.material.C == 600.0
 
 
 def test_unknown_key_rejected_with_line_number():
@@ -71,6 +100,14 @@ def test_slip_vector_validation():
         parse_config("slip.m1 = 0\nslip.m2 = 1")
 
 
+@pytest.mark.parametrize("text", ["slip.s2 = 2", "slip.m1 = 0.5",
+                                  "slip.m1 = 0\nslip.m2 = 1"])
+def test_slip_vector_errors_name_slip(text):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith("slip: ")
+
+
 def test_platen_through_floor_rejected():
     with pytest.raises(ConfigError, match="load.speed"):
         parse_config("load.speed = 1.0")
@@ -86,6 +123,39 @@ def test_config_roundtrip():
 def test_roundtrip_of_defaults():
     assert parse_config(serialize_config(SimulationConfig())) \
         == SimulationConfig()
+
+
+def test_serialized_defaults_are_frozen():
+    assert serialize_config(SimulationConfig()) == """\
+geometry.Lx = 42
+geometry.Ly = 75
+mesh.nx = 34
+mesh.ny = 61
+material.C = 600
+material.D = 200
+material.aniso = 100
+material.beta = 0.02
+material.eps_grad = 500
+material.sigma = 0.001
+material.p = 2.2000000000000002
+material.r = 2
+material.delta = 1.0000000000000001e-05
+material.det_penalty = 1000000
+material.det_floor = 1e-08
+slip.s1 = 0
+slip.s2 = 1
+slip.m1 = 1
+slip.m2 = 0
+load.speed = 0.17999999999999999
+load.T = 100
+load.K = 76
+optimizer.tol_step = 1e-10
+optimizer.tol_fun = 0.0001
+optimizer.max_iters = 5000
+output.directory = out
+output.snapshot_stride = 1
+output.formats = csv,vtk
+"""
 
 
 def test_parse_from_file(tmp_path):
