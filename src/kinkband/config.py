@@ -10,6 +10,7 @@ declare their defaults and check their own values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .energy import MaterialParams
@@ -122,6 +123,10 @@ def _convert(key, kind, raw, line_no):
 
 def validate_config(config: SimulationConfig) -> SimulationConfig:
     """Check all per-key and cross-key invariants, naming the bad key."""
+    for key, (section, attr, kind) in _TABLE.items():
+        value = getattr(_owner(config, section), attr)
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     for key, (attr, check, msg) in _KEYS.items():
         if check is not None and not check(getattr(config, attr)):
             raise ConfigError(f"{key} {msg}, got {getattr(config, attr)}")

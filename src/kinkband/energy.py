@@ -17,9 +17,11 @@ dissipation between two slip fields is
 
 Assembly integrates with the 3-point edge-midpoint rule of
 ``mesh.midpoint_rule`` in a fixed element order, so results are bitwise
-reproducible.  The kernel ``_assemble`` keeps grad y, Fe, its cofactor and
-the stresses as separate 2x2 component arrays: (nt,) per element, (nt, nq)
-per quadrature point.  Every sum keeps the order of the original einsum
+reproducible.  ``_assemble`` is the kernel ``_kernel``, which gives the
+integrands pointwise and scatters the gradient, followed by the integrals
+over the whole mesh.  The kernel runs over any index set of elements and
+keeps grad y, Fe, its cofactor and the stresses as separate 2x2 component
+arrays: (nt,) per element, (nt, nq) per quadrature point.  Every sum keeps the order of the original einsum
 kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip systems
 the results are bit-identical to it: |Fe|^2 is (F00^2 + F10^2) +
 (F01^2 + F11^2), every other contraction is a left-to-right sum, the
@@ -31,6 +33,7 @@ fused multiply-adds, so the two agree to rounding.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,22 +145,37 @@ def _qmean(t, W):
     return t[:, 0] * W[0] + t[:, 1] * W[1] + t[:, 2] * W[2]
 
 
-def _scatter(mesh: Mesh2D, loc):
-    """Sum (nt, 3) per-corner element values into a nodal array."""
-    return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(),
-                       minlength=mesh.n_nodes)
+def _scatter(mesh: Mesh2D, loc, tri=None):
+    """Sum (n, 3) per-corner element values into a nodal array; ``tri`` holds
+    the elements' corner nodes (all elements by default)."""
+    tri = mesh.triangles if tri is None else tri
+    return np.bincount(tri.ravel(), weights=loc.ravel(), minlength=mesh.n_nodes)
 
 
-def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-              b_prev=None, need_grad=False):
-    """Quadrature assembly of energy (and dissipation / gradients).
+class Densities(NamedTuple):
+    """Integrands of one kernel pass over n elements: (n, nq) arrays at the
+    quadrature points, except the (n,) element-constant |grad gamma|^2."""
 
-    Returns (breakdown, dissipation, grads) where grads is None or a tuple
-    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta.
+    elastic: np.ndarray             # W(Fe) on the smooth branch, else 0
+    penalty: np.ndarray             # det_penalty where det Fe <= det_floor
+    hardening: np.ndarray           # (2 + gamma^2)^{r/2} times beta
+    slip_gradient: np.ndarray       # |grad gamma|^2, (n,)
+    dissipation: np.ndarray | None  # sqrt(delta^2 + (gamma - gamma_prev)^2)
+
+
+def _kernel(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
+            b_prev=None, need_grad=False, elems=None):
+    """Integrands and gradient contributions of the elements ``elems`` (all
+    when None).  Each integrand row depends only on its element's nodal
+    values, so a row computed over a subset equals the same row computed
+    over all elements.
+
+    Returns (densities, grads) where grads is None or the contributions of
+    these elements to the nodal gradient arrays (ga1, ga2, gb) of I + D^delta.
     """
-    tri = mesh.triangles
-    area = mesh.element_area
-    bg = mesh.basis_gradients
+    tri, bg, area = mesh.triangles, mesh.basis_gradients, mesh.element_area
+    if elems is not None:
+        tri, bg, area = tri[elems], bg[elems], area[elems]
     (s0, s1), (m0, m1) = slip.s, slip.m
     P, W = _RULE.points, _RULE.weights
     PT = np.ascontiguousarray(P.T)                  # 3x faster in BLAS than P.T
@@ -167,6 +185,10 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     bt = b[tri]
     g0, g1 = _p1_gradient(bt, bg)                   # grad gamma
     gam = bt @ PT                                   # (nt, nq) slip at quad points
+    diff = root = None                              # slip increment, its density
+    if b_prev is not None:
+        diff = gam - b_prev[tri] @ PT
+        root = np.sqrt(params.delta ** 2 + diff * diff)
     u0 = (y00 * s0 + y01 * s1)[:, None]             # grad_y . s
     u1 = (y10 * s0 + y11 * s1)[:, None]
     # Fe = grad_y - gam * outer(u, m), one (nt, nq) array per component
@@ -191,24 +213,11 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         pen_q = np.where(ok, 0.0, params.det_penalty)
         hard_q = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
 
-    elastic = float(area @ (el_q @ W))
-    penalty = float(area @ (pen_q @ W))
-    hardening = float(area @ (hard_q @ W))
-    slip_grad = params.eps_grad * float(area @ (g0 * g0 + g1 * g1))
-    breakdown = EnergyBreakdown(
-        elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
-        penalty=penalty, total=elastic + hardening + slip_grad + penalty)
-
-    diss = 0.0
-    diff = None
-    root = None
-    if b_prev is not None:
-        diff = gam - b_prev[tri] @ PT
-        root = np.sqrt(params.delta ** 2 + diff * diff)
-        diss = params.sigma * float(area @ (root @ W))
+    dens = Densities(elastic=el_q, penalty=pen_q, hardening=hard_q,
+                     slip_gradient=g0 * g0 + g1 * g1, dissipation=root)
 
     if not need_grad:
-        return breakdown, diss, None
+        return dens, None
 
     # S = dW/dFe on the smooth branch (cofactor of Fe in the det term); zero
     # at penalty points.
@@ -235,8 +244,8 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     t01 = _qmean(s01 - gam * (sm0 * s1), W)
     t10 = _qmean(s10 - gam * (sm1 * s0), W)
     t11 = _qmean(s11 - gam * (sm1 * s1), W)
-    ga1 = _scatter(mesh, area[:, None] * corner_dots(t00, t01))
-    ga2 = _scatter(mesh, area[:, None] * corner_dots(t10, t11))
+    ga1 = _scatter(mesh, area[:, None] * corner_dots(t00, t01), tri)
+    ga2 = _scatter(mesh, area[:, None] * corner_dots(t10, t11), tri)
 
     # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
     dW_dg = -(u0 * sm0 + u1 * sm1)
@@ -245,8 +254,38 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         dW_dg += params.sigma * diff / root
     loc_b = area[:, None] * ((dW_dg * W) @ P)
     loc_b += area[:, None] * (2.0 * params.eps_grad * corner_dots(g0, g1))
-    gb = _scatter(mesh, loc_b)
-    return breakdown, diss, (ga1, ga2, gb)
+    gb = _scatter(mesh, loc_b, tri)
+    return dens, (ga1, ga2, gb)
+
+
+def _integrate(mesh: Mesh2D, dens: Densities, params: MaterialParams):
+    """(breakdown, dissipation) of densities over every element of the mesh,
+    each integral ``area @ (q @ weights)``."""
+    area, W = mesh.element_area, _RULE.weights
+    elastic = float(area @ (dens.elastic @ W))
+    penalty = float(area @ (dens.penalty @ W))
+    hardening = float(area @ (dens.hardening @ W))
+    slip_grad = params.eps_grad * float(area @ dens.slip_gradient)
+    breakdown = EnergyBreakdown(
+        elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
+        penalty=penalty, total=elastic + hardening + slip_grad + penalty)
+    diss = 0.0
+    if dens.dissipation is not None:
+        diss = params.sigma * float(area @ (dens.dissipation @ W))
+    return breakdown, diss
+
+
+def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
+              b_prev=None, need_grad=False):
+    """Quadrature assembly of energy (and dissipation / gradients).
+
+    Returns (breakdown, dissipation, grads) where grads is None or a tuple
+    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta.
+    """
+    dens, grads = _kernel(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+                          need_grad=need_grad)
+    breakdown, diss = _integrate(mesh, dens, params)
+    return breakdown, diss, grads
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,32 @@ class Mesh2D:
     @property
     def total_area(self) -> float:
         return float(self.element_area.sum())
+
+    @cached_property
+    def node_elements(self):
+        """Node-to-element map in CSR form, built on first use: the elements
+        containing node i are ``indices[indptr[i]:indptr[i + 1]]``, ascending.
+        Returns (indptr, indices), both read-only."""
+        flat = self.triangles.ravel()
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
+        # a stable sort of the corner slots 3e + c by node keeps each node's
+        # elements ascending, since a node is a corner of an element once
+        indices = np.argsort(flat, kind="stable") // 3
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
+    def elements_at(self, nodes) -> np.ndarray:
+        """Ascending indices of the elements that contain any of ``nodes``;
+        for one node, a view of ``node_elements``."""
+        indptr, indices = self.node_elements
+        patches = [indices[indptr[i]:indptr[i + 1]] for i in nodes]
+        if len(patches) == 1:
+            return patches[0]
+        hit = np.zeros(self.n_triangles, dtype=bool)
+        for patch in patches:
+            hit[patch] = True
+        return np.flatnonzero(hit)
 
 
 def _triangle_geometry(p1, p2, p3):

@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from kinkband import (ConfigError, MaterialParams, MinimizeOptions,
                       parse_config, read_history_csv, run_simulation,
                       serialize_config, write_history_csv, write_snapshot_vtk)
 from kinkband.cli import cli_main
+from kinkband.config import _TABLE
 from kinkband.output import CSV_HEADER
 
 
@@ -65,6 +69,32 @@ def test_out_of_range_section_value_names_full_key(key, value):
     with pytest.raises(ConfigError) as info:
         parse_config(f"{key} = {value}")
     assert str(info.value).startswith(f"{key} must ")
+
+
+_FLOAT_KEYS = [key for key, (_, _, kind) in _TABLE.items() if kind is float]
+
+
+def test_float_keys_cover_every_section():
+    assert {key.split(".")[0] for key in _FLOAT_KEYS} == {
+        "geometry", "slip", "load", "material", "optimizer"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_value_rejected(key, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"{key} = {value}")
+    assert str(info.value) == f"{key} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("command", ["validate", "check-gradient"])
+@pytest.mark.parametrize("text", ["material.C = inf", "slip.s1 = nan"])
+def test_cli_non_finite_value_exits_1(tmp_path, capsys, command, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    code = cli_main([command, "--config", str(cfg)])
+    assert code == 1
+    assert f"{text.split()[0]} must be finite" in capsys.readouterr().err
 
 
 def test_single_override():
@@ -401,6 +431,37 @@ def test_cli_check_gradient(tmp_path, capsys):
     assert err < 1e-5
 
 
+def test_cli_check_gradient_anchored_prints_the_plain_result(
+        tmp_path, monkeypatch, capsys):
+    # 10x18 lies on the anchored side of the size rule; the printed line must
+    # be the one the plain objective gives at the same probe
+    import kinkband.evolution as evolution
+
+    problem = evolution.build_problem(parse_config("mesh.nx = 10\nmesh.ny = 18"))
+    assert problem[0].n_triangles >= evolution.ANCHORED_CHECK_MIN_ELEMENTS
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "ANCHORED_CHECK_MIN_ELEMENTS", np.inf)
+        plain = evolution._startup_gradient_check(*problem)
+    assert evolution._startup_gradient_check(*problem) == plain
+
+    anchored_calls = []
+    anchored_objective = evolution._anchored_objective
+
+    def recording(*args):
+        anchored_calls.append(args)
+        return anchored_objective(*args)
+
+    monkeypatch.setattr(evolution, "_anchored_objective", recording)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("")
+    code = cli_main(["check-gradient", "--config", str(cfg),
+                     "--mesh", "10", "18"])
+    assert code == 0
+    assert len(anchored_calls) == 1
+    assert capsys.readouterr().out == (
+        f"max relative gradient error: {plain:.6e}\n")
+
+
 def test_cli_check_gradient_fails_on_nan_gradient(tmp_path, monkeypatch,
                                                   capsys):
     # one NaN coordinate of the analytic gradient must fail the check
@@ -427,6 +488,18 @@ def test_cli_check_gradient_fails_on_nan_gradient(tmp_path, monkeypatch,
     assert code == 2
     assert captured.out.strip().endswith("nan")
     assert "gradient check FAILED" in captured.err
+
+
+def test_python_m_kinkband_from_source_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinkband", "validate", "--config", os.devnull],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == serialize_config(SimulationConfig())
 
 
 def test_cli_run_end_to_end(tmp_path, capsys):
