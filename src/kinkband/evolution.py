@@ -2,9 +2,11 @@
 
 Each step minimizes H(q) = D_delta(gamma_prev, gamma) + I(t_next, y, gamma)
 over the free coefficients, with the moving Dirichlet data imposed at
-t_next before minimization.  Runtime diagnostics implement the stability
-inequality probe and the two-sided discrete energy estimate against an
-affinely lifted copy of the previous state.
+t_next before minimization.  The diagnostics ``stability_check`` (the
+stability inequality probed with random competitors) and
+``energy_inequality_check`` (the two-sided discrete energy estimate against
+an affinely lifted copy of the previous state) are called by the tests;
+``run_simulation`` calls neither.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from .energy import (EnergyBreakdown, MaterialParams, _assemble, _integrate,
                      _kernel, curvature_scale, dissipation_increment,
                      element_grad_y, energy_nodal_gradient)
 from .kinematics import SlipSystem
-from .mesh import (BOTTOM, LEFT, RIGHT, TOP, DofMap, Mesh2D, build_dofmap,
-                   build_structured_mesh)
+from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
 
 log = logging.getLogger("kinkband")
@@ -27,6 +28,9 @@ log = logging.getLogger("kinkband")
 # largest max relative error of the analytic gradient against central
 # differences that the start-up check and ``check-gradient`` accept
 GRADIENT_CHECK_TOL = 1e-3
+# central-difference step of that check (``_startup_gradient_check`` says
+# why not smaller)
+GRADIENT_CHECK_STEP = 1e-6
 # smallest mesh, in elements, on which the gradient check re-evaluates only
 # the elements each difference point touches
 ANCHORED_CHECK_MIN_ELEMENTS = 200
@@ -60,7 +64,6 @@ class LoadProgram:
     """Constant-speed platen descent: prescribed top height Ly - speed * t."""
 
     speed: float       # mm/s
-    T: float           # s
     Ly: float          # mm
 
     def top_displacement(self, t: float) -> float:
@@ -87,23 +90,20 @@ def initial_state(mesh: Mesh2D) -> State:
                  b=np.zeros(mesh.n_nodes), time=0.0)
 
 
-def apply_boundary_conditions(state: State, mesh: Mesh2D, program: LoadProgram,
-                              t: float) -> State:
-    """Impose the Dirichlet program at time t; free entries are untouched."""
-    out = state.copy()
-    x_ref = mesh.nodes[:, 0]
-    y_ref = mesh.nodes[:, 1]
-    tags = mesh.boundary_tags
-    bottom = tags == BOTTOM
-    top = tags == TOP
-    lateral = (tags == LEFT) | (tags == RIGHT)
-    out.a1[bottom] = x_ref[bottom]
-    out.a2[bottom] = y_ref[bottom]
-    out.a1[top] = x_ref[top]
-    out.a2[top] = program.top_displacement(t)
-    out.a1[lateral] = x_ref[lateral]
-    out.time = t
-    return out
+def apply_boundary_conditions(state: State, mesh: Mesh2D, dofmap: DofMap,
+                              program: LoadProgram, t: float) -> State:
+    """Impose the Dirichlet program at time t on a copy of ``state``.
+
+    The entries ``dofmap`` marks free are kept; the fixed ones are taken
+    from the prescribed field (x_ref, (y_ref / Ly) top_displacement(t)),
+    which is the reference position on the bottom (y_ref = 0) and the
+    platen height on the top (y_ref / Ly is exactly 1 there).
+    """
+    x_ref, y_ref = mesh.nodes.T
+    a1, a2, b = dofmap.unpack(
+        dofmap.pack(state.a1, state.a2, state.b), x_ref,
+        (y_ref / mesh.Ly) * program.top_displacement(t), state.b)
+    return State(a1=a1, a2=a2, b=b, time=t)
 
 
 def lift_state(state: State, mesh: Mesh2D, program: LoadProgram,
@@ -154,9 +154,6 @@ def _anchored_objective(mesh, dofmap, params, slip, template: State, b_prev,
     in the same order, so the value is that of the full assembly.
     """
     n = mesh.n_nodes
-    # flat index of each free DOF in the stacked nodal arrays (a1, a2, b)
-    pos = np.concatenate([dofmap.free_a1, n + dofmap.free_a2,
-                          2 * n + dofmap.free_b])
     x_anchor = np.array(x_anchor, dtype=float)
     # (nodal arrays, densities) and the mesh's node-to-element map are built
     # by the first call, so set-up that ends at the first value sees none of it
@@ -164,16 +161,16 @@ def _anchored_objective(mesh, dofmap, params, slip, template: State, b_prev,
 
     def fun(x):
         if not kept:
-            q = np.stack([template.a1, template.a2, template.b])
-            q.ravel()[pos] = x_anchor
+            q = dofmap.unpack(x_anchor, template.a1, template.a2, template.b)
             kept.append((q, _kernel(mesh, *q, params, slip, b_prev=b_prev)[0]))
         q, dens = kept[0]
         changed = np.flatnonzero(x != x_anchor)
-        elems = mesh.elements_at(pos[changed] % n)
+        pos = dofmap.free[changed]
+        elems = mesh.elements_at(pos % n)
         flat = q.ravel()
-        flat[pos[changed]] = x[changed]
+        flat[pos] = x[changed]
         patch, _ = _kernel(mesh, *q, params, slip, b_prev=b_prev, elems=elems)
-        flat[pos[changed]] = x_anchor[changed]
+        flat[pos] = x_anchor[changed]
         live = [(d, p) for d, p in zip(dens, patch) if d is not None]
         saved = [d[elems] for d, _ in live]
         for d, p in live:
@@ -199,14 +196,8 @@ def _smooth_bumps(mesh, dofmap, rng):
     da1 = sgn[0] * amp * np.sin(np.pi * i1 * x) * np.sin(np.pi * j1 * y)
     da2 = sgn[1] * amp * np.cos(np.pi * i1 * x) * np.sin(np.pi * j1 * y)
     db = sgn[2] * amp * np.cos(np.pi * i1 * x) * np.cos(np.pi * j1 * y)
-    dx = np.zeros(dofmap.n_free)
-    if active[0]:
-        dx[dofmap.sl_a1] = da1[dofmap.free_a1]
-    if active[1]:
-        dx[dofmap.sl_a2] = da2[dofmap.free_a2]
-    if active[2]:
-        dx[dofmap.sl_b] = db[dofmap.free_b]
-    return dx
+    return dofmap.pack(*(f if on else np.zeros_like(f)
+                         for f, on in zip((da1, da2, db), active)))
 
 
 def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
@@ -222,7 +213,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     and the better local minimizer wins.  prev_cumulative is the cumulative
     dissipation before the step and k the step number, both for the record.
     """
-    template = apply_boundary_conditions(prev, mesh, program, t_next)
+    template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
     template.b = np.zeros_like(template.b)
     b_prev = prev.b
     fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
@@ -299,7 +290,7 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
     tolerance; negative means strictly stable against the sample.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    bc = apply_boundary_conditions(state, mesh, program, t)
+    bc = apply_boundary_conditions(state, mesh, dofmap, program, t)
     breakdown, _, _ = _assemble(mesh, bc.a1, bc.a2, state.b, params, slip)
     f_state = breakdown.total
     x = dofmap.pack(bc.a1, bc.a2, state.b)
@@ -336,12 +327,12 @@ def energy_inequality_check(record_k: StepRecord, record_km1: StepRecord | None,
     return lower_ok, upper_ok
 
 
-def _startup_gradient_check(mesh, dofmap, params, slip, program, h=1e-6):
+def _startup_gradient_check(mesh, dofmap, params, slip, program):
     """Verify the analytic gradient against central differences once per run.
 
-    Uses a perturbed admissible state.  The check perturbation defaults to
-    1e-6: central differences at a step of 1e-8 are dominated by summation
-    roundoff on energies of this magnitude.
+    Uses a perturbed admissible state and the step ``GRADIENT_CHECK_STEP``
+    = 1e-6: central differences at a step of 1e-8 are dominated by
+    summation roundoff on energies of this magnitude.
 
     Each difference point moves one DOF.  On meshes of at least
     ``ANCHORED_CHECK_MIN_ELEMENTS`` elements the values come from
@@ -353,7 +344,8 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program, h=1e-6):
     216, 194/162 at 360 (10x18) and 1,889/236 at 4,148 (34x61), so the
     crossover lies between 160 and 216 elements.
     """
-    probe = apply_boundary_conditions(initial_state(mesh), mesh, program, 0.0)
+    probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                      program, 0.0)
     rng = np.random.default_rng(12345)
     b_prev = np.zeros(mesh.n_nodes)
     fun, fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
@@ -361,10 +353,11 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program, h=1e-6):
     # a visibly strained, slipped probe keeps all gradient blocks well scaled
     x = x + 0.6 * _smooth_bumps(mesh, dofmap, rng) \
         + 0.6 * _smooth_bumps(mesh, dofmap, rng)
-    x[dofmap.sl_b] += 0.2
+    zero = np.zeros(mesh.n_nodes)
+    x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
     if mesh.n_triangles >= ANCHORED_CHECK_MIN_ELEMENTS:
         fun = _anchored_objective(mesh, dofmap, params, slip, probe, b_prev, x)
-    return gradient_check(fun, lambda v: fun_grad(v)[1], x, h)
+    return gradient_check(fun, lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
 
 
 def build_problem(config):
@@ -373,7 +366,7 @@ def build_problem(config):
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
     slip = SlipSystem(s=np.array([config.s1, config.s2]),
                       m=np.array([config.m1, config.m2]))
-    program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
+    program = LoadProgram(speed=config.speed, Ly=config.Ly)
     return mesh, build_dofmap(mesh), config.material, slip, program
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -192,50 +192,36 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
 
 @dataclass
 class DofMap:
-    """Free-coefficient index sets and the bijection to a flat vector.
+    """The free/fixed split of the nodal vector [a1, a2, b] (length 3n).
 
-    The packed layout is [a1[free_a1], a2[free_a2], b[free_b]].  Horizontal
-    displacements are fixed on the whole boundary, vertical ones on bottom
-    and top; the slip field is free everywhere.
+    ``free`` holds the ascending positions of the free coefficients in that
+    vector, so the packed layout is the free entries of a1, then of a2, then
+    of b.  Horizontal displacements are fixed on the whole boundary,
+    vertical ones on bottom and top; the slip field is free everywhere.
+    Every other entry is fixed and prescribed by the boundary program.
     """
 
-    free_a1: np.ndarray
-    free_a2: np.ndarray
-    free_b: np.ndarray
-    n_nodes: int
-    sl_a1: slice = field(init=False)
-    sl_a2: slice = field(init=False)
-    sl_b: slice = field(init=False)
-
-    def __post_init__(self):
-        n1, n2, nb = len(self.free_a1), len(self.free_a2), len(self.free_b)
-        self.sl_a1 = slice(0, n1)
-        self.sl_a2 = slice(n1, n1 + n2)
-        self.sl_b = slice(n1 + n2, n1 + n2 + nb)
+    free: np.ndarray
 
     @property
     def n_free(self) -> int:
-        return self.sl_b.stop
+        return len(self.free)
 
     def pack(self, a1, a2, b) -> np.ndarray:
-        return np.concatenate([a1[self.free_a1], a2[self.free_a2], b[self.free_b]])
+        return np.concatenate((a1, a2, b))[self.free]
 
-    def unpack(self, x, a1, a2, b):
-        """Scatter a flat vector into copies of the nodal arrays (fixed entries kept)."""
-        a1 = a1.copy()
-        a2 = a2.copy()
-        b = b.copy()
-        a1[self.free_a1] = x[self.sl_a1]
-        a2[self.free_a2] = x[self.sl_a2]
-        b[self.free_b] = x[self.sl_b]
-        return a1, a2, b
+    def unpack(self, x, a1, a2, b) -> np.ndarray:
+        """Scatter a flat vector into a copy of the nodal arrays (fixed
+        entries kept); returns a (3, n) array whose rows are a1, a2, b."""
+        q = np.concatenate((a1, a2, b))
+        q[self.free] = x
+        return q.reshape(3, -1)
 
 
 def build_dofmap(mesh: Mesh2D) -> DofMap:
-    """Free index sets from boundary tags: a1 interior-only, a2 also lateral."""
+    """Free positions from boundary tags: a1 interior-only, a2 also lateral."""
     tags = mesh.boundary_tags
-    free_a1 = np.flatnonzero(tags == INTERIOR)
-    free_a2 = np.flatnonzero((tags != BOTTOM) & (tags != TOP))
-    free_b = np.arange(mesh.n_nodes)
-    return DofMap(free_a1=free_a1, free_a2=free_a2, free_b=free_b,
-                  n_nodes=mesh.n_nodes)
+    free = np.flatnonzero(np.concatenate((
+        tags == INTERIOR, (tags != BOTTOM) & (tags != TOP),
+        np.ones(mesh.n_nodes, dtype=bool))))
+    return DofMap(free=free)

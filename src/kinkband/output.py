@@ -108,18 +108,15 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")
-        for i in range(n):
-            fh.write(f"{_fmt(state.a1[i])} {_fmt(state.a2[i])} 0\n")
+        _write_vectors(fh, state.a1, state.a2)
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.write("".join(f"3 {i} {j} {k}\n"
+                         for i, j, k in mesh.triangles.tolist()))
         fh.write(f"CELL_TYPES {nt}\n")
-        for _ in range(nt):
-            fh.write("5\n")
+        fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {n}\n")
         fh.write("VECTORS displacement double\n")
-        for i in range(n):
-            fh.write(f"{_fmt(u1[i])} {_fmt(u2[i])} 0\n")
+        _write_vectors(fh, u1, u2)
         _write_scalars(fh, "gamma", state.b)
         fh.write(f"CELL_DATA {nt}\n")
         _write_scalars(fh, "det_Fe", det)
@@ -129,8 +126,12 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
             _write_scalars(fh, f"grad_u_{name}", values)
 
 
+def _write_vectors(fh, v1, v2):
+    fh.write("".join(f"{x:.17g} {y:.17g} 0\n"
+                     for x, y in zip(v1.tolist(), v2.tolist())))
+
+
 def _write_scalars(fh, name, values):
     fh.write(f"SCALARS {name} double 1\n")
     fh.write("LOOKUP_TABLE default\n")
-    for v in values:
-        fh.write(_fmt(v) + "\n")
+    fh.write("".join(f"{v:.17g}\n" for v in values.tolist()))

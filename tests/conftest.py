@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
@@ -33,8 +32,3 @@ def run_10x18_k20():
     records, states = run_simulation(config)
     return config, records, states
 
-
-def random_rotation(rng):
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])

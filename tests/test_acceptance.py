@@ -19,7 +19,7 @@ from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
                       write_snapshot_vtk)
 from kinkband.evolution import LoadProgram, _make_objective
 from kinkband.output import CSV_HEADER
-from conftest import random_rotation
+from rotations import random_rotation
 from test_io import read_vtk_ascii
 
 
@@ -134,7 +134,7 @@ def test_criterion_4_incremental_minimality(run_10x18_k20):
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
     slip = SlipSystem.default()
-    program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
+    program = LoadProgram(speed=config.speed, Ly=config.Ly)
     rng = np.random.default_rng(104)
     worst = -np.inf
     for k, rec in enumerate(records, start=1):
@@ -154,7 +154,7 @@ def test_criterion_5_discrete_energy_inequality(run_10x18_k20):
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
     params = MaterialParams()
     slip = SlipSystem.default()
-    program = LoadProgram(speed=config.speed, T=config.T, Ly=config.Ly)
+    program = LoadProgram(speed=config.speed, Ly=config.Ly)
     floor = params.sigma * params.delta * mesh.total_area
     worst_slack = np.inf
     all_ok = True

@@ -10,7 +10,7 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
                       stability_check, total_energy)
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
                                 _make_objective)
-from kinkband.mesh import BOTTOM, LEFT, RIGHT, TOP
+from kinkband.mesh import BOTTOM, INTERIOR, LEFT, RIGHT, TOP
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def small_problem():
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
     slip = SlipSystem.default()
-    program = LoadProgram(speed=0.18, T=100.0, Ly=75.0)
+    program = LoadProgram(speed=0.18, Ly=75.0)
     options = MinimizeOptions()
     return mesh, dofmap, params, slip, program, options
 
@@ -35,46 +35,70 @@ def run_10x18_k76():
 # boundary program
 
 
+def _assert_prescribed(out, mesh, dofmap, program, t):
+    """Every fixed entry of ``out`` holds its prescribed value exactly, and
+    the fixed entries are the complement of ``dofmap.free``."""
+    tags = mesh.boundary_tags
+    fixed_a1 = tags != INTERIOR
+    bottom, top = tags == BOTTOM, tags == TOP
+    assert (out.a1[fixed_a1] == mesh.nodes[fixed_a1, 0]).all()
+    assert (out.a2[bottom] == 0.0).all()
+    assert (out.a2[top] == program.Ly - program.speed * t).all()
+    fixed = np.concatenate((fixed_a1, bottom | top,
+                            np.zeros(mesh.n_nodes, dtype=bool)))
+    assert (np.flatnonzero(~fixed) == dofmap.free).all()
+
+
 def test_apply_bc_identity_at_t0(small_problem):
-    mesh, _, _, _, program, _ = small_problem
-    st = apply_boundary_conditions(initial_state(mesh), mesh, program, 0.0)
+    mesh, dofmap, _, _, program, _ = small_problem
+    st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                   program, 0.0)
     np.testing.assert_allclose(st.a1, mesh.nodes[:, 0])
     np.testing.assert_allclose(st.a2, mesh.nodes[:, 1])
+    _assert_prescribed(st, mesh, dofmap, program, 0.0)
 
 
 def test_apply_bc_platen_schedule(small_problem):
-    mesh, _, _, _, program, _ = small_problem
-    st = apply_boundary_conditions(initial_state(mesh), mesh, program, 100.0)
+    mesh, dofmap, _, _, program, _ = small_problem
+    st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                   program, 100.0)
     top = mesh.boundary_tags == TOP
     np.testing.assert_allclose(st.a2[top], 57.0)
-    st = apply_boundary_conditions(initial_state(mesh), mesh, program, 66.7)
+    _assert_prescribed(st, mesh, dofmap, program, 100.0)
+    st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                   program, 66.7)
     # 12 mm of platen travel
     assert abs(st.a2[top][0] - 63.0) < 0.01
+    _assert_prescribed(st, mesh, dofmap, program, 66.7)
 
 
 def test_apply_bc_leaves_free_entries(small_problem):
     mesh, dofmap, _, _, program, _ = small_problem
-    st = initial_state(mesh)
+    # random fixed entries too, so each one must be overwritten
     rng = np.random.default_rng(50)
-    st.a1[dofmap.free_a1] = rng.standard_normal(len(dofmap.free_a1))
-    st.a2[dofmap.free_a2] = rng.standard_normal(len(dofmap.free_a2))
-    st.b[:] = rng.standard_normal(mesh.n_nodes)
-    out = apply_boundary_conditions(st, mesh, program, 42.0)
-    assert (out.a1[dofmap.free_a1] == st.a1[dofmap.free_a1]).all()
+    st = evolution.State(*rng.standard_normal((3, mesh.n_nodes)))
+    out = apply_boundary_conditions(st, mesh, dofmap, program, 42.0)
+    assert (dofmap.pack(out.a1, out.a2, out.b)
+            == dofmap.pack(st.a1, st.a2, st.b)).all()
     assert (out.b == st.b).all()
+    _assert_prescribed(out, mesh, dofmap, program, 42.0)
+    kept = (np.concatenate((out.a1, out.a2, out.b))
+            == np.concatenate((st.a1, st.a2, st.b)))
+    assert (np.flatnonzero(kept) == dofmap.free).all()
     lateral = (mesh.boundary_tags == LEFT) | (mesh.boundary_tags == RIGHT)
     assert (out.a2[lateral] == st.a2[lateral]).all()
     np.testing.assert_allclose(out.a1[lateral], mesh.nodes[lateral, 0])
 
 
 def test_load_program_starts_at_ly():
-    program = LoadProgram(speed=0.18, T=100.0, Ly=75.0)
+    program = LoadProgram(speed=0.18, Ly=75.0)
     assert program.top_displacement(0.0) == 75.0
 
 
 def test_lift_state_admissible(small_problem):
-    mesh, _, _, _, program, _ = small_problem
-    st = apply_boundary_conditions(initial_state(mesh), mesh, program, 10.0)
+    mesh, dofmap, _, _, program, _ = small_problem
+    st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                   program, 10.0)
     lifted = lift_state(st, mesh, program, 10.0, 25.0)
     top = mesh.boundary_tags == TOP
     bottom = mesh.boundary_tags == BOTTOM
@@ -90,7 +114,7 @@ def test_lift_state_admissible(small_problem):
 
 def test_zero_load_step_is_trivial(small_problem):
     mesh, dofmap, params, slip, _, options = small_problem
-    program = LoadProgram(speed=0.0, T=1.0, Ly=75.0)
+    program = LoadProgram(speed=0.0, Ly=75.0)
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 1.0, mesh, dofmap, params, slip,
                                   program, options)
@@ -137,11 +161,11 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
     assert np.max(np.abs(state.b)) < 1e-6
 
     # oracle: minimize over the elastic blocks only, slip frozen at zero
-    template = apply_boundary_conditions(prev, mesh, program, 10.0)
+    template = apply_boundary_conditions(prev, mesh, dofmap, program, 10.0)
     template.b = np.zeros(mesh.n_nodes)
     _, fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    idx_a = np.arange(dofmap.sl_a2.stop)
+    idx_a = np.flatnonzero(dofmap.free < 2 * mesh.n_nodes)
     _, res = _minimize_subset(fun_grad, x0, idx_a, options)
     assert rec.energy.total + rec.dissipation_increment \
         <= res.f_min + options.tol_fun
@@ -243,7 +267,7 @@ def test_stability_negative_control(small_problem):
     # visibly unstable state; the check must flag it
     mesh, dofmap, params, slip, program, _ = small_problem
     prev = initial_state(mesh)
-    template = apply_boundary_conditions(prev, mesh, program, 40.0)
+    template = apply_boundary_conditions(prev, mesh, dofmap, program, 40.0)
     _, fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     options = MinimizeOptions(max_iters=1)
@@ -258,7 +282,7 @@ def test_stability_negative_control(small_problem):
 
 def test_energy_inequality_zero_load(small_problem):
     mesh, dofmap, params, slip, _, options = small_problem
-    program = LoadProgram(speed=0.0, T=1.0, Ly=75.0)
+    program = LoadProgram(speed=0.0, Ly=75.0)
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 1.0, mesh, dofmap, params, slip,
                                   program, options)

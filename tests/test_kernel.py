@@ -93,7 +93,7 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
     slip = SlipSystem.default()
-    program = LoadProgram(speed=0.18, T=100.0, Ly=75.0)
+    program = LoadProgram(speed=0.18, Ly=75.0)
     prev = initial_state(mesh)
     calls = []
 
@@ -102,7 +102,7 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
         return _assemble(mesh_, a1, a2, b, *args, need_grad=need_grad, **kwargs)
 
     monkeypatch.setattr(evolution, "_assemble", recording)
-    template = apply_boundary_conditions(prev, mesh, program, 20.0)
+    template = apply_boundary_conditions(prev, mesh, dofmap, program, 20.0)
     _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
                                             template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)

@@ -210,13 +210,23 @@ def test_quadrature_exact_for_quadratics():
 def test_dofmap_index_sets(mesh_4x6):
     dm = build_dofmap(mesh_4x6)
     tags = mesh_4x6.boundary_tags
-    assert (tags[dm.free_a1] == INTERIOR).all()
-    assert not np.isin(tags[dm.free_a2], (BOTTOM, TOP)).any()
-    assert len(dm.free_b) == mesh_4x6.n_nodes
+    n = mesh_4x6.n_nodes
+    # positions in [a1, a2, b], ascending, so the packed blocks keep that order
+    assert (np.diff(dm.free) > 0).all()
+    assert 0 <= dm.free[0] and dm.free[-1] < 3 * n
+    block = dm.free // n
+    assert (dm.pack(np.zeros(n), np.ones(n), np.full(n, 2.0)) == block).all()
+    free_a1, free_a2, free_b = (dm.free[block == k] - k * n for k in range(3))
+    assert (free_a1 == np.flatnonzero(tags == INTERIOR)).all()
+    assert (free_a2 == np.flatnonzero((tags != BOTTOM) & (tags != TOP))).all()
+    assert (free_b == np.arange(n)).all()
+    assert (tags[free_a1] == INTERIOR).all()
+    assert not np.isin(tags[free_a2], (BOTTOM, TOP)).any()
+    assert len(free_b) == mesh_4x6.n_nodes
     # lateral nodes move only vertically: they are a2-free but not a1-free
     lateral = np.flatnonzero((tags == LEFT) | (tags == RIGHT))
-    assert np.isin(lateral, dm.free_a2).all()
-    assert not np.isin(lateral, dm.free_a1).any()
+    assert np.isin(lateral, free_a2).all()
+    assert not np.isin(lateral, free_a1).any()
 
 
 def test_pack_unpack_roundtrip(mesh_4x6):
@@ -230,9 +240,15 @@ def test_pack_unpack_roundtrip(mesh_4x6):
         assert (dm.pack(*dm.unpack(v, a1, a2, b)) == v).all()
     # unpack keeps fixed entries
     v = rng.standard_normal(dm.n_free)
+    before = [a.copy() for a in (a1, a2, b)]
     na1, na2, nb = dm.unpack(v, a1, a2, b)
-    fixed_a1 = np.setdiff1d(np.arange(mesh_4x6.n_nodes), dm.free_a1)
+    fixed_a1 = np.setdiff1d(np.arange(mesh_4x6.n_nodes),
+                            dm.free[dm.free < mesh_4x6.n_nodes])
     assert (na1[fixed_a1] == a1[fixed_a1]).all()
+    # and returns copies: the inputs are unchanged and share no memory
+    for new, old, kept in zip((na1, na2, nb), (a1, a2, b), before):
+        assert not np.shares_memory(new, old)
+        assert (old == kept).all()
 
 
 def test_p1_interpolation_exact_for_affine(mesh_4x6):

@@ -248,9 +248,10 @@ def test_assembled_step_matches_coordinate_descent_oracle():
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
     slip = SlipSystem.default()
-    program = LoadProgram(speed=0.18, T=100.0, Ly=75.0)
+    program = LoadProgram(speed=0.18, Ly=75.0)
     t1 = 100.0 / 76.0
-    template = apply_boundary_conditions(initial_state(mesh), mesh, program, t1)
+    template = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                         program, t1)
     b_prev = np.zeros(mesh.n_nodes)
     fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
