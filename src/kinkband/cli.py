@@ -61,7 +61,7 @@ def _resolve_out_dir(args, config):
 
 
 def _write_outputs(config, records, states, out_dir):
-    from .mesh import build_structured_mesh
+    from .evolution import build_problem
     from .output import write_history_csv, write_snapshot_vtk
 
     os.makedirs(out_dir, exist_ok=True)
@@ -70,7 +70,7 @@ def _write_outputs(config, records, states, out_dir):
         write_history_csv(records, os.path.join(out_dir, "history.csv"),
                           Lx=config.Lx, Ly=config.Ly, speed=config.speed)
     if "vtk" in formats:
-        mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
+        mesh = build_problem(config)[0]
         for i, state in enumerate(states):
             if i % config.snapshot_stride == 0 or i == len(states) - 1:
                 path = os.path.join(out_dir, f"snapshot_{i:04d}.vtk")

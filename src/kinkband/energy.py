@@ -17,13 +17,12 @@ dissipation between two slip fields is
 
 Assembly integrates with the 3-point edge-midpoint rule of
 ``mesh.midpoint_rule`` in a fixed element order, so results are bitwise
-reproducible.  ``_assemble`` is the kernel ``_kernel``, which gives the
-integrands pointwise and scatters the gradient, followed by the integrals
-over the whole mesh.  The kernel runs over any index set of elements and
-keeps grad y, Fe, its cofactor and the stresses as separate 2x2 component
-arrays: (nt,) per element, (nt, nq) per quadrature point.  Every sum keeps the order of the original einsum
-kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip systems
-the results are bit-identical to it: |Fe|^2 is (F00^2 + F10^2) +
+reproducible.  ``_assemble`` runs over all elements or over any index set
+of them, and keeps grad y, Fe, its cofactor and the stresses as separate
+2x2 component arrays: (nt,) per element, (nt, nq) per quadrature point.
+Over all elements every sum keeps the order of the original einsum kernel
+(frozen in tests/seed_kernel.py), so for axis-aligned slip systems the
+results are bit-identical to it: |Fe|^2 is (F00^2 + F10^2) +
 (F01^2 + F11^2), every other contraction is a left-to-right sum, the
 integrals are ``area @ (q @ weights)`` and each nodal scatter one
 ``bincount``.  (For rotated slip systems the old kernel's stacked matmul
@@ -33,7 +32,6 @@ fused multiply-adds, so the two agree to rounding.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,26 +150,14 @@ def _scatter(mesh: Mesh2D, loc, tri=None):
     return np.bincount(tri.ravel(), weights=loc.ravel(), minlength=mesh.n_nodes)
 
 
-class Densities(NamedTuple):
-    """Integrands of one kernel pass over n elements: (n, nq) arrays at the
-    quadrature points, except the (n,) element-constant |grad gamma|^2."""
+def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
+              b_prev=None, need_grad=False, elems=None):
+    """Quadrature assembly of energy (and dissipation / gradients) over the
+    elements ``elems`` (all when None).
 
-    elastic: np.ndarray             # W(Fe) on the smooth branch, else 0
-    penalty: np.ndarray             # det_penalty where det Fe <= det_floor
-    hardening: np.ndarray           # (2 + gamma^2)^{r/2} times beta
-    slip_gradient: np.ndarray       # |grad gamma|^2, (n,)
-    dissipation: np.ndarray | None  # sqrt(delta^2 + (gamma - gamma_prev)^2)
-
-
-def _kernel(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-            b_prev=None, need_grad=False, elems=None):
-    """Integrands and gradient contributions of the elements ``elems`` (all
-    when None).  Each integrand row depends only on its element's nodal
-    values, so a row computed over a subset equals the same row computed
-    over all elements.
-
-    Returns (densities, grads) where grads is None or the contributions of
-    these elements to the nodal gradient arrays (ga1, ga2, gb) of I + D^delta.
+    Returns (breakdown, dissipation, grads) where grads is None or a tuple
+    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta, with the
+    contributions of these elements only.
     """
     tri, bg, area = mesh.triangles, mesh.basis_gradients, mesh.element_area
     if elems is not None:
@@ -185,10 +171,6 @@ def _kernel(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     bt = b[tri]
     g0, g1 = _p1_gradient(bt, bg)                   # grad gamma
     gam = bt @ PT                                   # (nt, nq) slip at quad points
-    diff = root = None                              # slip increment, its density
-    if b_prev is not None:
-        diff = gam - b_prev[tri] @ PT
-        root = np.sqrt(params.delta ** 2 + diff * diff)
     u0 = (y00 * s0 + y01 * s1)[:, None]             # grad_y . s
     u1 = (y10 * s0 + y11 * s1)[:, None]
     # Fe = grad_y - gam * outer(u, m), one (nt, nq) array per component
@@ -213,11 +195,24 @@ def _kernel(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         pen_q = np.where(ok, 0.0, params.det_penalty)
         hard_q = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
 
-    dens = Densities(elastic=el_q, penalty=pen_q, hardening=hard_q,
-                     slip_gradient=g0 * g0 + g1 * g1, dissipation=root)
+    elastic = float(area @ (el_q @ W))
+    penalty = float(area @ (pen_q @ W))
+    hardening = float(area @ (hard_q @ W))
+    slip_grad = params.eps_grad * float(area @ (g0 * g0 + g1 * g1))
+    breakdown = EnergyBreakdown(
+        elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
+        penalty=penalty, total=elastic + hardening + slip_grad + penalty)
+
+    diss = 0.0
+    diff = None
+    root = None
+    if b_prev is not None:
+        diff = gam - b_prev[tri] @ PT
+        root = np.sqrt(params.delta ** 2 + diff * diff)
+        diss = params.sigma * float(area @ (root @ W))
 
     if not need_grad:
-        return dens, None
+        return breakdown, diss, None
 
     # S = dW/dFe on the smooth branch (cofactor of Fe in the det term); zero
     # at penalty points.
@@ -255,37 +250,7 @@ def _kernel(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     loc_b = area[:, None] * ((dW_dg * W) @ P)
     loc_b += area[:, None] * (2.0 * params.eps_grad * corner_dots(g0, g1))
     gb = _scatter(mesh, loc_b, tri)
-    return dens, (ga1, ga2, gb)
-
-
-def _integrate(mesh: Mesh2D, dens: Densities, params: MaterialParams):
-    """(breakdown, dissipation) of densities over every element of the mesh,
-    each integral ``area @ (q @ weights)``."""
-    area, W = mesh.element_area, _RULE.weights
-    elastic = float(area @ (dens.elastic @ W))
-    penalty = float(area @ (dens.penalty @ W))
-    hardening = float(area @ (dens.hardening @ W))
-    slip_grad = params.eps_grad * float(area @ dens.slip_gradient)
-    breakdown = EnergyBreakdown(
-        elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
-        penalty=penalty, total=elastic + hardening + slip_grad + penalty)
-    diss = 0.0
-    if dens.dissipation is not None:
-        diss = params.sigma * float(area @ (dens.dissipation @ W))
-    return breakdown, diss
-
-
-def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-              b_prev=None, need_grad=False):
-    """Quadrature assembly of energy (and dissipation / gradients).
-
-    Returns (breakdown, dissipation, grads) where grads is None or a tuple
-    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta.
-    """
-    dens, grads = _kernel(mesh, a1, a2, b, params, slip, b_prev=b_prev,
-                          need_grad=need_grad)
-    breakdown, diss = _integrate(mesh, dens, params)
-    return breakdown, diss, grads
+    return breakdown, diss, (ga1, ga2, gb)
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,

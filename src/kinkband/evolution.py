@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, MaterialParams, _assemble, _integrate,
-                     _kernel, curvature_scale, dissipation_increment,
-                     element_grad_y, energy_nodal_gradient)
+from .energy import (EnergyBreakdown, MaterialParams, _assemble, curvature_scale,
+                     dissipation_increment, element_grad_y,
+                     energy_nodal_gradient)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -31,9 +31,6 @@ GRADIENT_CHECK_TOL = 1e-3
 # central-difference step of that check (``_startup_gradient_check`` says
 # why not smaller)
 GRADIENT_CHECK_STEP = 1e-6
-# smallest mesh, in elements, on which the gradient check re-evaluates only
-# the elements each difference point touches
-ANCHORED_CHECK_MIN_ELEMENTS = 200
 
 
 class StepFailureError(RuntimeError):
@@ -141,43 +138,25 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
     return fun, fun_grad
 
 
-def _anchored_objective(mesh, dofmap, params, slip, template: State, b_prev,
-                        x_anchor):
-    """Value-only objective equal bit for bit to ``fun`` of ``_make_objective``,
-    fast for points that differ from ``x_anchor`` in a few DOFs.
+def _patch_objective(mesh, dofmap, params, slip, template: State, b_prev,
+                     x_anchor):
+    """Value-only objective for central differences around ``x_anchor``.
 
-    The first call runs the kernel over all elements at ``x_anchor`` and keeps
-    its densities.  Each call re-runs the kernel only on the elements at the
-    nodes whose DOFs differ from ``x_anchor``, writes those rows into the kept
-    densities, integrates over all elements and puts the rows back.  A row
-    depends only on its element's nodes, and the integrals sum the same rows
-    in the same order, so the value is that of the full assembly.
+    Each call finds the DOFs that differ from ``x_anchor`` and integrates
+    I + D^delta over the elements at their nodes only.  The energy is a sum
+    of element terms and a nodal coefficient enters only the elements of
+    its node's patch, so for all points that move the same DOFs the value
+    is f(x) minus one constant, the integral over the other elements, and
+    its central differences are those of ``fun`` of ``_make_objective``.
     """
-    n = mesh.n_nodes
     x_anchor = np.array(x_anchor, dtype=float)
-    # (nodal arrays, densities) and the mesh's node-to-element map are built
-    # by the first call, so set-up that ends at the first value sees none of it
-    kept = []
 
     def fun(x):
-        if not kept:
-            q = dofmap.unpack(x_anchor, template.a1, template.a2, template.b)
-            kept.append((q, _kernel(mesh, *q, params, slip, b_prev=b_prev)[0]))
-        q, dens = kept[0]
-        changed = np.flatnonzero(x != x_anchor)
-        pos = dofmap.free[changed]
-        elems = mesh.elements_at(pos % n)
-        flat = q.ravel()
-        flat[pos] = x[changed]
-        patch, _ = _kernel(mesh, *q, params, slip, b_prev=b_prev, elems=elems)
-        flat[pos] = x_anchor[changed]
-        live = [(d, p) for d, p in zip(dens, patch) if d is not None]
-        saved = [d[elems] for d, _ in live]
-        for d, p in live:
-            d[elems] = p
-        breakdown, diss = _integrate(mesh, dens, params)
-        for (d, _), rows in zip(live, saved):
-            d[elems] = rows
+        nodes = dofmap.node_of(np.flatnonzero(x != x_anchor))
+        a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
+        breakdown, diss, _ = _assemble(mesh, a1, a2, b, params, slip,
+                                       b_prev=b_prev,
+                                       elems=mesh.elements_at(nodes))
         return breakdown.total + diss
 
     return fun
@@ -332,31 +311,23 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
 
     Uses a perturbed admissible state and the step ``GRADIENT_CHECK_STEP``
     = 1e-6: central differences at a step of 1e-8 are dominated by
-    summation roundoff on energies of this magnitude.
-
-    Each difference point moves one DOF.  On meshes of at least
-    ``ANCHORED_CHECK_MIN_ELEMENTS`` elements the values come from
-    ``_anchored_objective``, which re-runs the kernel only on the elements
-    at that DOF's node; on smaller ones the plain objective is cheaper.
-    Both give the same values bit for bit.  Per value, plain against
-    anchored (best of five sweeps, 2-vCPU x86-64 VM, numpy 2.4): 146/170 us
-    at 96 elements (the 6x8 probe of ``run``), 160/163 at 160, 174/167 at
-    216, 194/162 at 360 (10x18) and 1,889/236 at 4,148 (34x61), so the
-    crossover lies between 160 and 216 elements.
+    summation roundoff on energies of this magnitude.  Each difference
+    point moves one DOF, and its value is the energy of that DOF's element
+    patch alone (``_patch_objective``), so one value costs a few elements
+    whatever the mesh size.
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                       program, 0.0)
     rng = np.random.default_rng(12345)
     b_prev = np.zeros(mesh.n_nodes)
-    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
+    _, fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
     x = dofmap.pack(probe.a1, probe.a2, probe.b)
     # a visibly strained, slipped probe keeps all gradient blocks well scaled
     x = x + 0.6 * _smooth_bumps(mesh, dofmap, rng) \
         + 0.6 * _smooth_bumps(mesh, dofmap, rng)
     zero = np.zeros(mesh.n_nodes)
     x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
-    if mesh.n_triangles >= ANCHORED_CHECK_MIN_ELEMENTS:
-        fun = _anchored_objective(mesh, dofmap, params, slip, probe, b_prev, x)
+    fun = _patch_objective(mesh, dofmap, params, slip, probe, b_prev, x)
     return gradient_check(fun, lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
 
 

@@ -7,7 +7,7 @@ det Fp = 1 and its inverse is I - gamma * s (x) m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +16,10 @@ _ORTHO_TOL = 1e-9
 
 @dataclass
 class SlipSystem:
-    """Glide direction s, slip-plane normal m, and structural tensor M = m (x) m."""
+    """Glide direction s and slip-plane normal m, orthogonal unit vectors."""
 
     s: np.ndarray
     m: np.ndarray
-    M: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -31,7 +30,6 @@ class SlipSystem:
             raise ValueError(f"slip-plane normal must be a unit vector, got {self.m}")
         if abs(float(self.s @ self.m)) > _ORTHO_TOL:
             raise ValueError(f"s and m must be orthogonal, got s.m = {self.s @ self.m}")
-        self.M = np.outer(self.m, self.m)
 
     @classmethod
     def default(cls) -> "SlipSystem":

@@ -202,10 +202,15 @@ class DofMap:
     """
 
     free: np.ndarray
+    n_nodes: int
 
     @property
     def n_free(self) -> int:
         return len(self.free)
+
+    def node_of(self, i) -> np.ndarray:
+        """Mesh node of each packed DOF ``i`` (indices into the packed vector)."""
+        return self.free[i] % self.n_nodes
 
     def pack(self, a1, a2, b) -> np.ndarray:
         return np.concatenate((a1, a2, b))[self.free]
@@ -224,4 +229,4 @@ def build_dofmap(mesh: Mesh2D) -> DofMap:
     free = np.flatnonzero(np.concatenate((
         tags == INTERIOR, (tags != BOTTOM) & (tags != TOP),
         np.ones(mesh.n_nodes, dtype=bool))))
-    return DofMap(free=free)
+    return DofMap(free=free, n_nodes=mesh.n_nodes)

@@ -431,37 +431,6 @@ def test_cli_check_gradient(tmp_path, capsys):
     assert err < 1e-5
 
 
-def test_cli_check_gradient_anchored_prints_the_plain_result(
-        tmp_path, monkeypatch, capsys):
-    # 10x18 lies on the anchored side of the size rule; the printed line must
-    # be the one the plain objective gives at the same probe
-    import kinkband.evolution as evolution
-
-    problem = evolution.build_problem(parse_config("mesh.nx = 10\nmesh.ny = 18"))
-    assert problem[0].n_triangles >= evolution.ANCHORED_CHECK_MIN_ELEMENTS
-    with monkeypatch.context() as m:
-        m.setattr(evolution, "ANCHORED_CHECK_MIN_ELEMENTS", np.inf)
-        plain = evolution._startup_gradient_check(*problem)
-    assert evolution._startup_gradient_check(*problem) == plain
-
-    anchored_calls = []
-    anchored_objective = evolution._anchored_objective
-
-    def recording(*args):
-        anchored_calls.append(args)
-        return anchored_objective(*args)
-
-    monkeypatch.setattr(evolution, "_anchored_objective", recording)
-    cfg = tmp_path / "sim.cfg"
-    cfg.write_text("")
-    code = cli_main(["check-gradient", "--config", str(cfg),
-                     "--mesh", "10", "18"])
-    assert code == 0
-    assert len(anchored_calls) == 1
-    assert capsys.readouterr().out == (
-        f"max relative gradient error: {plain:.6e}\n")
-
-
 def test_cli_check_gradient_fails_on_nan_gradient(tmp_path, monkeypatch,
                                                   capsys):
     # one NaN coordinate of the analytic gradient must fail the check

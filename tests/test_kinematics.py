@@ -13,13 +13,6 @@ def test_slip_system_validation():
         SlipSystem(s=[0, 1], m=[0, 1])
 
 
-def test_structural_tensor(slip):
-    M = slip.M
-    np.testing.assert_allclose(M, M.T)
-    np.testing.assert_allclose(M @ M, M, atol=1e-15)
-    assert np.trace(M) == pytest.approx(1.0)
-
-
 def test_plastic_distortion_examples(slip):
     np.testing.assert_allclose(plastic_distortion(0.0, slip), np.eye(2))
     Fp = plastic_distortion(0.5, slip)
