@@ -4,16 +4,15 @@ minimization, reproducing kink-band formation in compressed layered media."""
 from .config import ConfigError, SimulationConfig, parse_config, serialize_config
 from .energy import (EnergyBreakdown, MaterialParams, dissipation_increment,
                      elastic_density, energy_gradient_analytic,
-                     hardening_density, slip_gradient_density, total_energy)
+                     hardening_density, total_energy)
 from .evolution import (LoadProgram, State, StepFailureError, StepRecord,
                         apply_boundary_conditions, energy_inequality_check,
                         incremental_step, initial_state, lift_state,
                         reaction_force, run_simulation, stability_check)
-from .kinematics import (SlipSystem, elastic_strain, gradient_of_field,
-                         inverse_plastic, plastic_distortion)
+from .kinematics import (SlipSystem, elastic_strain, inverse_plastic,
+                         plastic_distortion)
 from .mesh import (DofMap, GeometryError, Mesh2D, QuadratureRule,
-                   build_dofmap, build_structured_mesh, classify_boundary,
-                   element_geometry, midpoint_rule)
+                   build_dofmap, build_structured_mesh, midpoint_rule)
 from .optimizer import (InvalidStartError, MinimizeOptions, MinimizeResult,
                         gradient_check, minimize)
 from .output import read_history_csv, write_history_csv, write_snapshot_vtk
@@ -24,16 +23,14 @@ __all__ = [
     "ConfigError", "SimulationConfig", "parse_config", "serialize_config",
     "EnergyBreakdown", "MaterialParams", "dissipation_increment",
     "elastic_density", "energy_gradient_analytic", "hardening_density",
-    "slip_gradient_density", "total_energy",
+    "total_energy",
     "LoadProgram", "State", "StepFailureError", "StepRecord",
     "apply_boundary_conditions", "energy_inequality_check", "incremental_step",
     "initial_state", "lift_state", "reaction_force", "run_simulation",
     "stability_check",
-    "SlipSystem", "elastic_strain", "gradient_of_field", "inverse_plastic",
-    "plastic_distortion",
+    "SlipSystem", "elastic_strain", "inverse_plastic", "plastic_distortion",
     "DofMap", "GeometryError", "Mesh2D", "QuadratureRule", "build_dofmap",
-    "build_structured_mesh", "classify_boundary", "element_geometry",
-    "midpoint_rule",
+    "build_structured_mesh", "midpoint_rule",
     "InvalidStartError", "MinimizeOptions", "MinimizeResult", "gradient_check",
     "minimize",
     "read_history_csv", "write_history_csv", "write_snapshot_vtk",

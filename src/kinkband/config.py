@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .energy import MaterialParams
 from .kinematics import SlipSystem
 from .optimizer import MinimizeOptions
@@ -143,6 +145,14 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
         raise ConfigError(
             "load.speed * load.T must stay below geometry.Ly "
             f"(platen through floor): {config.speed} * {config.T} >= {config.Ly}")
+    # twice an element's area is the product of its cell's sides, so the
+    # smallest product is that of the mesh's smallest node spacings
+    dx = np.diff(np.linspace(0.0, config.Lx, config.nx + 1)).min()
+    dy = np.diff(np.linspace(0.0, config.Ly, config.ny + 1)).min()
+    if not dx * dy > 0:
+        raise ConfigError(
+            "geometry.Lx / mesh.nx and geometry.Ly / mesh.ny give elements "
+            f"of zero area: {dx} * {dy} underflows to 0")
     return config
 
 

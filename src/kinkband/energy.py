@@ -7,10 +7,11 @@ The stored-energy density per unit reference area is
 
 with |.| the Frobenius norm, plus the slip terms
 
-    beta (2 + gamma^2)^{r/2}  +  eps_grad |grad gamma|^2 .
+    beta (2 + gamma^2)^{r/2}  +  eps_grad |grad gamma|^2 ,
 
-Where det Fe <= det_floor the elastic density is replaced by the flat
-penalty det_penalty and its gradient contribution is zero.  The smoothed
+the second being eps_grad |grad Fp|^2 for unit s and m.  Where
+det Fe <= det_floor the elastic density is replaced by the flat penalty
+det_penalty and its gradient contribution is zero.  The smoothed
 dissipation between two slip fields is
 
     sigma * integral sqrt(delta^2 + (gamma1 - gamma2)^2) dx .
@@ -105,13 +106,6 @@ def elastic_density(Fe: np.ndarray, params: MaterialParams, slip: SlipSystem) ->
 def hardening_density(gamma: float, params: MaterialParams) -> float:
     """beta * (2 + gamma^2)^{r/2}; the squared Frobenius norm of Fp is 2 + gamma^2."""
     return params.beta * (2.0 + gamma * gamma) ** (params.r / 2.0)
-
-
-def slip_gradient_density(grad_gamma, params: MaterialParams) -> float:
-    """eps_grad * |grad gamma|^2 (for unit s, m the plastic-distortion
-    gradient norm equals |grad gamma|)."""
-    g = np.asarray(grad_gamma, dtype=float)
-    return params.eps_grad * float(g @ g)
 
 
 def _check_lengths(mesh: Mesh2D, *arrays):

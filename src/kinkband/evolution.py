@@ -2,11 +2,14 @@
 
 Each step minimizes H(q) = D_delta(gamma_prev, gamma) + I(t_next, y, gamma)
 over the free coefficients, with the moving Dirichlet data imposed at
-t_next before minimization.  The diagnostics ``stability_check`` (the
-stability inequality probed with random competitors) and
-``energy_inequality_check`` (the two-sided discrete energy estimate against
-an affinely lifted copy of the previous state) are called by the tests;
-``run_simulation`` calls neither.
+t_next before minimization.  A step takes one path: one minimization from
+the previous elastic coefficients with zero slip, then one from the lifted
+previous state if that is lower.  There is no retry: a step that cannot
+start ends the run with the steps before it.  The diagnostics
+``stability_check`` (the stability inequality probed with random
+competitors) and ``energy_inequality_check`` (the two-sided discrete energy
+estimate against an affinely lifted copy of the previous state) are called
+by the tests; ``run_simulation`` calls neither.
 """
 
 from __future__ import annotations
@@ -186,11 +189,13 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     """Advance one step: minimize H over free DOFs with boundary data at t_next.
 
     The initial guess keeps the elastic coefficients from the previous
-    solution (top row re-imposed) and restarts the slip block at zero.  The
-    result is also checked against the affinely lifted previous state; if
-    that admissible competitor is lower, the minimization restarts from it
-    and the better local minimizer wins.  prev_cumulative is the cumulative
-    dissipation before the step and k the step number, both for the record.
+    solution (top row re-imposed) and restarts the slip block at zero.  If
+    the affinely lifted previous state, an admissible competitor, is lower
+    than that minimizer, the step minimizes once more from it and keeps the
+    result, which ``minimize`` never leaves above its start.  A start where
+    H is not finite raises StepFailureError.  prev_cumulative is the
+    cumulative dissipation before the step and k the step number, both for
+    the record.
     """
     template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
     template.b = np.zeros_like(template.b)
@@ -206,16 +211,14 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
             f"step to t={t_next:g} failed to start: {exc}") from exc
     iterations = res.iterations
 
-    # Compare with the lifted previous state (admissible, keeps gamma): if it
-    # beats the found minimizer, descend from it instead.
+    # Descend from the lifted previous state (admissible, keeps gamma) if it
+    # is below the found minimizer.  fun(x) is fun_grad(x)[0] bit for bit,
+    # so that descent ends below res.f_min too.
     lifted = lift_state(prev, mesh, program, prev.time, t_next)
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
-    f_lift = fun(x_lift)
-    if np.isfinite(f_lift) and f_lift < res.f_min:
-        res_lift = minimize(fun_grad, x_lift, options, h=h)
-        iterations += res_lift.iterations
-        if res_lift.f_min < res.f_min:
-            res = res_lift
+    if fun(x_lift) < res.f_min:
+        res = minimize(fun_grad, x_lift, options, h=h)
+        iterations += res.iterations
 
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     new_state = State(a1=a1, a2=a2, b=b, time=t_next)
@@ -346,8 +349,8 @@ def run_simulation(config):
 
     Returns (records, states): one StepRecord per step and the state list
     including the initial state.  A failed start-up gradient check raises
-    StepFailureError; so does an unrecoverable step failure, carrying the
-    partial records and states.
+    StepFailureError; so does a failed step, carrying the records and
+    states of the steps before it.
     """
     mesh, dofmap, params, slip, program = build_problem(config)
 
@@ -371,33 +374,17 @@ def run_simulation(config):
     times = np.linspace(0.0, config.T, config.K + 1)
     for k in range(1, config.K + 1):
         t_next = float(times[k])
-        step_kwargs = dict(mesh=mesh, dofmap=dofmap, params=params, slip=slip,
-                           program=program, options=config.optimizer)
         try:
-            state_new, rec = incremental_step(
-                state, t_next, prev_cumulative=cumulative, k=k, **step_kwargs)
+            state, rec = incremental_step(
+                state, t_next, mesh=mesh, dofmap=dofmap, params=params,
+                slip=slip, program=program, options=config.optimizer,
+                prev_cumulative=cumulative, k=k)
         except StepFailureError as exc:
-            # Retry once through the interval midpoint, then give up.
-            t_mid = 0.5 * (state.time + t_next)
-            log.warning("step %d failed (%s); retrying via t=%g", k, exc, t_mid)
-            try:
-                state_mid, rec_mid = incremental_step(
-                    state, t_mid, prev_cumulative=cumulative, k=k,
-                    **step_kwargs)
-                state_new, rec = incremental_step(
-                    state_mid, t_next,
-                    prev_cumulative=rec_mid.cumulative_dissipation, k=k,
-                    **step_kwargs)
-                rec.dissipation_increment += rec_mid.dissipation_increment
-                rec.optimizer_iterations += rec_mid.optimizer_iterations
-            except StepFailureError as exc2:
-                raise StepFailureError(
-                    f"step {k} to t={t_next:g} failed after halving: {exc2}",
-                    records=records, states=states) from exc2
+            raise StepFailureError(f"step {k} to t={t_next:g} failed: {exc}",
+                                   records=records, states=states) from exc
         cumulative = rec.cumulative_dissipation
         records.append(rec)
-        states.append(state_new)
-        state = state_new
+        states.append(state)
         log.info("step %2d  t=%7.3f  E=%12.4f  diss+=%.4e  F=%10.3f  "
                  "max|g|=%.4f  iters=%d", k, t_next, rec.energy.total,
                  rec.dissipation_increment, rec.reaction_force,

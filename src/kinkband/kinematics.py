@@ -51,10 +51,3 @@ def elastic_strain(grad_y: np.ndarray, gamma: float, slip: SlipSystem) -> np.nda
     """Fe = grad_y (I - gamma * s (x) m); det Fe = det grad_y."""
     return np.asarray(grad_y) @ inverse_plastic(gamma, slip)
 
-
-def gradient_of_field(mesh, element: int, nodal_values) -> np.ndarray:
-    """Constant P1 gradient of a scalar field on one element; exact for affine fields."""
-    vals = np.asarray(nodal_values, dtype=float)
-    if vals.shape != (3,):
-        raise ValueError(f"expected 3 nodal values, got shape {vals.shape}")
-    return vals @ mesh.basis_gradients[element]

@@ -94,29 +94,8 @@ class Mesh2D:
         return np.flatnonzero(hit)
 
 
-def _triangle_geometry(p1, p2, p3):
-    """Area and hat-function gradients of one triangle from its vertices."""
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    two_a = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    if two_a <= 0.0:
-        raise GeometryError(f"degenerate or inverted triangle, 2A = {two_a}")
-    grads = np.array([[y2 - y3, x3 - x2],
-                      [y3 - y1, x1 - x3],
-                      [y1 - y2, x2 - x1]]) / two_a
-    return 0.5 * two_a, grads
-
-
-def element_geometry(mesh: Mesh2D, e: int):
-    """Area and basis gradients of element ``e``, recomputed from coordinates."""
-    if not 0 <= e < mesh.n_triangles:
-        raise IndexError(f"element index {e} out of range")
-    tri = mesh.triangles[e]
-    return _triangle_geometry(*mesh.nodes[tri])
-
-
 def _all_element_geometry(nodes, triangles):
+    """Areas and hat-function gradients of every triangle from its vertices."""
     p1 = nodes[triangles[:, 0]]
     p2 = nodes[triangles[:, 1]]
     p3 = nodes[triangles[:, 2]]
@@ -134,24 +113,6 @@ def _all_element_geometry(nodes, triangles):
     grads[:, 2, 1] = p2[:, 0] - p1[:, 0]
     grads /= two_a[:, None, None]
     return 0.5 * two_a, grads
-
-
-def classify_boundary(mesh: Mesh2D) -> Mesh2D:
-    """Fill per-node boundary tags from coordinates.
-
-    Nodes with x2 = 0 are bottom, x2 = Ly top, remaining x1 in {0, Lx}
-    left/right; corner precedence bottom > top > lateral.
-    """
-    x = mesh.nodes[:, 0]
-    y = mesh.nodes[:, 1]
-    tol = 1e-9 * max(mesh.Lx, mesh.Ly)
-    tags = np.full(mesh.n_nodes, INTERIOR, dtype=np.int64)
-    tags[np.abs(x - mesh.Lx) < tol] = RIGHT
-    tags[np.abs(x) < tol] = LEFT
-    tags[np.abs(y - mesh.Ly) < tol] = TOP
-    tags[np.abs(y) < tol] = BOTTOM
-    mesh.boundary_tags = tags
-    return mesh
 
 
 def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
@@ -183,11 +144,19 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
             tris[k + 1] = (n00, n11, n01)
             k += 2
 
+    # nodes with y = 0 are bottom, y = Ly top, the others with x in {0, Lx}
+    # left/right; a later assignment wins, so corners go bottom > top > lateral
+    x, y = nodes.T
+    tol = 1e-9 * max(Lx, Ly)
+    tags = np.full(len(nodes), INTERIOR, dtype=np.int64)
+    tags[np.abs(x - Lx) < tol] = RIGHT
+    tags[np.abs(x) < tol] = LEFT
+    tags[np.abs(y - Ly) < tol] = TOP
+    tags[np.abs(y) < tol] = BOTTOM
+
     area, grads = _all_element_geometry(nodes, tris)
-    mesh = Mesh2D(Lx=float(Lx), Ly=float(Ly), nodes=nodes, triangles=tris,
-                  boundary_tags=np.zeros(len(nodes), dtype=np.int64),
-                  element_area=area, basis_gradients=grads)
-    return classify_boundary(mesh)
+    return Mesh2D(Lx=float(Lx), Ly=float(Ly), nodes=nodes, triangles=tris,
+                  boundary_tags=tags, element_area=area, basis_gradients=grads)
 
 
 @dataclass

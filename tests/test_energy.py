@@ -6,7 +6,7 @@ import pytest
 from kinkband import (MaterialParams, build_dofmap, build_structured_mesh,
                       dissipation_increment, elastic_density,
                       energy_gradient_analytic, hardening_density,
-                      initial_state, slip_gradient_density, total_energy)
+                      initial_state, total_energy)
 from kinkband.energy import _assemble, curvature_scale
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
@@ -94,11 +94,17 @@ def test_hardening_density_examples():
     assert hardening_density(0.5, params) == pytest.approx(0.045)
 
 
-def test_slip_gradient_density_examples():
+def test_slip_gradient_density_examples(slip):
+    # eps_grad |grad gamma|^2 over the domain: 0 for a constant slip field,
+    # eps_grad * (0.03^2 + 0.04^2) * Lx * Ly for 0.03 x + 0.04 y
     params = MaterialParams(eps_grad=500.0)
-    assert slip_gradient_density([0.0, 0.0], params) == 0.0
-    assert slip_gradient_density([1.0, 0.0], params) == pytest.approx(500.0)
-    assert slip_gradient_density([0.03, 0.04], params) == pytest.approx(1.25)
+    mesh = build_structured_mesh(42, 75, 5, 8)
+    st = initial_state(mesh)
+    st.b = np.full(mesh.n_nodes, 0.3)
+    assert total_energy(st, mesh, params, slip).slip_gradient == 0.0
+    st.b = 0.03 * mesh.nodes[:, 0] + 0.04 * mesh.nodes[:, 1]
+    assert total_energy(st, mesh, params, slip).slip_gradient == pytest.approx(
+        500.0 * 0.0025 * DOMAIN_AREA, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from kinkband import (ConfigError, MaterialParams, MinimizeOptions,
                       SimulationConfig, build_structured_mesh, initial_state,
-                      parse_config, read_history_csv, run_simulation,
-                      serialize_config, write_history_csv, write_snapshot_vtk)
+                      StepFailureError, parse_config, read_history_csv,
+                      run_simulation, serialize_config, write_history_csv,
+                      write_snapshot_vtk)
 from kinkband.cli import cli_main
 from kinkband.config import _TABLE
 from kinkband.output import CSV_HEADER
@@ -141,6 +142,22 @@ def test_slip_vector_errors_name_slip(text):
 def test_platen_through_floor_rejected():
     with pytest.raises(ConfigError, match="load.speed"):
         parse_config("load.speed = 1.0")
+
+
+# every element's doubled area, the product of its cell's sides, is 0
+ZERO_AREA = "geometry.Lx = 1e-200\ngeometry.Ly = 1e-200\nload.speed = 0\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "check-gradient"])
+def test_cli_zero_area_elements_exit_1(tmp_path, capsys, command):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(ZERO_AREA)
+    code = cli_main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+    for key in ("geometry.Lx", "geometry.Ly", "mesh.nx", "mesh.ny"):
+        assert key in err
 
 
 def test_config_roundtrip():
@@ -506,6 +523,29 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch):
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 0
     assert (env_dir / "history.csv").exists()
+
+
+def test_cli_run_saves_partial_results_on_step_failure(tmp_path, monkeypatch,
+                                                      capsys):
+    import kinkband.evolution as evolution
+
+    real_step = evolution.incremental_step
+
+    def fail_at_step_3(*args, **kwargs):
+        if kwargs["k"] == 3:
+            raise StepFailureError("injected failure")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "incremental_step", fail_at_step_3)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 3\nload.K = 4\n")
+    out_dir = tmp_path / "o"
+    code = cli_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert "partial results saved" in capsys.readouterr().err
+    assert len(read_history_csv(out_dir / "history.csv")) == 2
+    assert sorted(p.name for p in out_dir.glob("snapshot_*.vtk")) == [
+        "snapshot_0000.vtk", "snapshot_0001.vtk", "snapshot_0002.vtk"]
 
 
 def test_cli_run_fails_on_bad_startup_gradient_check(tmp_path, monkeypatch,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kinkband import (SlipSystem, build_structured_mesh, elastic_strain,
-                      gradient_of_field, inverse_plastic, plastic_distortion)
+                      inverse_plastic, plastic_distortion)
+from kinkband.energy import element_grad_y
 
 
 def test_slip_system_validation():
@@ -76,20 +77,14 @@ def test_plastic_gradient_norm_equals_slip_gradient(slip):
 
 
 def test_gradient_of_field_examples():
+    # rows of element_grad_y are the element gradients of a1 and a2, exact
+    # for affine fields on every element
     mesh = build_structured_mesh(2.0, 3.0, 3, 4)
-    for e in range(mesh.n_triangles):
-        tri = mesh.triangles[e]
-        np.testing.assert_allclose(
-            gradient_of_field(mesh, e, mesh.nodes[tri, 0]), [1.0, 0.0],
-            atol=1e-13)
-        np.testing.assert_allclose(
-            gradient_of_field(mesh, e, np.full(3, 7.5)), [0.0, 0.0],
-            atol=1e-13)
-        vals = 3.0 * mesh.nodes[tri, 0] - 2.0 * mesh.nodes[tri, 1]
-        np.testing.assert_allclose(gradient_of_field(mesh, e, vals),
-                                   [3.0, -2.0], atol=1e-12)
-
-
-def test_gradient_of_field_wrong_shape(mesh_4x6):
-    with pytest.raises(ValueError):
-        gradient_of_field(mesh_4x6, 0, [1.0, 2.0])
+    x, y = mesh.nodes.T
+    for vals, grad, atol in ((x, [1.0, 0.0], 1e-13),
+                             (np.full(mesh.n_nodes, 7.5), [0.0, 0.0], 1e-13),
+                             (3.0 * x - 2.0 * y, [3.0, -2.0], 1e-12)):
+        y00, y01, y10, y11, _ = element_grad_y(mesh, vals, vals)
+        np.testing.assert_allclose(np.column_stack([y00, y01, y10, y11]),
+                                   np.tile(grad * 2, (mesh.n_triangles, 1)),
+                                   atol=atol)

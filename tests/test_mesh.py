@@ -4,11 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kinkband import (GeometryError, Mesh2D, build_dofmap,
-                      build_structured_mesh, classify_boundary,
-                      element_geometry, midpoint_rule)
+from kinkband import (GeometryError, build_dofmap, build_structured_mesh,
+                      midpoint_rule)
 from kinkband.mesh import (BOTTOM, INTERIOR, LEFT, RIGHT, TOP,
-                           _all_element_geometry, _triangle_geometry)
+                           _all_element_geometry)
 
 
 def exact_monomial_integral(v1, v2, v3, a, b):
@@ -83,7 +82,7 @@ def test_positive_areas_and_gradient_sums():
 
 
 # ---------------------------------------------------------------------------
-# classify_boundary
+# boundary tags
 
 
 def test_unit_square_corner_precedence():
@@ -115,36 +114,26 @@ def test_tag_counts():
     assert (tags == INTERIOR).sum() == (nx - 1) * (ny - 1)
 
 
-def test_classify_is_idempotent():
-    mesh = build_structured_mesh(5, 5, 3, 3)
-    before = mesh.boundary_tags.copy()
-    classify_boundary(mesh)
-    assert (mesh.boundary_tags == before).all()
-
-
 # ---------------------------------------------------------------------------
-# element_geometry
+# element geometry
 
 
-def _single_triangle_mesh(p1, p2, p3):
-    nodes = np.array([p1, p2, p3], dtype=float)
-    tris = np.array([[0, 1, 2]])
-    area, grads = _all_element_geometry(nodes, tris)
-    return Mesh2D(Lx=1.0, Ly=1.0, nodes=nodes, triangles=tris,
-                  boundary_tags=np.zeros(3, dtype=np.int64),
-                  element_area=area, basis_gradients=grads)
+def _triangle_geometry(p1, p2, p3):
+    """Area and hat-function gradients of one triangle, from the mesh's
+    vectorized geometry."""
+    area, grads = _all_element_geometry(np.array([p1, p2, p3], dtype=float),
+                                        np.array([[0, 1, 2]]))
+    return area[0], grads[0]
 
 
 def test_reference_triangle_geometry():
-    mesh = _single_triangle_mesh((0, 0), (1, 0), (0, 1))
-    area, grads = element_geometry(mesh, 0)
+    area, grads = _triangle_geometry((0, 0), (1, 0), (0, 1))
     assert area == pytest.approx(0.5)
     np.testing.assert_allclose(grads, [[-1, -1], [1, 0], [0, 1]], atol=1e-14)
 
 
 def test_scaled_triangle_geometry():
-    mesh = _single_triangle_mesh((0, 0), (2, 0), (0, 2))
-    area, grads = element_geometry(mesh, 0)
+    area, grads = _triangle_geometry((0, 0), (2, 0), (0, 2))
     assert area == pytest.approx(2.0)
     np.testing.assert_allclose(grads, np.array([[-1, -1], [1, 0], [0, 1]]) / 2,
                                atol=1e-14)
@@ -166,12 +155,7 @@ def test_degenerate_triangle_raises():
     with pytest.raises(GeometryError):
         _triangle_geometry((0, 0), (1, 1), (2, 2))
     with pytest.raises(GeometryError):
-        _single_triangle_mesh((0, 0), (1, 0), (2, 0))
-
-
-def test_element_index_out_of_range(mesh_4x6):
-    with pytest.raises(IndexError):
-        element_geometry(mesh_4x6, mesh_4x6.n_triangles)
+        _triangle_geometry((0, 0), (1, 0), (2, 0))
 
 
 # ---------------------------------------------------------------------------

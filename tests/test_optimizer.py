@@ -242,20 +242,24 @@ def _parabolic_line_min(f, x, i, span):
     return out, best_f
 
 
-def test_assembled_step_matches_coordinate_descent_oracle():
-    # first time step of the reference program on a 2x2-element mesh
+def _assembled_first_step():
+    """(fun, fun_grad, x0) of the first time step of the reference program
+    on a 2x2-element mesh."""
     mesh = build_structured_mesh(42.0, 75.0, 2, 2)
     dofmap = build_dofmap(mesh)
-    params = MaterialParams()
-    slip = SlipSystem.default()
     program = LoadProgram(speed=0.18, Ly=75.0)
     t1 = 100.0 / 76.0
     template = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                          program, t1)
     b_prev = np.zeros(mesh.n_nodes)
-    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
-    x0 = dofmap.pack(template.a1, template.a2, template.b)
-    assert dofmap.n_free <= 27
+    fun, fun_grad = _make_objective(mesh, dofmap, MaterialParams(),
+                                    SlipSystem.default(), template, b_prev)
+    return fun, fun_grad, dofmap.pack(template.a1, template.a2, template.b)
+
+
+def test_assembled_step_matches_coordinate_descent_oracle():
+    fun, fun_grad, x0 = _assembled_first_step()
+    assert len(x0) <= 27
 
     res = minimize(fun_grad, x0, MinimizeOptions())
 
@@ -269,3 +273,53 @@ def test_assembled_step_matches_coordinate_descent_oracle():
             break
 
     assert abs(res.f_min - f) <= MinimizeOptions().tol_fun
+
+
+# ---------------------------------------------------------------------------
+# the result against the start, exactly
+
+
+def _stop_reason_cases():
+    """(fun, fun_grad, x0, options) of this file's problems, one or more per
+    stop reason; ``fun`` is the value alone."""
+    c = np.array([3.0, -1.0, 2.0, 0.5])
+
+    def bowl(x):
+        return 0.5 * float((x - c) @ (x - c))
+
+    def flat(x):
+        return 1.0 + 0.5 * float(x @ x)
+
+    def cliff(x):
+        return x[0] ** 2 + 100.0 * x[1] ** 2 if float(x @ x) < 1.0 else np.inf
+
+    def cliff_grad(x):
+        return np.array([2.0 * x[0], 200.0 * x[1]])
+
+    start = np.array([-1.2, 1.0])
+    fun, fun_grad, x0 = _assembled_first_step()
+    return [
+        (bowl, _fg(bowl, lambda x: x - c), np.zeros(4), _tight()),
+        (flat, _fg(flat, lambda x: x), np.zeros(3), MinimizeOptions()),
+        (rosenbrock, _fg(rosenbrock, rosenbrock_grad), start, _tight()),
+        (rosenbrock, _fg(rosenbrock, rosenbrock_grad), start,
+         MinimizeOptions(max_iters=5)),
+        (cliff, _fg(cliff, cliff_grad), np.array([0.9, 0.1]), _tight()),
+        (fun, fun_grad, x0, MinimizeOptions()),
+        (fun, fun_grad, x0, _tight()),
+    ]
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_result_is_never_above_the_start(scaled):
+    # bit for bit: f_min is the value at x_min and at most the value at x0,
+    # whatever the stop reason.  The restart from the lifted state in
+    # evolution.incremental_step keeps its result on this fact alone
+    reached = set()
+    for fun, fun_grad, x0, options in _stop_reason_cases():
+        h = np.linspace(0.5, 2.0, len(x0)) if scaled else None
+        res = minimize(fun_grad, x0, options, h=h)
+        assert res.f_min <= fun(x0)
+        assert res.f_min == fun(res.x_min)
+        reached.add(res.converged_by)
+    assert reached == {"step", "function", "gradient", "max_iters"}
