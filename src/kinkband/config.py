@@ -146,13 +146,16 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
             "load.speed * load.T must stay below geometry.Ly "
             f"(platen through floor): {config.speed} * {config.T} >= {config.Ly}")
     # twice an element's area is the product of its cell's sides, so the
-    # smallest product is that of the mesh's smallest node spacings
-    dx = np.diff(np.linspace(0.0, config.Lx, config.nx + 1)).min()
-    dy = np.diff(np.linspace(0.0, config.Ly, config.ny + 1)).min()
-    if not dx * dy > 0:
-        raise ConfigError(
-            "geometry.Lx / mesh.nx and geometry.Ly / mesh.ny give elements "
-            f"of zero area: {dx} * {dy} underflows to 0")
+    # extreme products are those of the mesh's extreme node spacings; Python
+    # floats overflow to inf without a warning
+    dx = np.diff(np.linspace(0.0, config.Lx, config.nx + 1))
+    dy = np.diff(np.linspace(0.0, config.Ly, config.ny + 1))
+    for two_area in (float(dx.min()) * float(dy.min()),
+                     float(dx.max()) * float(dy.max())):
+        if not 0.0 < two_area < math.inf:
+            raise ConfigError(
+                "geometry.Lx / mesh.nx and geometry.Ly / mesh.ny give elements "
+                f"of area 0 or inf: a product of node spacings is {two_area}")
     return config
 
 

@@ -18,10 +18,9 @@ dissipation between two slip fields is
 
 Assembly integrates with the 3-point edge-midpoint rule of
 ``mesh.midpoint_rule`` in a fixed element order, so results are bitwise
-reproducible.  ``_assemble`` runs over all elements or over any index set
-of them, and keeps grad y, Fe, its cofactor and the stresses as separate
-2x2 component arrays: (nt,) per element, (nt, nq) per quadrature point.
-Over all elements every sum keeps the order of the original einsum kernel
+reproducible.  ``_assemble`` keeps grad y, Fe, its cofactor and the
+stresses as separate 2x2 component arrays: (nt,) per element, (nt, nq) per
+quadrature point.  Every sum keeps the order of the original einsum kernel
 (frozen in tests/seed_kernel.py), so for axis-aligned slip systems the
 results are bit-identical to it: |Fe|^2 is (F00^2 + F10^2) +
 (F01^2 + F11^2), every other contraction is a left-to-right sum, the
@@ -137,25 +136,22 @@ def _qmean(t, W):
     return t[:, 0] * W[0] + t[:, 1] * W[1] + t[:, 2] * W[2]
 
 
-def _scatter(mesh: Mesh2D, loc, tri=None):
-    """Sum (n, 3) per-corner element values into a nodal array; ``tri`` holds
-    the elements' corner nodes (all elements by default)."""
-    tri = mesh.triangles if tri is None else tri
-    return np.bincount(tri.ravel(), weights=loc.ravel(), minlength=mesh.n_nodes)
+def _scatter(mesh: Mesh2D, loc):
+    """Sum (nt, 3) per-corner element values into a nodal array."""
+    return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-              b_prev=None, need_grad=False, elems=None):
-    """Quadrature assembly of energy (and dissipation / gradients) over the
-    elements ``elems`` (all when None).
+              b_prev=None, need_grad=False, per_element=False):
+    """Quadrature assembly of energy (and dissipation / gradients).
 
     Returns (breakdown, dissipation, grads) where grads is None or a tuple
-    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta, with the
-    contributions of these elements only.
+    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta.  With
+    ``per_element`` the breakdown fields and the dissipation are (nt,)
+    arrays of element integrals instead of their totals.
     """
     tri, bg, area = mesh.triangles, mesh.basis_gradients, mesh.element_area
-    if elems is not None:
-        tri, bg, area = tri[elems], bg[elems], area[elems]
     (s0, s1), (m0, m1) = slip.s, slip.m
     P, W = _RULE.points, _RULE.weights
     PT = np.ascontiguousarray(P.T)                  # 3x faster in BLAS than P.T
@@ -189,10 +185,11 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         pen_q = np.where(ok, 0.0, params.det_penalty)
         hard_q = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
 
-    elastic = float(area @ (el_q @ W))
-    penalty = float(area @ (pen_q @ W))
-    hardening = float(area @ (hard_q @ W))
-    slip_grad = params.eps_grad * float(area @ (g0 * g0 + g1 * g1))
+    integral = (lambda v: area * v) if per_element else (lambda v: float(area @ v))
+    elastic = integral(el_q @ W)
+    penalty = integral(pen_q @ W)
+    hardening = integral(hard_q @ W)
+    slip_grad = params.eps_grad * integral(g0 * g0 + g1 * g1)
     breakdown = EnergyBreakdown(
         elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
         penalty=penalty, total=elastic + hardening + slip_grad + penalty)
@@ -203,7 +200,7 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     if b_prev is not None:
         diff = gam - b_prev[tri] @ PT
         root = np.sqrt(params.delta ** 2 + diff * diff)
-        diss = params.sigma * float(area @ (root @ W))
+        diss = params.sigma * integral(root @ W)
 
     if not need_grad:
         return breakdown, diss, None
@@ -233,8 +230,8 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     t01 = _qmean(s01 - gam * (sm0 * s1), W)
     t10 = _qmean(s10 - gam * (sm1 * s0), W)
     t11 = _qmean(s11 - gam * (sm1 * s1), W)
-    ga1 = _scatter(mesh, area[:, None] * corner_dots(t00, t01), tri)
-    ga2 = _scatter(mesh, area[:, None] * corner_dots(t10, t11), tri)
+    ga1 = _scatter(mesh, area[:, None] * corner_dots(t00, t01))
+    ga2 = _scatter(mesh, area[:, None] * corner_dots(t10, t11))
 
     # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
     dW_dg = -(u0 * sm0 + u1 * sm1)
@@ -243,7 +240,7 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         dW_dg += params.sigma * diff / root
     loc_b = area[:, None] * ((dW_dg * W) @ P)
     loc_b += area[:, None] * (2.0 * params.eps_grad * corner_dots(g0, g1))
-    gb = _scatter(mesh, loc_b, tri)
+    gb = _scatter(mesh, loc_b)
     return breakdown, diss, (ga1, ga2, gb)
 
 

@@ -141,28 +141,46 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
     return fun, fun_grad
 
 
-def _patch_objective(mesh, dofmap, params, slip, template: State, b_prev,
-                     x_anchor):
-    """Value-only objective for central differences around ``x_anchor``.
+def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
+    """Coordinate oracle of the gradient check around ``x``.
 
-    Each call finds the DOFs that differ from ``x_anchor`` and integrates
-    I + D^delta over the elements at their nodes only.  The energy is a sum
-    of element terms and a nodal coefficient enters only the elements of
-    its node's patch, so for all points that move the same DOFs the value
-    is f(x) minus one constant, the integral over the other elements, and
-    its central differences are those of ``fun`` of ``_make_objective``.
+    ``oracle(t)`` returns, for every packed DOF i, I + D^delta at x + t e_i
+    integrated over the elements of i's node patch only.  The energy is a
+    sum of element terms and a nodal coefficient enters only the elements
+    of its node's patch, so that value is f(x + t e_i) minus a constant, the
+    integral over the other elements, and its central differences are those
+    of ``fun`` of ``_make_objective``.  Each patch element of each DOF is one
+    disjoint copy (``Mesh2D.detached``) with the DOF's corner value moved by
+    t, and ``_assemble`` integrates the copies in batches of at most
+    ``mesh.n_triangles``, so a batch needs no more memory than one assembly
+    over the mesh.
     """
-    x_anchor = np.array(x_anchor, dtype=float)
+    q = dofmap.unpack(x, template.a1, template.a2, template.b)
 
-    def fun(x):
-        nodes = dofmap.node_of(np.flatnonzero(x != x_anchor))
-        a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
-        breakdown, diss, _ = _assemble(mesh, a1, a2, b, params, slip,
-                                       b_prev=b_prev,
-                                       elems=mesh.elements_at(nodes))
-        return breakdown.total + diss
+    def oracle(t):
+        comp, node = np.divmod(dofmap.free, mesh.n_nodes)
+        indptr, indices = mesh.node_elements
+        size = np.diff(indptr)[node]
+        owner = np.repeat(np.arange(dofmap.n_free), size)    # DOF of each copy
+        # copy k of DOF i is element indices[k + first[i]] of i's patch
+        first = indptr[node] - np.cumsum(size) + size
+        out = np.zeros(dofmap.n_free)
+        for lo in range(0, len(owner), mesh.n_triangles):
+            dof = owner[lo:lo + mesh.n_triangles]
+            k = np.arange(lo, lo + len(dof))
+            elems = indices[k + first[dof]]
+            corners = mesh.triangles.take(elems, axis=0)
+            v = q.take(corners, axis=1)
+            v[comp[dof], k - lo, np.argmax(corners == node[dof, None], axis=1)] += t
+            bd, diss, _ = _assemble(
+                mesh.detached(elems), *v.reshape(3, -1), params, slip,
+                b_prev=None if b_prev is None else b_prev.take(corners).ravel(),
+                per_element=True)
+            out += np.bincount(dof, weights=bd.total + diss,
+                               minlength=dofmap.n_free)
+        return out
 
-    return fun
+    return oracle
 
 
 def _smooth_bumps(mesh, dofmap, rng):
@@ -316,8 +334,8 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
     = 1e-6: central differences at a step of 1e-8 are dominated by
     summation roundoff on energies of this magnitude.  Each difference
     point moves one DOF, and its value is the energy of that DOF's element
-    patch alone (``_patch_objective``), so one value costs a few elements
-    whatever the mesh size.
+    patch alone (``_patch_oracle``), so all of them together cost about
+    twice the sum of the patch sizes in element evaluations.
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                       program, 0.0)
@@ -330,8 +348,8 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
         + 0.6 * _smooth_bumps(mesh, dofmap, rng)
     zero = np.zeros(mesh.n_nodes)
     x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
-    fun = _patch_objective(mesh, dofmap, params, slip, probe, b_prev, x)
-    return gradient_check(fun, lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
+    oracle = _patch_oracle(mesh, dofmap, params, slip, probe, b_prev, x)
+    return gradient_check(oracle, lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
 
 
 def build_problem(config):
@@ -353,13 +371,7 @@ def run_simulation(config):
     states of the steps before it.
     """
     mesh, dofmap, params, slip, program = build_problem(config)
-
-    # the check exercises the same assembly path, so a capped probe mesh
-    # keeps the startup cost negligible on production meshes
-    probe_mesh = build_structured_mesh(config.Lx, config.Ly,
-                                       min(config.nx, 6), min(config.ny, 8))
-    err = _startup_gradient_check(probe_mesh, build_dofmap(probe_mesh),
-                                  params, slip, program)
+    err = _startup_gradient_check(mesh, dofmap, params, slip, program)
     if not err < GRADIENT_CHECK_TOL:
         raise StepFailureError(
             f"start-up gradient check failed: max relative error {err:.3e} "

@@ -81,17 +81,17 @@ class Mesh2D:
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices
 
-    def elements_at(self, nodes) -> np.ndarray:
-        """Ascending indices of the elements that contain any of ``nodes``;
-        for one node, a view of ``node_elements``."""
-        indptr, indices = self.node_elements
-        patches = [indices[indptr[i]:indptr[i + 1]] for i in nodes]
-        if len(patches) == 1:
-            return patches[0]
-        hit = np.zeros(self.n_triangles, dtype=bool)
-        for patch in patches:
-            hit[patch] = True
-        return np.flatnonzero(hit)
+    def detached(self, elems) -> "Mesh2D":
+        """The elements ``elems`` (repeats allowed) as disjoint copies: copy k
+        has the geometry of element elems[k] and its own corner nodes 3k,
+        3k + 1, 3k + 2, so a nodal field on it is ``v[triangles[elems]].ravel()``
+        for a field v of this mesh."""
+        corners = self.triangles.take(elems, axis=0).ravel()
+        return Mesh2D(Lx=self.Lx, Ly=self.Ly, nodes=self.nodes.take(corners, axis=0),
+                      triangles=np.arange(corners.size).reshape(-1, 3),
+                      boundary_tags=self.boundary_tags.take(corners),
+                      element_area=self.element_area.take(elems),
+                      basis_gradients=self.basis_gradients.take(elems, axis=0))
 
 
 def _all_element_geometry(nodes, triangles):
@@ -176,10 +176,6 @@ class DofMap:
     @property
     def n_free(self) -> int:
         return len(self.free)
-
-    def node_of(self, i) -> np.ndarray:
-        """Mesh node of each packed DOF ``i`` (indices into the packed vector)."""
-        return self.free[i] % self.n_nodes
 
     def pack(self, a1, a2, b) -> np.ndarray:
         return np.concatenate((a1, a2, b))[self.free]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -153,6 +154,24 @@ def test_cli_zero_area_elements_exit_1(tmp_path, capsys, command):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(ZERO_AREA)
     code = cli_main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+    for key in ("geometry.Lx", "geometry.Ly", "mesh.nx", "mesh.ny"):
+        assert key in err
+
+
+# every element's doubled area, the product of its cell's sides, overflows
+HUGE_AREA = "geometry.Lx = 1e300\ngeometry.Ly = 1e300\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "check-gradient"])
+def test_cli_overflowing_area_elements_exit_1(tmp_path, capsys, command):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(HUGE_AREA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no overflow warning either
+        code = cli_main([command, "--config", str(cfg)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: ")

@@ -1,5 +1,8 @@
-"""The patch objective of the gradient check: its central differences are
-those of the full assembly, and a patch missing an element is caught."""
+"""The patch oracle of the gradient check: its central differences are
+those of the full assembly, it integrates at most ``n_triangles`` element
+copies per kernel call, and a patch missing an element is caught."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, parse_config)
 from kinkband.cli import cli_main
 from kinkband.energy import _assemble
-from kinkband.evolution import State, _make_objective, _patch_objective
+from kinkband.evolution import State, _make_objective, _patch_oracle
 
 SLIPS = {
     "default": SlipSystem.default(),
@@ -47,7 +50,8 @@ def test_patch_differences_equal_full_differences(slip_name, with_prev, amp):
         a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
         assert _assemble(mesh, a1, a2, b, params, slip)[0].penalty > 0.0
     full, _ = _make_objective(*args)
-    patch = _patch_objective(*args, x)
+    oracle = _patch_oracle(*args, x)
+    patch_p, patch_m = oracle(1e-6), oracle(-1e-6)
     eps = np.finfo(float).eps
     worst = 0.0
     for i in range(len(x)):
@@ -55,7 +59,7 @@ def test_patch_differences_equal_full_differences(slip_name, with_prev, amp):
         xp[i] += 1e-6
         xm[i] -= 1e-6
         fp, fm = full(xp), full(xm)
-        gap = abs((patch(xp) - patch(xm)) - (fp - fm))
+        gap = abs((patch_p[i] - patch_m[i]) - (fp - fm))
         worst = max(worst, gap / (4.0 * eps * (abs(fp) + abs(fm))))
     assert worst <= 1.0
 
@@ -64,24 +68,64 @@ def test_patch_differences_equal_full_differences(slip_name, with_prev, amp):
 @pytest.mark.parametrize("amp", [0.1, 5.0])
 def test_assemble_over_every_element_by_index_equals_the_default(amp,
                                                                  with_prev):
+    # the detached copies of every element, indexed in order, give the
+    # default totals and, scattered back, its gradients bit for bit
     args, x = _problem("default", amp, with_prev)
     mesh, dofmap, params, slip, template, b_prev = args
     q = dofmap.unpack(x, template.a1, template.a2, template.b)
     every = np.arange(mesh.n_triangles)
+    copies = mesh.detached(every)
+    qc = q[:, mesh.triangles].reshape(3, -1)
+    bc = None if b_prev is None else b_prev[mesh.triangles].ravel()
     for need_grad in (False, True):
         bd, diss, grads = _assemble(mesh, *q, params, slip, b_prev=b_prev,
                                     need_grad=need_grad)
-        bd_i, diss_i, grads_i = _assemble(mesh, *q, params, slip,
-                                          b_prev=b_prev, need_grad=need_grad,
-                                          elems=every)
+        bd_i, diss_i, grads_i = _assemble(copies, *qc, params, slip,
+                                          b_prev=bc, need_grad=need_grad)
         for field in BREAKDOWN_FIELDS:
             assert getattr(bd_i, field) == getattr(bd, field), field
         assert diss_i == diss
         if need_grad:
             for g_i, g in zip(grads_i, grads):
-                assert np.array_equal(g_i, g)
+                assert np.array_equal(
+                    np.bincount(mesh.triangles.ravel(), weights=g_i,
+                                minlength=mesh.n_nodes), g)
         else:
             assert grads is None and grads_i is None
+    # per element, both give the same integrals, which sum to the totals
+    bd_e, diss_e, _ = _assemble(mesh, *q, params, slip, b_prev=b_prev,
+                                per_element=True)
+    bd_c, diss_c, _ = _assemble(copies, *qc, params, slip, b_prev=bc,
+                                per_element=True)
+    for field in BREAKDOWN_FIELDS:
+        assert np.array_equal(getattr(bd_c, field), getattr(bd_e, field))
+        assert math.fsum(getattr(bd_e, field)) == pytest.approx(
+            getattr(bd, field), rel=1e-12, abs=1e-12)
+    assert np.array_equal(diss_c, diss_e)
+    assert math.fsum(np.broadcast_to(diss_e, every.shape)) == pytest.approx(
+        diss, rel=1e-12, abs=1e-12)
+
+
+def test_sweep_batches_cover_at_most_n_triangles_copies(monkeypatch):
+    # at 34x61 the whole sweep is 2 * ceil(sum of patch sizes / n_triangles)
+    # kernel calls, none over more element copies than the mesh has
+    problem = evolution.build_problem(parse_config(""))
+    mesh, dofmap = problem[:2]
+    assert (mesh.n_triangles, dofmap.n_free) == (4148, 6250)
+    sizes = []
+
+    def counted(mesh_, *args, **kwargs):
+        if not kwargs.get("need_grad"):         # all but the one gradient
+            sizes.append(mesh_.n_triangles)
+        return _assemble(mesh_, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_assemble", counted)
+    assert evolution._startup_gradient_check(*problem) < 1e-5
+    indptr = mesh.node_elements[0]
+    patch_sum = int(np.diff(indptr)[dofmap.free % mesh.n_nodes].sum())
+    assert sum(sizes) == 2 * patch_sum
+    assert len(sizes) <= 2 * math.ceil(patch_sum / mesh.n_triangles)
+    assert max(sizes) <= mesh.n_triangles
 
 
 def test_a_patch_missing_one_element_fails_the_check():
