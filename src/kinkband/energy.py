@@ -18,15 +18,33 @@ dissipation between two slip fields is
 
 Assembly integrates with the 3-point edge-midpoint rule of
 ``mesh.midpoint_rule`` in a fixed element order, so results are bitwise
-reproducible.  ``_assemble`` keeps grad y, Fe, its cofactor and the
-stresses as separate 2x2 component arrays: (nt,) per element, (nt, nq) per
-quadrature point.  Every sum keeps the order of the original einsum kernel
-(frozen in tests/seed_kernel.py), so for axis-aligned slip systems the
-results are bit-identical to it: |Fe|^2 is (F00^2 + F10^2) +
-(F01^2 + F11^2), every other contraction is a left-to-right sum, the
-integrals are ``area @ (q @ weights)`` and each nodal scatter one
-``bincount``.  (For rotated slip systems the old kernel's stacked matmul
-fused multiply-adds, so the two agree to rounding.)
+reproducible.  ``_assemble`` is quadrature-major: grad y and grad gamma are
+(nt,) arrays per 2x2 component, and every per-point quantity (gamma, the
+components of Fe and of the stress S) is a (3, nt) array, row q for
+quadrature point q, so element constants broadcast along the outer axis.
+The element geometry in this layout is ``Mesh2D.corner_major``.
+
+Every sum keeps the order of the original einsum kernel (frozen in
+tests/seed_kernel.py), so for axis-aligned slip systems the results are
+bit-identical to it:
+
+- |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), and every other contraction
+  is a left-to-right sum;
+- values at the points are 0.5 v_i + 0.5 v_j over the two corners of each
+  point's edge, and the slip force on a corner is the same two-term sum
+  over its two points: the rule's matmuls, whose products by 0.5 and 0
+  are exact;
+- the integrands are written through (3, nt) views into one C-ordered
+  (k, nt, 3) buffer for one batched BLAS ``@ weights``, which sums each
+  element's row as ``(nt, 3) @ weights`` of that integrand alone does,
+  and each integral is then ``area @ row``;
+- the three nodal gradient blocks are one ``bincount`` over [a1, a2, b] in
+  element order, so each node sums its elements in ascending order;
+- the penalty masks are applied only where some point is inadmissible
+  (det Fe <= det_floor): elsewhere they would keep every value as it is.
+
+(For rotated slip systems the old kernel's stacked matmul fused
+multiply-adds, so the two agree to rounding.)
 """
 
 from __future__ import annotations
@@ -115,25 +133,47 @@ def _check_lengths(mesh: Mesh2D, *arrays):
                 f"{mesh.n_nodes} nodes")
 
 
-def _p1_gradient(vt, bg):
-    """Element gradient (d/dx1, d/dx2) of a P1 field from its (nt, 3) corner
+def _p1_gradient(vt, geo):
+    """Element gradient (d/dx1, d/dx2) of a P1 field from its (3, nt) corner
     values, as two (nt,) arrays summed in corner order."""
-    return (vt[:, 0] * bg[:, 0, 0] + vt[:, 1] * bg[:, 1, 0] + vt[:, 2] * bg[:, 2, 0],
-            vt[:, 0] * bg[:, 0, 1] + vt[:, 1] * bg[:, 1, 1] + vt[:, 2] * bg[:, 2, 1])
+    gx, gy = geo.grads
+    return (vt[0] * gx[0] + vt[1] * gx[1] + vt[2] * gx[2],
+            vt[0] * gy[0] + vt[1] * gy[1] + vt[2] * gy[2])
 
 
 def element_grad_y(mesh: Mesh2D, a1, a2):
     """Element-constant grad y as components (Y00, Y01, Y10, Y11) and its
     determinant, which equals det Fe at every point (det P = 1)."""
-    tri, bg = mesh.triangles, mesh.basis_gradients
-    y00, y01 = _p1_gradient(a1[tri], bg)
-    y10, y11 = _p1_gradient(a2[tri], bg)
+    geo = mesh.corner_major
+    y00, y01 = _p1_gradient(a1[geo.triangles], geo)
+    y10, y11 = _p1_gradient(a2[geo.triangles], geo)
     return y00, y01, y10, y11, y00 * y11 - y01 * y10
 
 
+def _at_points(vt):
+    """A P1 field at the quadrature points, (3, nt), from its (3, nt) corner
+    values: point q is the midpoint of edge (0, 1), (1, 2), (0, 2), so its
+    value is 0.5 v_i + 0.5 v_j, row q of the rule's points times vt."""
+    half = 0.5 * vt
+    out = np.empty_like(half)
+    np.add(half[:2], half[1:], out=out[:2])
+    np.add(half[0], half[2], out=out[2])
+    return out
+
+
+def _to_corners(vq):
+    """The transpose of ``_at_points``: corner c sums 0.5 v_q over the two
+    points q on its edges, (points.T @ vq)[c]."""
+    half = 0.5 * vq
+    out = np.empty_like(half)
+    np.add(half[0], half[2], out=out[0])
+    np.add(half[:2], half[1:], out=out[1:])
+    return out
+
+
 def _qmean(t, W):
-    """Weighted quadrature sum over the columns of an (nt, nq) array, in order."""
-    return t[:, 0] * W[0] + t[:, 1] * W[1] + t[:, 2] * W[2]
+    """Weighted quadrature sum over the rows of a (3, nt) array, in order."""
+    return t[0] * W[0] + t[1] * W[1] + t[2] * W[2]
 
 
 def _scatter(mesh: Mesh2D, loc):
@@ -146,102 +186,122 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
               b_prev=None, need_grad=False, per_element=False):
     """Quadrature assembly of energy (and dissipation / gradients).
 
-    Returns (breakdown, dissipation, grads) where grads is None or a tuple
-    of full nodal gradient arrays (ga1, ga2, gb) of I + D^delta.  With
-    ``per_element`` the breakdown fields and the dissipation are (nt,)
+    Returns (breakdown, dissipation, grads) where grads is None or a (3, n)
+    array whose rows are the nodal gradients ga1, ga2, gb of I + D^delta.
+    With ``per_element`` the breakdown fields and the dissipation are (nt,)
     arrays of element integrals instead of their totals.
     """
-    tri, bg, area = mesh.triangles, mesh.basis_gradients, mesh.element_area
-    (s0, s1), (m0, m1) = slip.s, slip.m
-    P, W = _RULE.points, _RULE.weights
-    PT = np.ascontiguousarray(P.T)                  # 3x faster in BLAS than P.T
-
-    y00, y01 = _p1_gradient(a1[tri], bg)            # rows of grad_y, (nt,)
-    y10, y11 = _p1_gradient(a2[tri], bg)
-    bt = b[tri]
-    g0, g1 = _p1_gradient(bt, bg)                   # grad gamma
-    gam = bt @ PT                                   # (nt, nq) slip at quad points
-    u0 = (y00 * s0 + y01 * s1)[:, None]             # grad_y . s
-    u1 = (y10 * s0 + y11 * s1)[:, None]
-    # Fe = grad_y - gam * outer(u, m), one (nt, nq) array per component
-    f00 = y00[:, None] - gam * (u0 * m0)
-    f01 = y01[:, None] - gam * (u0 * m1)
-    f10 = y10[:, None] - gam * (u1 * m0)
-    f11 = y11[:, None] - gam * (u1 * m1)
-    det = f00 * f11 - f01 * f10
-    ok = det > params.det_floor
-    det_safe = np.where(ok, det, 1.0)
+    geo, area = mesh.corner_major, mesh.element_area
+    tri = geo.triangles
+    (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
+    W = _RULE.weights
 
     with np.errstate(over="ignore", invalid="ignore"):
+        y00, y01 = _p1_gradient(a1[tri], geo)       # rows of grad_y, (nt,)
+        y10, y11 = _p1_gradient(a2[tri], geo)
+        bt = b[tri]
+        g0, g1 = _p1_gradient(bt, geo)              # grad gamma
+        gam = _at_points(bt)                        # (3, nt) slip at quad points
+        u0 = y00 * s0 + y01 * s1                    # grad_y . s
+        u1 = y10 * s0 + y11 * s1
+        # Fe = grad_y - gam * outer(u, m), one (3, nt) array per component
+        f00 = y00 - gam * (u0 * m0)
+        f01 = y01 - gam * (u0 * m1)
+        f10 = y10 - gam * (u1 * m0)
+        f11 = y11 - gam * (u1 * m1)
+        det = f00 * f11 - f01 * f10
+        ok = det > params.det_floor
+        admissible = bool(ok.all())                 # no penalty point
+        det_safe = det if admissible else np.where(ok, det, 1.0)
+
         frob2 = (f00 * f00 + f10 * f10) + (f01 * f01 + f11 * f11)
         fem0 = f00 * m0 + f01 * m1                  # Fe m
         fem1 = f10 * m0 + f11 * m1
-        w_smooth = (params.C * (frob2 ** (params.p / 2.0)
-                                - 2.0 ** (params.p / 2.0)
-                                - 2.0 * np.log(det_safe))
-                    + params.D * (det - 1.0) ** 2
-                    + params.aniso * (fem0 * fem0 + fem1 * fem1))
-        el_q = np.where(ok, w_smooth, 0.0)
-        pen_q = np.where(ok, 0.0, params.det_penalty)
-        hard_q = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
+        if not need_grad:               # a smaller peak of (3, nt) arrays
+            del f00, f01, f10, f11
+        # the densities integrated, written through (point, element) views
+        # of one (k, nt, 3) buffer: its batched BLAS matvec sums each
+        # element's row exactly as (nt, 3) @ W of that density alone would
+        dens = np.empty((2 + (not admissible) + (b_prev is not None), len(area), 3))
+        w_el = dens[0].T
+        np.add(params.C * (frob2 ** (params.p / 2.0)
+                           - 2.0 ** (params.p / 2.0)
+                           - 2.0 * np.log(det_safe))
+               + params.D * (det - 1.0) ** 2,
+               params.aniso * (fem0 * fem0 + fem1 * fem1), out=w_el)
+        if not need_grad:
+            del frob2, det, det_safe, fem0, fem1
+        np.multiply(params.beta, (2.0 + gam * gam) ** (params.r / 2.0), out=dens[1].T)
+        if not admissible:
+            w_el[~ok] = 0.0
+            dens[2].T[...] = np.where(ok, 0.0, params.det_penalty)
+        diff = root = None
+        if b_prev is not None:
+            diff = gam - _at_points(b_prev[tri])
+            root = np.sqrt(params.delta ** 2 + diff * diff, out=dens[-1].T)
+        means = dens @ W
 
-    integral = (lambda v: area * v) if per_element else (lambda v: float(area @ v))
-    elastic = integral(el_q @ W)
-    penalty = integral(pen_q @ W)
-    hardening = integral(hard_q @ W)
-    slip_grad = params.eps_grad * integral(g0 * g0 + g1 * g1)
-    breakdown = EnergyBreakdown(
-        elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
-        penalty=penalty, total=elastic + hardening + slip_grad + penalty)
+        integral = (lambda v: area * v) if per_element else (lambda v: float(area @ v))
+        elastic = integral(means[0])
+        hardening = integral(means[1])
+        penalty = integral(np.zeros_like(area) if admissible else means[2])
+        slip_grad = params.eps_grad * integral(g0 * g0 + g1 * g1)
+        breakdown = EnergyBreakdown(
+            elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
+            penalty=penalty, total=elastic + hardening + slip_grad + penalty)
+        diss = 0.0 if root is None else params.sigma * integral(means[-1])
 
-    diss = 0.0
-    diff = None
-    root = None
-    if b_prev is not None:
-        diff = gam - b_prev[tri] @ PT
-        root = np.sqrt(params.delta ** 2 + diff * diff)
-        diss = params.sigma * integral(root @ W)
+        if not need_grad:
+            return breakdown, diss, None
 
-    if not need_grad:
-        return breakdown, diss, None
-
-    # S = dW/dFe on the smooth branch (cofactor of Fe in the det term); zero
-    # at penalty points.
-    with np.errstate(over="ignore", invalid="ignore"):
+        # S = dW/dFe on the smooth branch (cofactor of Fe in the det term);
+        # zero at penalty points.  Arrays are deleted after their last read:
+        # the most (3, nt) arrays alive at once is the heap a call grows and
+        # the allocator may return, to be faulted in page by page next call.
+        diss_slope = None if diff is None else params.sigma * diff / root
+        del dens, diff, root
         coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
         coef_det = 2.0 * params.D * (det - 1.0) - 2.0 * params.C / det_safe
+        del frob2, det, det_safe
         am0 = 2.0 * params.aniso * fem0
         am1 = 2.0 * params.aniso * fem1
+        del fem0, fem1
         s00 = (coef_p * f00 + coef_det * f11) + am0 * m0
+        s11 = (coef_p * f11 + coef_det * f00) + am1 * m1
+        del f00, f11
         s01 = (coef_p * f01 - coef_det * f10) + am0 * m1
         s10 = (coef_p * f10 - coef_det * f01) + am1 * m0
-        s11 = (coef_p * f11 + coef_det * f00) + am1 * m1
-    for s_ij in (s00, s01, s10, s11):
-        s_ij *= ok
+        del f01, f10, coef_p, coef_det, am0, am1
+        if not admissible:
+            for s_ij in (s00, s01, s10, s11):
+                s_ij *= ok
 
-    def corner_dots(d0, d1):                        # (d0, d1) . grad of each hat
-        return d0[:, None] * bg[..., 0] + d1[:, None] * bg[..., 1]
+        # Chain rule to grad_y: dW/d(grad_y) = S P^T = S - gam * outer(S m, s),
+        # averaged over the quadrature points.
+        sm0 = s00 * m0 + s01 * m1
+        sm1 = s10 * m0 + s11 * m1
+        t00 = _qmean(s00 - gam * (sm0 * s0), W)
+        t01 = _qmean(s01 - gam * (sm0 * s1), W)
+        t10 = _qmean(s10 - gam * (sm1 * s0), W)
+        t11 = _qmean(s11 - gam * (sm1 * s1), W)
+        del s00, s01, s10, s11
 
-    # Chain rule to grad_y: dW/d(grad_y) = S P^T = S - gam * outer(S m, s),
-    # averaged over the quadrature points.
-    sm0 = s00 * m0 + s01 * m1
-    sm1 = s10 * m0 + s11 * m1
-    t00 = _qmean(s00 - gam * (sm0 * s0), W)
-    t01 = _qmean(s01 - gam * (sm0 * s1), W)
-    t10 = _qmean(s10 - gam * (sm1 * s0), W)
-    t11 = _qmean(s11 - gam * (sm1 * s1), W)
-    ga1 = _scatter(mesh, area[:, None] * corner_dots(t00, t01))
-    ga2 = _scatter(mesh, area[:, None] * corner_dots(t10, t11))
+        # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
+        dW_dg = -(u0 * sm0 + u1 * sm1)
+        dW_dg += params.beta * params.r * (2.0 + gam * gam) ** (params.r / 2.0 - 1.0) * gam
+        if diss_slope is not None:
+            dW_dg += diss_slope
 
-    # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
-    dW_dg = -(u0 * sm0 + u1 * sm1)
-    dW_dg += params.beta * params.r * (2.0 + gam * gam) ** (params.r / 2.0 - 1.0) * gam
-    if diff is not None:
-        dW_dg += params.sigma * diff / root
-    loc_b = area[:, None] * ((dW_dg * W) @ P)
-    loc_b += area[:, None] * (2.0 * params.eps_grad * corner_dots(g0, g1))
-    gb = _scatter(mesh, loc_b)
-    return breakdown, diss, (ga1, ga2, gb)
+        # element vectors of a1, a2 and b as (block, element, corner), the
+        # order of ``slots``, written through (corner, element) views
+        loc = np.empty((3, len(area), 3))
+        gx, gy = geo.grads
+        np.multiply(area, t00 * gx + t01 * gy, out=loc[0].T)
+        np.multiply(area, t10 * gx + t11 * gy, out=loc[1].T)
+        np.add(area * _to_corners(dW_dg * W[:, None]),
+               area * (2.0 * params.eps_grad * (g0 * gx + g1 * gy)), out=loc[2].T)
+    grads = np.bincount(geo.slots, weights=loc.ravel(), minlength=3 * mesh.n_nodes)
+    return breakdown, diss, grads.reshape(3, -1)
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,
@@ -298,18 +358,10 @@ def energy_nodal_gradient(state, mesh: Mesh2D, params: MaterialParams,
                           slip: SlipSystem, gamma_prev=None):
     """Gradient of I (+ D^delta if gamma_prev given) w.r.t. all nodal values.
 
-    Returns full arrays (ga1, ga2, gb); entries at constrained nodes are the
-    constraint reactions.
+    Returns a (3, n) array whose rows are the full nodal gradients ga1, ga2,
+    gb; entries at constrained nodes are the constraint reactions.
     """
     _check_lengths(mesh, state.a1, state.a2, state.b)
     _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
                             b_prev=gamma_prev, need_grad=True)
     return grads
-
-
-def energy_gradient_analytic(state, mesh: Mesh2D, dofmap, params: MaterialParams,
-                             slip: SlipSystem, gamma_prev=None) -> np.ndarray:
-    """Exact smooth-branch gradient of I + D^delta over the free DOF vector."""
-    ga1, ga2, gb = energy_nodal_gradient(state, mesh, params, slip,
-                                         gamma_prev=gamma_prev)
-    return dofmap.pack(ga1, ga2, gb)

@@ -136,7 +136,8 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
         a1, a2, b = dofmap.unpack(x, a1_t, a2_t, b_t)
         breakdown, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
                                            b_prev=b_prev, need_grad=True)
-        return breakdown.total + diss, dofmap.pack(*grads)
+        # the rows of grads are the blocks of the nodal vector [a1, a2, b]
+        return breakdown.total + diss, grads.reshape(-1)[dofmap.free]
 
     return fun, fun_grad
 

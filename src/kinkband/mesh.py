@@ -40,6 +40,25 @@ def midpoint_rule() -> QuadratureRule:
     return QuadratureRule(points=pts, weights=np.full(3, 1.0 / 3.0))
 
 
+@dataclass(frozen=True, eq=False)
+class CornerMajor:
+    """Per-element geometry of a mesh with the corner index c first."""
+
+    triangles: np.ndarray  # (3, n_tri) node of corner c of each element
+    grads: np.ndarray      # (2, 3, n_tri) d/dx1, d/dx2 of corner c's hat [1/mm]
+    n_nodes: int
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """(3 * 3 n_tri,) entry 3 (k n_tri + e) + c is the position of corner
+        c of element e in block k of the nodal vector [a1, a2, b] (length
+        3n); built on first use, as only gradients need it."""
+        slots = (self.triangles.T.ravel()
+                 + self.n_nodes * np.arange(3)[:, None]).ravel()
+        slots.flags.writeable = False
+        return slots
+
+
 @dataclass
 class Mesh2D:
     """Triangulated rectangle (0, Lx) x (0, Ly) with P1 element geometry.
@@ -81,17 +100,32 @@ class Mesh2D:
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices
 
+    @cached_property
+    def corner_major(self) -> CornerMajor:
+        """The element geometry with the corner index first, as the assembly
+        kernel reads it, built on first use; its arrays are read-only."""
+        tri = np.ascontiguousarray(self.triangles.T)
+        grads = np.ascontiguousarray(self.basis_gradients.transpose(2, 1, 0))
+        tri.flags.writeable = grads.flags.writeable = False
+        return CornerMajor(triangles=tri, grads=grads, n_nodes=self.n_nodes)
+
     def detached(self, elems) -> "Mesh2D":
         """The elements ``elems`` (repeats allowed) as disjoint copies: copy k
         has the geometry of element elems[k] and its own corner nodes 3k,
         3k + 1, 3k + 2, so a nodal field on it is ``v[triangles[elems]].ravel()``
-        for a field v of this mesh."""
+        for a field v of this mesh.
+
+        The copies' triangles and hat gradients are transposed views of
+        corner-major arrays, the gradients taken from this mesh's
+        ``corner_major``, so the copies' own ``corner_major`` copies
+        nothing."""
         corners = self.triangles.take(elems, axis=0).ravel()
+        tri = np.arange(corners.size).reshape(-1, 3).T.copy()
+        grads = self.corner_major.grads.take(elems, axis=2)
         return Mesh2D(Lx=self.Lx, Ly=self.Ly, nodes=self.nodes.take(corners, axis=0),
-                      triangles=np.arange(corners.size).reshape(-1, 3),
-                      boundary_tags=self.boundary_tags.take(corners),
+                      triangles=tri.T, boundary_tags=self.boundary_tags.take(corners),
                       element_area=self.element_area.take(elems),
-                      basis_gradients=self.basis_gradients.take(elems, axis=0))
+                      basis_gradients=grads.transpose(2, 1, 0))
 
 
 def _all_element_geometry(nodes, triangles):

@@ -165,10 +165,12 @@ def minimize(fun_grad, x0, options: MinimizeOptions | None = None,
         x_new = x + t * d
 
         step = x_new - x
-        ys = float((g_new - g) @ step)
-        if ys > 1e-12 * float(np.linalg.norm(step)) * float(np.linalg.norm(g_new - g)):
+        y = g_new - g
+        ys = float(y @ step)
+        step_norm = float(np.linalg.norm(step))
+        if ys > 1e-12 * step_norm * float(np.linalg.norm(y)):
             s_hist.append(step)
-            y_hist.append(g_new - g)
+            y_hist.append(y)
             rho_hist.append(1.0 / ys)
             if len(s_hist) > _LBFGS_MEMORY:
                 s_hist.pop(0)
@@ -176,7 +178,6 @@ def minimize(fun_grad, x0, options: MinimizeOptions | None = None,
                 rho_hist.pop(0)
 
         decrease = f - f_new
-        step_norm = float(np.linalg.norm(step))
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.max(np.abs(g)))
 

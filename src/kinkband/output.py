@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
+
 from .energy import EnergyBreakdown, element_grad_y
 from .evolution import StepRecord
 
@@ -110,8 +112,7 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
         fh.write(f"POINTS {n} double\n")
         _write_vectors(fh, state.a1, state.a2)
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        fh.write("".join(f"3 {i} {j} {k}\n"
-                         for i, j, k in mesh.triangles.tolist()))
+        fh.write(("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()))
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {n}\n")
@@ -127,11 +128,11 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
 
 
 def _write_vectors(fh, v1, v2):
-    fh.write("".join(f"{x:.17g} {y:.17g} 0\n"
-                     for x, y in zip(v1.tolist(), v2.tolist())))
+    fh.write(("%.17g %.17g 0\n" * len(v1))
+             % tuple(np.column_stack((v1, v2)).ravel().tolist()))
 
 
 def _write_scalars(fh, name, values):
     fh.write(f"SCALARS {name} double 1\n")
     fh.write("LOOKUP_TABLE default\n")
-    fh.write("".join(f"{v:.17g}\n" for v in values.tolist()))
+    fh.write(("%.17g\n" * len(values)) % tuple(values.tolist()))

@@ -146,6 +146,7 @@ def test_platen_through_floor_rejected():
 
 
 # every element's doubled area, the product of its cell's sides, is 0
+# (also far below the sides the gradient check works on)
 ZERO_AREA = "geometry.Lx = 1e-200\ngeometry.Ly = 1e-200\nload.speed = 0\n"
 
 
@@ -162,6 +163,7 @@ def test_cli_zero_area_elements_exit_1(tmp_path, capsys, command):
 
 
 # every element's doubled area, the product of its cell's sides, overflows
+# (also far above the sides the gradient check works on)
 HUGE_AREA = "geometry.Lx = 1e300\ngeometry.Ly = 1e300\n"
 
 
@@ -177,6 +179,48 @@ def test_cli_overflowing_area_elements_exit_1(tmp_path, capsys, command):
     assert err.startswith("config error: ")
     for key in ("geometry.Lx", "geometry.Ly", "mesh.nx", "mesh.ny"):
         assert key in err
+
+
+@pytest.mark.parametrize("command", ["validate", "check-gradient"])
+@pytest.mark.parametrize("side", ["1e100", "1e-100", "1e-150"])
+def test_cli_geometry_off_the_gradient_checks_scale_exit_1(tmp_path, capsys,
+                                                            command, side):
+    # the check's probe and step are fixed lengths in mm: these sides used
+    # to fail it with an error of 1.6e102 (1e100) or nan, and exit 2
+    cfg = tmp_path / "scale.cfg"
+    cfg.write_text(f"geometry.Lx = {side}\ngeometry.Ly = {side}\n"
+                   "load.speed = 0\n")
+    code = cli_main([command, "--config", str(cfg), "--mesh", "2", "2"]
+                    if command == "check-gradient" else
+                    [command, "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ")
+    for key in ("geometry.Lx", "geometry.Ly", "mesh.nx", "mesh.ny"):
+        assert key in err
+
+
+@pytest.mark.parametrize("text", [
+    "geometry.Lx = 0.99\n",
+    "geometry.Ly = 200.5\n",
+    "geometry.Lx = 1\nmesh.nx = 1001\n",
+])
+def test_geometry_just_outside_the_checks_scale_rejected(text):
+    with pytest.raises(ConfigError, match="geometry.Lx"):
+        parse_config(text + "load.speed = 0\n")
+
+
+def test_cli_check_gradient_at_the_scale_bounds(tmp_path, capsys):
+    # the smallest and the largest accepted sides, and the finest spacing
+    for text in ("geometry.Lx = 1\ngeometry.Ly = 1\nload.speed = 0\n",
+                 "geometry.Lx = 200\ngeometry.Ly = 200\nload.speed = 0\n",
+                 "geometry.Lx = 1\nmesh.nx = 1000\nmesh.ny = 2\n"):
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(text)
+        assert cli_main(["check-gradient", "--config", str(cfg)]) == 0, text
+        out = capsys.readouterr().out
+        assert float(out.split(":")[1]) < 1e-4
 
 
 def test_config_roundtrip():

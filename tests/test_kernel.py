@@ -1,15 +1,19 @@
-"""The component-array assembly kernel against the frozen original kernel,
-and the cost of one line-search trial point."""
+"""The quadrature-major assembly kernel against the frozen original kernel,
+its pieces against the quadrature rule, the stress it gives at the
+reference state, and the cost of one line-search trial point."""
 
 import numpy as np
 import pytest
 
 import kinkband.evolution as evolution
-from kinkband import (MaterialParams, MinimizeOptions, SlipSystem,
+from kinkband import (MaterialParams, MinimizeOptions, SlipSystem, State,
                       build_dofmap, build_structured_mesh, initial_state,
                       minimize)
-from kinkband.energy import _assemble
-from kinkband.evolution import LoadProgram, apply_boundary_conditions
+from kinkband.energy import (_assemble, _at_points, _to_corners,
+                             energy_nodal_gradient)
+from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
+                                reaction_force)
+from kinkband.mesh import midpoint_rule
 from seed_kernel import seed_assemble
 
 # axis-aligned slip systems: every product with a component of s or m is exact
@@ -40,12 +44,12 @@ def _both(mesh, a1, a2, b, slip, b_prev, need_grad):
 
 @pytest.mark.parametrize("slip_name", sorted(AXIS_SLIPS))
 @pytest.mark.parametrize("with_prev", [False, True])
-@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18)])
+@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18), (20, 36)])
 def test_kernel_bitwise_equal_to_seed_kernel(nx, ny, with_prev, slip_name):
     mesh = build_structured_mesh(42.0, 75.0, nx, ny)
     slip = AXIS_SLIPS[slip_name]
     rng = np.random.default_rng(1000 * nx + ny)
-    penalty_seen = False
+    penalty_seen = admissible_seen = False
     # amplitude 5 mm folds elements, so some points take the penalty branch
     for amp in (0.1, 1.0, 5.0):
         a1, a2, b, b_prev = _random_inputs(mesh, rng, amp)
@@ -63,7 +67,10 @@ def test_kernel_bitwise_equal_to_seed_kernel(nx, ny, with_prev, slip_name):
             for g, g0 in zip(grads, grads0):
                 assert np.array_equal(g, g0)
         penalty_seen |= bd0.penalty > 0.0
-    assert penalty_seen
+        admissible_seen |= bd0.penalty == 0.0
+    # the kernel skips the penalty masks when no point needs them: both
+    # branches were compared
+    assert penalty_seen and admissible_seen
 
 
 def test_kernel_rotated_slip_matches_seed_to_rounding():
@@ -86,6 +93,54 @@ def test_kernel_rotated_slip_matches_seed_to_rounding():
             assert diss == pytest.approx(diss0, rel=tol)
             for g, g0 in zip(grads, grads0):
                 assert np.max(np.abs(g - g0)) <= tol * np.max(np.abs(g0))
+
+
+def test_point_and_corner_sums_are_the_rule_matmuls():
+    # gamma at the points is values @ points.T, and the slip force on the
+    # corners is values @ points: the products by the rule's entries 0.5
+    # and 0 are exact, so two-term sums give the same bits
+    points = midpoint_rule().points
+    rng = np.random.default_rng(3)
+    for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
+        v = scale * rng.standard_normal((50, 3))
+        assert np.array_equal(_at_points(v.T), (v @ points.T).T)
+        assert np.array_equal(_to_corners(v.T), (v @ points).T)
+
+
+def test_objective_gradient_is_the_packed_nodal_gradient():
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    dofmap = build_dofmap(mesh)
+    params, slip = MaterialParams(), SlipSystem.default()
+    rng = np.random.default_rng(11)
+    a1, a2, b, b_prev = _random_inputs(mesh, rng, 0.3)
+    template = State(a1=a1, a2=a2, b=b)
+    _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
+                                            template, b_prev)
+    x = dofmap.pack(a1, a2, b)
+    nodal = energy_nodal_gradient(template, mesh, params, slip,
+                                  gamma_prev=b_prev)
+    assert np.array_equal(fun_grad(x)[1], dofmap.pack(*nodal))
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 6), (20, 36), (34, 61)])
+def test_reference_state_stress(nx, ny):
+    # the first Piola stress of W at Fe = I is c I + 2 aniso m (x) m with
+    # c = C (p 2^{(p-2)/2} - 2): the platen carries -c Lx, and the right
+    # edge, whose normal is m, carries (c + 2 aniso) Ly
+    p = MaterialParams()
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    slip = SlipSystem.default()
+    assert np.array_equal(slip.m, [1.0, 0.0])
+    state = initial_state(mesh)
+    c = p.C * (p.p * 2.0 ** ((p.p - 2.0) / 2.0) - 2.0)
+    assert reaction_force(state, mesh, p, slip) == pytest.approx(
+        -42.0 * c, rel=1e-12)
+    assert -42.0 * c == pytest.approx(-9019.12, abs=0.01)
+    ga1 = energy_nodal_gradient(state, mesh, p, slip)[0]
+    right = mesh.nodes[:, 0] == 42.0
+    assert ga1[right].sum() == pytest.approx(75.0 * (c + 2.0 * p.aniso),
+                                             rel=1e-12)
+    assert 75.0 * (c + 2.0 * p.aniso) == pytest.approx(31105.57, abs=0.01)
 
 
 def test_each_trial_point_costs_one_assembly(monkeypatch):
