@@ -3,7 +3,7 @@ minimization, reproducing kink-band formation in compressed layered media."""
 
 from .config import ConfigError, SimulationConfig, parse_config, serialize_config
 from .energy import (EnergyBreakdown, MaterialParams, dissipation_increment,
-                     elastic_density, hardening_density, total_energy)
+                     material_law, total_energy)
 from .evolution import (LoadProgram, State, StepFailureError, StepRecord,
                         apply_boundary_conditions, energy_inequality_check,
                         incremental_step, initial_state, lift_state,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "SimulationConfig", "parse_config", "serialize_config",
     "EnergyBreakdown", "MaterialParams", "dissipation_increment",
-    "elastic_density", "hardening_density", "total_energy",
+    "material_law", "total_energy",
     "LoadProgram", "State", "StepFailureError", "StepRecord",
     "apply_boundary_conditions", "energy_inequality_check", "incremental_step",
     "initial_state", "lift_state", "reaction_force", "run_simulation",

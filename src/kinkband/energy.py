@@ -16,17 +16,16 @@ dissipation between two slip fields is
 
     sigma * integral sqrt(delta^2 + (gamma1 - gamma2)^2) dx .
 
-Assembly integrates with the 3-point edge-midpoint rule of
-``mesh.midpoint_rule`` in a fixed element order, so results are bitwise
-reproducible.  ``_assemble`` is quadrature-major: grad y and grad gamma are
-(nt,) arrays per 2x2 component, and every per-point quantity (gamma, the
-components of Fe and of the stress S) is a (3, nt) array, row q for
-quadrature point q, so element constants broadcast along the outer axis.
-The element geometry in this layout is ``Mesh2D.corner_major``.
-
-Every sum keeps the order of the original einsum kernel (frozen in
-tests/seed_kernel.py), so for axis-aligned slip systems the results are
-bit-identical to it:
+``material_law`` is the one pointwise copy of W, of the hardening and of
+their derivatives; the solver, the diagnostics and the tests all call it.
+``_assemble`` feeds it grad y and grad gamma as (nt,) arrays per component
+and gamma as a (3, nt) array, row q for quadrature point q of the 3-point
+edge-midpoint rule of ``mesh.midpoint_rule``, so element constants
+broadcast along the outer axis (``Mesh2D.corner_major`` is the geometry in
+this layout), and keeps the P1 gradients, the quadrature sums, the
+dissipation and the scatter.  Every sum keeps the order of the original
+einsum kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip
+systems the results are bit-identical to it:
 
 - |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), and every other contraction
   is a left-to-right sum;
@@ -34,14 +33,14 @@ bit-identical to it:
   point's edge, and the slip force on a corner is the same two-term sum
   over its two points: the rule's matmuls, whose products by 0.5 and 0
   are exact;
-- the integrands are written through (3, nt) views into one C-ordered
-  (k, nt, 3) buffer for one batched BLAS ``@ weights``, which sums each
-  element's row as ``(nt, 3) @ weights`` of that integrand alone does,
-  and each integral is then ``area @ row``;
+- the integrands are copied into one C-ordered (k, nt, 3) buffer for one
+  batched BLAS ``@ weights``, which sums each element's row as
+  ``(nt, 3) @ weights`` of that integrand alone does, and each integral is
+  then ``area @ row``;
 - the three nodal gradient blocks are one ``bincount`` over [a1, a2, b] in
   element order, so each node sums its elements in ascending order;
-- the penalty masks are applied only where some point is inadmissible
-  (det Fe <= det_floor): elsewhere they would keep every value as it is.
+- the penalty masks are applied only where some point is inadmissible:
+  elsewhere they would keep every value as it is.
 
 (For rotated slip systems the old kernel's stacked matmul fused
 multiply-adds, so the two agree to rounding.)
@@ -106,25 +105,6 @@ class EnergyBreakdown:
     total: float
 
 
-def elastic_density(Fe: np.ndarray, params: MaterialParams, slip: SlipSystem) -> float:
-    """Elastic energy density at one strain state, penalty branch included."""
-    Fe = np.asarray(Fe, dtype=float)
-    det = Fe[0, 0] * Fe[1, 1] - Fe[0, 1] * Fe[1, 0]
-    if det <= params.det_floor:
-        return params.det_penalty
-    frob2 = float(np.sum(Fe * Fe))
-    fem = Fe @ slip.m
-    return (params.C * (frob2 ** (params.p / 2.0) - 2.0 ** (params.p / 2.0)
-                        - 2.0 * np.log(det))
-            + params.D * (det - 1.0) ** 2
-            + params.aniso * float(fem @ fem))
-
-
-def hardening_density(gamma: float, params: MaterialParams) -> float:
-    """beta * (2 + gamma^2)^{r/2}; the squared Frobenius norm of Fp is 2 + gamma^2."""
-    return params.beta * (2.0 + gamma * gamma) ** (params.r / 2.0)
-
-
 def _check_lengths(mesh: Mesh2D, *arrays):
     for a in arrays:
         if len(a) != mesh.n_nodes:
@@ -182,6 +162,77 @@ def _scatter(mesh: Mesh2D, loc):
                        minlength=mesh.n_nodes)
 
 
+def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
+                 slip: SlipSystem, derivatives=False):
+    """The pointwise stored density from grad y, by its components, and gamma,
+    arrays that broadcast to one shape: Fe = grad y P, P = I - gamma s (x) m.
+
+    Returns ``(elastic, hardening, penalty, derivs)``: W(Fe), 0 at penalty
+    points; beta (2 + gamma^2)^{r/2}; None when every point is admissible,
+    else det_penalty at the penalty points and 0 elsewhere; and, with
+    ``derivatives``, (d00, d01, d10, d11, d_gamma) with d_ij = dW/d(grad y)_ij
+    = (S P^T)_ij, S = dW/dFe zero at penalty points, and d_gamma =
+    -(grad y s) . (S m) plus the hardening slope (else None).
+    """
+    (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
+    u0 = y00 * s0 + y01 * s1                    # grad_y . s
+    u1 = y10 * s0 + y11 * s1
+    f00 = y00 - gam * (u0 * m0)                 # Fe = grad_y - gam * outer(u, m)
+    f01 = y01 - gam * (u0 * m1)
+    f10 = y10 - gam * (u1 * m0)
+    f11 = y11 - gam * (u1 * m1)
+    det = f00 * f11 - f01 * f10
+    ok = det > params.det_floor
+    admissible = bool(ok.all())                 # no penalty point
+    det_safe = det if admissible else np.where(ok, det, 1.0)
+
+    frob2 = (f00 * f00 + f10 * f10) + (f01 * f01 + f11 * f11)
+    fem0 = f00 * m0 + f01 * m1                  # Fe m
+    fem1 = f10 * m0 + f11 * m1
+    if not derivatives:                 # a smaller peak of live arrays
+        del f00, f01, f10, f11
+    elastic = ((params.C * (frob2 ** (params.p / 2.0) - 2.0 ** (params.p / 2.0)
+                            - 2.0 * np.log(det_safe))
+                + params.D * (det - 1.0) ** 2)
+               + params.aniso * (fem0 * fem0 + fem1 * fem1))
+    hardening = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
+    penalty = None
+    if not admissible:
+        elastic[~ok] = 0.0
+        penalty = np.where(ok, 0.0, params.det_penalty)
+    if not derivatives:
+        return elastic, hardening, penalty, None
+
+    # S = dW/dFe on the smooth branch (cofactor of Fe in the det term);
+    # arrays are deleted after their last read, for a smaller peak
+    coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
+    coef_det = 2.0 * params.D * (det - 1.0) - 2.0 * params.C / det_safe
+    del frob2, det, det_safe
+    am0 = 2.0 * params.aniso * fem0
+    am1 = 2.0 * params.aniso * fem1
+    del fem0, fem1
+    s00 = (coef_p * f00 + coef_det * f11) + am0 * m0
+    s11 = (coef_p * f11 + coef_det * f00) + am1 * m1
+    del f00, f11
+    s01 = (coef_p * f01 - coef_det * f10) + am0 * m1
+    s10 = (coef_p * f10 - coef_det * f01) + am1 * m0
+    del f01, f10, coef_p, coef_det, am0, am1
+    if not admissible:
+        for s_ij in (s00, s01, s10, s11):
+            s_ij *= ok
+
+    # chain rule to grad_y, in place: S P^T = S - gam * outer(S m, s)
+    sm0 = s00 * m0 + s01 * m1
+    sm1 = s10 * m0 + s11 * m1
+    s00 -= gam * (sm0 * s0)
+    s01 -= gam * (sm0 * s1)
+    s10 -= gam * (sm1 * s0)
+    s11 -= gam * (sm1 * s1)
+    d_gam = -(u0 * sm0 + u1 * sm1)
+    d_gam += params.beta * params.r * (2.0 + gam * gam) ** (params.r / 2.0 - 1.0) * gam
+    return elastic, hardening, penalty, (s00, s01, s10, s11, d_gam)
+
+
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
               b_prev=None, need_grad=False, per_element=False):
     """Quadrature assembly of energy (and dissipation / gradients).
@@ -193,7 +244,6 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     """
     geo, area = mesh.corner_major, mesh.element_area
     tri = geo.triangles
-    (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
     W = _RULE.weights
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,49 +252,27 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         bt = b[tri]
         g0, g1 = _p1_gradient(bt, geo)              # grad gamma
         gam = _at_points(bt)                        # (3, nt) slip at quad points
-        u0 = y00 * s0 + y01 * s1                    # grad_y . s
-        u1 = y10 * s0 + y11 * s1
-        # Fe = grad_y - gam * outer(u, m), one (3, nt) array per component
-        f00 = y00 - gam * (u0 * m0)
-        f01 = y01 - gam * (u0 * m1)
-        f10 = y10 - gam * (u1 * m0)
-        f11 = y11 - gam * (u1 * m1)
-        det = f00 * f11 - f01 * f10
-        ok = det > params.det_floor
-        admissible = bool(ok.all())                 # no penalty point
-        det_safe = det if admissible else np.where(ok, det, 1.0)
-
-        frob2 = (f00 * f00 + f10 * f10) + (f01 * f01 + f11 * f11)
-        fem0 = f00 * m0 + f01 * m1                  # Fe m
-        fem1 = f10 * m0 + f11 * m1
-        if not need_grad:               # a smaller peak of (3, nt) arrays
-            del f00, f01, f10, f11
-        # the densities integrated, written through (point, element) views
-        # of one (k, nt, 3) buffer: its batched BLAS matvec sums each
-        # element's row exactly as (nt, 3) @ W of that density alone would
-        dens = np.empty((2 + (not admissible) + (b_prev is not None), len(area), 3))
-        w_el = dens[0].T
-        np.add(params.C * (frob2 ** (params.p / 2.0)
-                           - 2.0 ** (params.p / 2.0)
-                           - 2.0 * np.log(det_safe))
-               + params.D * (det - 1.0) ** 2,
-               params.aniso * (fem0 * fem0 + fem1 * fem1), out=w_el)
-        if not need_grad:
-            del frob2, det, det_safe, fem0, fem1
-        np.multiply(params.beta, (2.0 + gam * gam) ** (params.r / 2.0), out=dens[1].T)
-        if not admissible:
-            w_el[~ok] = 0.0
-            dens[2].T[...] = np.where(ok, 0.0, params.det_penalty)
+        del bt
+        elastic, hardening, penalty, derivs = material_law(
+            y00, y01, y10, y11, gam, params, slip, derivatives=need_grad)
+        # the densities integrated, copied through (point, element) views
+        # into one (k, nt, 3) buffer for one batched BLAS matvec
+        pointwise = [elastic, hardening] + ([] if penalty is None else [penalty])
+        dens = np.empty((len(pointwise) + (b_prev is not None), len(area), 3))
+        for d, v in zip(dens, pointwise):
+            np.multiply(v, 1.0, out=d.T)            # a copy, faster than d.T[...] = v
+        del pointwise
         diff = root = None
         if b_prev is not None:
             diff = gam - _at_points(b_prev[tri])
             root = np.sqrt(params.delta ** 2 + diff * diff, out=dens[-1].T)
         means = dens @ W
+        del dens
 
         integral = (lambda v: area * v) if per_element else (lambda v: float(area @ v))
         elastic = integral(means[0])
         hardening = integral(means[1])
-        penalty = integral(np.zeros_like(area) if admissible else means[2])
+        penalty = integral(np.zeros_like(area) if penalty is None else means[2])
         slip_grad = params.eps_grad * integral(g0 * g0 + g1 * g1)
         breakdown = EnergyBreakdown(
             elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
@@ -254,43 +282,14 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         if not need_grad:
             return breakdown, diss, None
 
-        # S = dW/dFe on the smooth branch (cofactor of Fe in the det term);
-        # zero at penalty points.  Arrays are deleted after their last read:
-        # the most (3, nt) arrays alive at once is the heap a call grows and
-        # the allocator may return, to be faulted in page by page next call.
-        diss_slope = None if diff is None else params.sigma * diff / root
-        del dens, diff, root
-        coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
-        coef_det = 2.0 * params.D * (det - 1.0) - 2.0 * params.C / det_safe
-        del frob2, det, det_safe
-        am0 = 2.0 * params.aniso * fem0
-        am1 = 2.0 * params.aniso * fem1
-        del fem0, fem1
-        s00 = (coef_p * f00 + coef_det * f11) + am0 * m0
-        s11 = (coef_p * f11 + coef_det * f00) + am1 * m1
-        del f00, f11
-        s01 = (coef_p * f01 - coef_det * f10) + am0 * m1
-        s10 = (coef_p * f10 - coef_det * f01) + am1 * m0
-        del f01, f10, coef_p, coef_det, am0, am1
-        if not admissible:
-            for s_ij in (s00, s01, s10, s11):
-                s_ij *= ok
-
-        # Chain rule to grad_y: dW/d(grad_y) = S P^T = S - gam * outer(S m, s),
-        # averaged over the quadrature points.
-        sm0 = s00 * m0 + s01 * m1
-        sm1 = s10 * m0 + s11 * m1
-        t00 = _qmean(s00 - gam * (sm0 * s0), W)
-        t01 = _qmean(s01 - gam * (sm0 * s1), W)
-        t10 = _qmean(s10 - gam * (sm1 * s0), W)
-        t11 = _qmean(s11 - gam * (sm1 * s1), W)
-        del s00, s01, s10, s11
-
-        # Slip derivative: dW/dgamma = -u . (S m), plus hardening and dissipation.
-        dW_dg = -(u0 * sm0 + u1 * sm1)
-        dW_dg += params.beta * params.r * (2.0 + gam * gam) ** (params.r / 2.0 - 1.0) * gam
-        if diss_slope is not None:
-            dW_dg += diss_slope
+        # dW/d(grad_y) averaged over the quadrature points; the slip
+        # derivative gains the dissipation slope
+        t00, t01, t10, t11 = (_qmean(d, W) for d in derivs[:4])
+        dW_dg = derivs[4]
+        del derivs
+        if diff is not None:
+            dW_dg += params.sigma * diff / root
+        del diff, root
 
         # element vectors of a1, a2 and b as (block, element, corner), the
         # order of ``slots``, written through (corner, element) views

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from kinkband import (MaterialParams, build_dofmap, build_structured_mesh,
-                      dissipation_increment, elastic_density,
-                      hardening_density, initial_state, total_energy)
+from kinkband import (MaterialParams, SlipSystem, build_dofmap,
+                      build_structured_mesh, dissipation_increment,
+                      initial_state, total_energy)
 from kinkband.energy import _assemble, curvature_scale, energy_nodal_gradient
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
-from rotations import random_rotation
+from rotations import law_at, random_rotation
 from test_optimizer import coordinate_oracle
 
 DOMAIN_AREA = 42.0 * 75.0
@@ -29,16 +29,15 @@ def _random_state(mesh, rng, amp=0.1, gamma_amp=0.3):
 
 def test_elastic_density_identity(params, slip):
     # |I|^p = 2^{p/2} and det I = 1, so only the transverse term survives
-    assert elastic_density(np.eye(2), params, slip) == pytest.approx(
-        params.aniso, rel=1e-13)
+    elastic, _, penalty, _ = law_at(np.eye(2)[None], params, slip)
+    assert penalty is None
+    assert elastic[0] == pytest.approx(params.aniso, rel=1e-13)
 
 
 def test_elastic_density_rotation_equals_identity(params, slip):
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        R = random_rotation(rng)
-        assert elastic_density(R, params, slip) == pytest.approx(
-            params.aniso, rel=1e-10)
+    R = np.array([random_rotation(rng) for _ in range(20)])
+    assert law_at(R, params, slip)[0] == pytest.approx(params.aniso, rel=1e-10)
 
 
 def test_elastic_density_frozen_value(slip):
@@ -49,49 +48,92 @@ def test_elastic_density_frozen_value(slip):
     expected = (600.0 * (frob2 ** 2 - 4.0 - 2.0 * math.log(0.9))
                 + 200.0 * (0.9 - 1.0) ** 2 + 100.0 * 1.0)
     assert expected == pytest.approx(-205.90738121060846, rel=1e-12)
-    assert elastic_density(Fe, p4, slip) == pytest.approx(expected, rel=1e-12)
+    assert law_at(Fe[None], p4, slip)[0][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_frame_indifference(params, slip):
     rng = np.random.default_rng(32)
+    Fes, Rs = [], []
     for _ in range(100):
         Fe = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
         if np.linalg.det(Fe) <= 0.1:
             continue
-        w0 = elastic_density(Fe, params, slip)
-        R = random_rotation(rng)
-        assert elastic_density(R @ Fe, params, slip) == pytest.approx(
-            w0, rel=1e-10)
+        Fes.append(Fe)
+        Rs.append(random_rotation(rng))
+    Fe = np.array(Fes)
+    w0 = law_at(Fe, params, slip)[0]
+    assert law_at(np.array(Rs) @ Fe, params, slip)[0] == pytest.approx(w0, rel=1e-10)
 
 
 def test_compression_blowup_and_penalty(params, slip):
     # along diag(1, t) the density grows without bound as t -> 0 ...
     ts = np.logspace(-1, -7, 13)
-    vals = [elastic_density(np.diag([1.0, t]), params, slip) for t in ts]
-    assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
+    vals = law_at(np.array([np.diag([1.0, t]) for t in ts]), params, slip)[0]
+    assert np.all(np.diff(vals) > 0)
     # ... until the penalty branch takes over below det_floor
-    assert elastic_density(np.diag([1.0, 1e-9]), params, slip) \
-        == params.det_penalty
+    elastic, _, penalty, _ = law_at(np.diag([1.0, 1e-9])[None], params, slip)
+    assert elastic[0] == 0.0
+    assert penalty[0] == params.det_penalty
 
 
 def test_coercivity_witness(params, slip):
     # density >= C |Fe|^p - c0 with c0 = C 2^{p/2} + C^2 / D on the smooth branch
     c0 = params.C * 2.0 ** (params.p / 2.0) + params.C ** 2 / params.D
     rng = np.random.default_rng(33)
-    for _ in range(300):
-        Fe = rng.uniform(-3, 3, size=(2, 2))
-        if np.linalg.det(Fe) <= params.det_floor:
-            continue
-        frob = np.sqrt(np.sum(Fe * Fe))
-        assert elastic_density(Fe, params, slip) >= \
-            params.C * frob ** params.p - c0 - 1e-9
+    Fe = np.array([rng.uniform(-3, 3, size=(2, 2)) for _ in range(300)])
+    Fe = Fe[np.linalg.det(Fe) > params.det_floor]
+    frob = np.sqrt(np.sum(Fe * Fe, axis=(1, 2)))
+    assert np.all(law_at(Fe, params, slip)[0]
+                  >= params.C * frob ** params.p - c0 - 1e-9)
 
 
-def test_hardening_density_examples():
+def test_hardening_density_examples(slip):
     params = MaterialParams(beta=0.02, r=2.0)
-    assert hardening_density(0.0, params) == pytest.approx(0.04)
-    assert hardening_density(1.0, params) == pytest.approx(0.06)
-    assert hardening_density(0.5, params) == pytest.approx(0.045)
+    F = np.broadcast_to(np.eye(2), (3, 2, 2))
+    hardening = law_at(F, params, slip, gam=[0.0, 1.0, 0.5])[1]
+    assert hardening == pytest.approx([0.04, 0.06, 0.045])
+
+
+@pytest.mark.parametrize("slip", [
+    SlipSystem.default(),
+    SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)]),
+               m=np.array([np.cos(0.7), np.sin(0.7)]))], ids=["default", "rotated"])
+def test_material_law_derivatives_match_central_differences(params, slip):
+    # d(elastic + hardening) / d(Y00, Y01, Y10, Y11, gamma) at admissible points
+    rng = np.random.default_rng(37)
+    F = np.eye(2) + 0.3 * rng.standard_normal((80, 2, 2))
+    F = F[np.linalg.det(F) > 0.2][:50]
+    assert len(F) == 50
+    x = np.concatenate([F.reshape(-1, 4), 0.5 * rng.standard_normal((50, 1))], axis=1)
+
+    def density(x):
+        elastic, hardening, penalty, _ = law_at(x[:, :4].reshape(-1, 2, 2), params,
+                                                slip, gam=x[:, 4])
+        assert penalty is None
+        return elastic + hardening
+
+    derivs = np.array(law_at(F, params, slip, gam=x[:, 4], derivatives=True)[3]).T
+    h = 1e-6
+    for k in range(5):
+        e = np.zeros(5)
+        e[k] = h
+        fd = (density(x + e) - density(x - e)) / (2.0 * h)
+        assert np.abs(fd - derivs[:, k]).max() <= 1e-8 * np.abs(derivs).max()
+
+
+def test_material_law_penalty_point(params, slip):
+    # the elastic part of every derivative vanishes at a penalty point; the
+    # admissible point in the same call keeps its own values
+    F = np.array([np.eye(2) + 0.1, np.diag([1.0, 1e-9])])
+    gam = np.array([0.2, 0.3])
+    elastic, _, penalty, derivs = law_at(F, params, slip, gam=gam, derivatives=True)
+    alone = law_at(F[:1], params, slip, gam=gam[:1], derivatives=True)
+    assert elastic[1] == 0.0 and elastic[0] == alone[0][0]
+    assert list(penalty) == [0.0, params.det_penalty]
+    assert [d[1] for d in derivs[:4]] == [0.0] * 4
+    assert [d[0] for d in derivs] == [d[0] for d in alone[3]]
+    # r = 2: the hardening slope is 2 beta gamma
+    assert derivs[4][1] == pytest.approx(2.0 * params.beta * 0.3, rel=1e-14)
 
 
 def test_slip_gradient_density_examples(slip):
@@ -128,8 +170,11 @@ def test_total_energy_uniform_compression(params, slip):
     st = initial_state(mesh)
     st.a2 = 0.99 * st.a2
     breakdown = total_energy(st, mesh, params, slip)
-    density = (elastic_density(np.diag([1.0, 0.99]), params, slip)
-               + hardening_density(0.0, params))
+    # independent oracle by direct arithmetic: W(diag(1, 0.99)) + beta 2^{r/2}
+    assert params.r == 2.0
+    density = (params.C * ((1.0 + 0.99 ** 2) ** (params.p / 2.0)
+                           - 2.0 ** (params.p / 2.0) - 2.0 * math.log(0.99))
+               + params.D * (0.99 - 1.0) ** 2 + params.aniso + 2.0 * params.beta)
     assert breakdown.total == pytest.approx(density * DOMAIN_AREA, rel=1e-10)
 
 
