@@ -10,8 +10,8 @@ from .evolution import (LoadProgram, State, StepFailureError, StepRecord,
                         reaction_force, run_simulation, stability_check)
 from .kinematics import (SlipSystem, elastic_strain, inverse_plastic,
                          plastic_distortion)
-from .mesh import (DofMap, GeometryError, Mesh2D, QuadratureRule,
-                   build_dofmap, build_structured_mesh, midpoint_rule)
+from .mesh import (DofMap, GeometryError, Mesh2D, build_dofmap,
+                   build_structured_mesh)
 from .optimizer import (InvalidStartError, MinimizeOptions, MinimizeResult,
                         gradient_check, minimize)
 from .output import read_history_csv, write_history_csv, write_snapshot_vtk
@@ -27,8 +27,8 @@ __all__ = [
     "initial_state", "lift_state", "reaction_force", "run_simulation",
     "stability_check",
     "SlipSystem", "elastic_strain", "inverse_plastic", "plastic_distortion",
-    "DofMap", "GeometryError", "Mesh2D", "QuadratureRule", "build_dofmap",
-    "build_structured_mesh", "midpoint_rule",
+    "DofMap", "GeometryError", "Mesh2D", "build_dofmap",
+    "build_structured_mesh",
     "InvalidStartError", "MinimizeOptions", "MinimizeResult", "gradient_check",
     "minimize",
     "read_history_csv", "write_history_csv", "write_snapshot_vtk",

@@ -18,9 +18,11 @@ dissipation between two slip fields is
 
 ``material_law`` is the one pointwise copy of W, of the hardening and of
 their derivatives; the solver, the diagnostics and the tests all call it.
-``_assemble`` feeds it grad y and grad gamma as (nt,) arrays per component
-and gamma as a (3, nt) array, row q for quadrature point q of the 3-point
-edge-midpoint rule of ``mesh.midpoint_rule``, so element constants
+The one quadrature is the edge-midpoint rule: ``_at_points`` takes a P1
+field from its corners to the 3 points, ``_to_corners`` is its transpose
+and ``_WEIGHTS`` holds the weights.  ``_assemble`` feeds the law grad y
+and grad gamma as (nt,) arrays per component and gamma as a (3, nt)
+array, row q for quadrature point q, so element constants
 broadcast along the outer axis (``Mesh2D.corner_major`` is the geometry in
 this layout), and keeps the P1 gradients, the quadrature sums, the
 dissipation and the scatter.  Every sum keeps the order of the original
@@ -31,8 +33,8 @@ systems the results are bit-identical to it:
   is a left-to-right sum;
 - values at the points are 0.5 v_i + 0.5 v_j over the two corners of each
   point's edge, and the slip force on a corner is the same two-term sum
-  over its two points: the rule's matmuls, whose products by 0.5 and 0
-  are exact;
+  over its two points: the matmuls by the rule's barycentric points,
+  whose products by 0.5 and 0 are exact;
 - the integrands are copied into one C-ordered (k, nt, 3) buffer for one
   batched BLAS ``@ weights``, which sums each element's row as
   ``(nt, 3) @ weights`` of that integrand alone does, and each integral is
@@ -53,9 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import SlipSystem
-from .mesh import DofMap, Mesh2D, midpoint_rule
+from .mesh import DofMap, Mesh2D
 
-_RULE = midpoint_rule()
+_WEIGHTS = np.full(3, 1.0 / 3.0)       # summing to 1: times area integrates
 
 
 @dataclass
@@ -133,7 +135,7 @@ def element_grad_y(mesh: Mesh2D, a1, a2):
 def _at_points(vt):
     """A P1 field at the quadrature points, (3, nt), from its (3, nt) corner
     values: point q is the midpoint of edge (0, 1), (1, 2), (0, 2), so its
-    value is 0.5 v_i + 0.5 v_j, row q of the rule's points times vt."""
+    value is 0.5 v_i + 0.5 v_j, the barycentric point of q times vt."""
     half = 0.5 * vt
     out = np.empty_like(half)
     np.add(half[:2], half[1:], out=out[:2])
@@ -143,7 +145,7 @@ def _at_points(vt):
 
 def _to_corners(vq):
     """The transpose of ``_at_points``: corner c sums 0.5 v_q over the two
-    points q on its edges, (points.T @ vq)[c]."""
+    points q on its edges."""
     half = 0.5 * vq
     out = np.empty_like(half)
     np.add(half[0], half[2], out=out[0])
@@ -154,12 +156,6 @@ def _to_corners(vq):
 def _qmean(t, W):
     """Weighted quadrature sum over the rows of a (3, nt) array, in order."""
     return t[0] * W[0] + t[1] * W[1] + t[2] * W[2]
-
-
-def _scatter(mesh: Mesh2D, loc):
-    """Sum (nt, 3) per-corner element values into a nodal array."""
-    return np.bincount(mesh.triangles.ravel(), weights=loc.ravel(),
-                       minlength=mesh.n_nodes)
 
 
 def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
@@ -244,7 +240,7 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
     """
     geo, area = mesh.corner_major, mesh.element_area
     tri = geo.triangles
-    W = _RULE.weights
+    W = _WEIGHTS
 
     with np.errstate(over="ignore", invalid="ignore"):
         y00, y01 = _p1_gradient(a1[tri], geo)       # rows of grad_y, (nt,)
@@ -318,10 +314,14 @@ def curvature_scale(mesh: Mesh2D, dofmap: DofMap,
     reference state, C p 2^{(p-2)/2} + 2 aniso + beta r 2^{(r-2)/2} (exact
     because s is orthogonal to m).
     """
-    area, bg = mesh.element_area, mesh.basis_gradients
-    P, W = _RULE.points, _RULE.weights
-    mass = _scatter(mesh, area[:, None] * ((P * P).T @ W))
-    lap = _scatter(mesh, area[:, None] * (bg[..., 0] ** 2 + bg[..., 1] ** 2))
+    geo, area = mesh.corner_major, mesh.element_area
+    # m and l per (block, element, corner), written through (corner, element)
+    # views and summed in element order by blocks 0 and 1 of ``slots``
+    loc = np.empty((2, len(area), 3))
+    np.multiply(area, _to_corners(0.5 * _WEIGHTS[:, None]), out=loc[0].T)
+    np.multiply(area, (geo.grads ** 2).sum(axis=0), out=loc[1].T)
+    mass, lap = np.bincount(geo.slots[:loc.size], weights=loc.ravel(),
+                            minlength=2 * mesh.n_nodes).reshape(2, -1)
     k = (params.C * params.p * 2.0 ** ((params.p - 2.0) / 2.0)
          + 2.0 * params.aniso
          + params.beta * params.r * 2.0 ** ((params.r - 2.0) / 2.0))
@@ -348,19 +348,8 @@ def dissipation_increment(gamma_prev, gamma, mesh: Mesh2D,
     gamma_prev = np.asarray(gamma_prev, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     _check_lengths(mesh, gamma_prev, gamma)
-    diff = (gamma - gamma_prev)[mesh.triangles] @ _RULE.points.T
-    root = np.sqrt(params.delta ** 2 + diff * diff)
-    return params.sigma * float(mesh.element_area @ (root @ _RULE.weights))
+    diff = _at_points((gamma - gamma_prev)[mesh.corner_major.triangles])
+    root = np.empty((mesh.n_triangles, 3))      # (nt, 3), as _assemble sums it
+    np.sqrt(params.delta ** 2 + diff * diff, out=root.T)
+    return params.sigma * float(mesh.element_area @ (root @ _WEIGHTS))
 
-
-def energy_nodal_gradient(state, mesh: Mesh2D, params: MaterialParams,
-                          slip: SlipSystem, gamma_prev=None):
-    """Gradient of I (+ D^delta if gamma_prev given) w.r.t. all nodal values.
-
-    Returns a (3, n) array whose rows are the full nodal gradients ga1, ga2,
-    gb; entries at constrained nodes are the constraint reactions.
-    """
-    _check_lengths(mesh, state.a1, state.a2, state.b)
-    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
-                            b_prev=gamma_prev, need_grad=True)
-    return grads

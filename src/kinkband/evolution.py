@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .energy import (EnergyBreakdown, MaterialParams, _assemble, curvature_scale,
-                     dissipation_increment, element_grad_y,
-                     energy_nodal_gradient)
+                     dissipation_increment, element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -240,8 +239,9 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         iterations += res.iterations
 
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
-    new_state = State(a1=a1, a2=a2, b=b, time=t_next)
-    breakdown, diss, _ = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev)
+    # the record's energy, smoothed increment and reaction from one assembly
+    breakdown, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
+                                       b_prev=b_prev, need_grad=True)
     # the smoothed increment is what the step minimized; the cumulative
     # variation uses the raw dissipation distance sigma * int |dgamma|
     var_inc = dissipation_increment(b_prev, b, mesh, replace(params, delta=0.0))
@@ -251,30 +251,27 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         energy=breakdown,
         dissipation_increment=diss,
         cumulative_dissipation=prev_cumulative + var_inc,
-        reaction_force=reaction_force(new_state, mesh, params, slip),
+        reaction_force=reaction_force(grads, mesh),
         top_displacement=program.top_displacement(t_next),
         max_abs_gamma=float(np.max(np.abs(b))),
         min_det_Fe=_min_det(mesh, a1, a2),
         optimizer_iterations=iterations,
     )
-    return new_state, record
+    return State(a1=a1, a2=a2, b=b, time=t_next), record
 
 
 def _min_det(mesh, a1, a2):
     return float(np.min(element_grad_y(mesh, a1, a2)[4]))
 
 
-def reaction_force(state: State, mesh: Mesh2D, params: MaterialParams,
-                   slip: SlipSystem) -> float:
-    """Vertical constraint reaction on the platen, compression positive [N/mm].
+def reaction_force(grads, mesh: Mesh2D) -> float:
+    """Vertical constraint reaction on the platen, compression positive [N].
 
-    Sum of the stored-energy gradient over the prescribed vertical DOFs of
-    the top edge, negated so that pushing the platen down against resistance
-    reads positive.
+    Minus the sum of ga2, row 1 of the (3, n) nodal gradient ``grads`` of
+    ``_assemble``, over the prescribed vertical DOFs of the top edge; a
+    dissipation term in ``grads`` changes only its row 2, gb.
     """
-    _, ga2, _ = energy_nodal_gradient(state, mesh, params, slip)
-    top = mesh.boundary_tags == TOP
-    return -float(ga2[top].sum())
+    return -float(grads[1][mesh.boundary_tags == TOP].sum())
 
 
 def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,

@@ -20,26 +20,6 @@ class GeometryError(ValueError):
     """Degenerate (zero or negative area) element geometry."""
 
 
-@dataclass
-class QuadratureRule:
-    """Quadrature on the reference triangle in barycentric coordinates.
-
-    Weights are area-normalized (they sum to 1); multiply by the element
-    area to integrate.
-    """
-
-    points: np.ndarray  # (nq, 3) barycentric coordinates
-    weights: np.ndarray  # (nq,) positive, summing to 1
-
-
-def midpoint_rule() -> QuadratureRule:
-    """Three-point edge-midpoint rule, exact for polynomials of degree <= 2."""
-    pts = np.array([[0.5, 0.5, 0.0],
-                    [0.0, 0.5, 0.5],
-                    [0.5, 0.0, 0.5]])
-    return QuadratureRule(points=pts, weights=np.full(3, 1.0 / 3.0))
-
-
 @dataclass(frozen=True, eq=False)
 class CornerMajor:
     """Per-element geometry of a mesh with the corner index c first."""
@@ -165,18 +145,12 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
     xv, yv = np.meshgrid(xs, ys)                     # row-major by rows of constant y
     nodes = np.column_stack([xv.ravel(), yv.ravel()])
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        row = j * (nx + 1)
-        for i in range(nx):
-            n00 = row + i
-            n10 = n00 + 1
-            n01 = n00 + nx + 1
-            n11 = n01 + 1
-            tris[k] = (n00, n10, n11)                # diagonal n00-n11 everywhere
-            tris[k + 1] = (n00, n11, n01)
-            k += 2
+    # lower-left node of each rectangle, row by row; its two triangles
+    # (n00, n10, n11) and (n00, n11, n01) share the diagonal n00-n11
+    n00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1)
+           + np.arange(nx, dtype=np.int64)).ravel()
+    n11 = n00 + nx + 2
+    tris = np.column_stack((n00, n00 + 1, n11, n00, n11, n11 - 1)).reshape(-1, 3)
 
     # nodes with y = 0 are bottom, y = Ly top, the others with x in {0, Lx}
     # left/right; a later assignment wins, so corners go bottom > top > lateral

@@ -6,7 +6,7 @@ import pytest
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, dissipation_increment,
                       initial_state, total_energy)
-from kinkband.energy import _assemble, curvature_scale, energy_nodal_gradient
+from kinkband.energy import _assemble, curvature_scale
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
 from rotations import law_at, random_rotation
@@ -311,8 +311,9 @@ def test_dissipation_dimension_mismatch(params, mesh_4x6):
 
 def _packed_gradient(state, mesh, dofmap, params, slip, gamma_prev=None):
     """The gradient of I (+ D^delta) over the free DOF vector."""
-    return dofmap.pack(*energy_nodal_gradient(state, mesh, params, slip,
-                                              gamma_prev=gamma_prev))
+    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
+                            b_prev=gamma_prev, need_grad=True)
+    return dofmap.pack(*grads)
 
 
 def _packed_objective(mesh, dofmap, params, slip, template, b_prev):

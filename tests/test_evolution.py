@@ -8,8 +8,9 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
                       energy_inequality_check, incremental_step, initial_state,
                       lift_state, minimize, reaction_force, run_simulation,
                       stability_check, total_energy)
-from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
-                                _make_objective)
+from kinkband.energy import _assemble
+from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
+                                apply_boundary_conditions)
 from kinkband.mesh import BOTTOM, INTERIOR, LEFT, RIGHT, TOP
 
 
@@ -177,6 +178,13 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
 # reaction force
 
 
+def _platen_force(state, mesh, params, slip):
+    """The reaction of a state from its own gradient assembly."""
+    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
+                            need_grad=True)
+    return reaction_force(grads, mesh)
+
+
 def test_reaction_force_at_identity(small_problem):
     # For p > 2 the growth term leaves a residual stress at the reference
     # configuration, so the platen reaction at identity is the closed-form
@@ -184,15 +192,15 @@ def test_reaction_force_at_identity(small_problem):
     # contributes no vertical gradient there.
     mesh, _, params, slip, _, _ = small_problem
     st = initial_state(mesh)
-    force = reaction_force(st, mesh, params, slip)
+    force = _platen_force(st, mesh, params, slip)
     prestress = params.C * (params.p * 2.0 ** (params.p / 2.0 - 1.0) - 2.0)
     assert force == pytest.approx(-prestress * mesh.Lx, rel=1e-12)
     assert force == pytest.approx(_fd_platen_force(st, mesh, params, slip),
                                   rel=1e-6)
     no_aniso = MaterialParams()
     no_aniso.aniso = 1e-300
-    assert reaction_force(st, mesh, no_aniso, slip) == pytest.approx(force,
-                                                                     rel=1e-12)
+    assert _platen_force(st, mesh, no_aniso, slip) == pytest.approx(force,
+                                                                    rel=1e-12)
 
 
 def _fd_platen_force(state, mesh, params, slip, h=1e-6):
@@ -212,7 +220,7 @@ def test_reaction_force_matches_fd_small_compression(small_problem):
     mesh, _, params, slip, _, _ = small_problem
     st = initial_state(mesh)
     st.a2 = 0.999 * st.a2          # 0.1% uniform compression
-    force = reaction_force(st, mesh, params, slip)
+    force = _platen_force(st, mesh, params, slip)
     fd = _fd_platen_force(st, mesh, params, slip)
     assert force == pytest.approx(fd, rel=1e-3)
 
@@ -234,6 +242,25 @@ def test_post_kink_force_drop(run_10x18_k76):
     F = np.array([r.reaction_force for r in records])
     onset = next(i for i, r in enumerate(records) if r.max_abs_gamma > 0.01)
     assert F[onset] < F[onset - 1]
+
+
+def test_record_is_the_accepted_state(run_10x18_k76):
+    # the record of each step, taken from the one post-step assembly with
+    # the dissipation, equals bit for bit what separate evaluations of the
+    # returned state give, before and after the kink
+    config, records, states = run_10x18_k76
+    mesh, _, params, slip, _ = evolution.build_problem(config)
+    assert any(r.max_abs_gamma > 0.01 for r in records)
+    for rec, prev, state in zip(records, states, states[1:]):
+        energy = total_energy(state, mesh, params, slip)
+        for field in ("elastic", "hardening", "slip_gradient", "penalty",
+                      "total"):
+            assert getattr(rec.energy, field) == getattr(energy, field), field
+        _, diss, _ = _assemble(mesh, state.a1, state.a2, state.b, params,
+                               slip, b_prev=prev.b)
+        assert rec.dissipation_increment == diss
+        assert rec.reaction_force == _platen_force(state, mesh, params, slip)
+        assert rec.min_det_Fe == _min_det(mesh, state.a1, state.a2)
 
 
 # ---------------------------------------------------------------------------

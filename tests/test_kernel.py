@@ -1,6 +1,7 @@
 """The quadrature-major assembly kernel against the frozen original kernel,
 its pieces against the quadrature rule, the stress it gives at the
-reference state, and the cost of one line-search trial point."""
+reference state, and the cost of one line-search trial point and of one
+step."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,9 @@ import kinkband.evolution as evolution
 from kinkband import (MaterialParams, MinimizeOptions, SlipSystem, State,
                       build_dofmap, build_structured_mesh, initial_state,
                       minimize)
-from kinkband.energy import (_assemble, _at_points, _to_corners,
-                             energy_nodal_gradient)
+from kinkband.energy import _assemble, _at_points, _to_corners
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
                                 reaction_force)
-from kinkband.mesh import midpoint_rule
 from seed_kernel import seed_assemble
 
 # axis-aligned slip systems: every product with a component of s or m is exact
@@ -97,9 +96,12 @@ def test_kernel_rotated_slip_matches_seed_to_rounding():
 
 def test_point_and_corner_sums_are_the_rule_matmuls():
     # gamma at the points is values @ points.T, and the slip force on the
-    # corners is values @ points: the products by the rule's entries 0.5
-    # and 0 are exact, so two-term sums give the same bits
-    points = midpoint_rule().points
+    # corners is values @ points, for the barycentric coordinates of the
+    # edge midpoints: the products by the entries 0.5 and 0 are exact, so
+    # two-term sums give the same bits
+    points = np.array([[0.5, 0.5, 0.0],
+                       [0.0, 0.5, 0.5],
+                       [0.5, 0.0, 0.5]])
     rng = np.random.default_rng(3)
     for scale in (1e-300, 1e-5, 1.0, 1e5, 1e300):
         v = scale * rng.standard_normal((50, 3))
@@ -117,8 +119,8 @@ def test_objective_gradient_is_the_packed_nodal_gradient():
     _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
                                             template, b_prev)
     x = dofmap.pack(a1, a2, b)
-    nodal = energy_nodal_gradient(template, mesh, params, slip,
-                                  gamma_prev=b_prev)
+    _, _, nodal = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+                            need_grad=True)
     assert np.array_equal(fun_grad(x)[1], dofmap.pack(*nodal))
 
 
@@ -133,10 +135,11 @@ def test_reference_state_stress(nx, ny):
     assert np.array_equal(slip.m, [1.0, 0.0])
     state = initial_state(mesh)
     c = p.C * (p.p * 2.0 ** ((p.p - 2.0) / 2.0) - 2.0)
-    assert reaction_force(state, mesh, p, slip) == pytest.approx(
-        -42.0 * c, rel=1e-12)
+    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, p, slip,
+                            need_grad=True)
+    assert reaction_force(grads, mesh) == pytest.approx(-42.0 * c, rel=1e-12)
     assert -42.0 * c == pytest.approx(-9019.12, abs=0.01)
-    ga1 = energy_nodal_gradient(state, mesh, p, slip)[0]
+    ga1 = grads[0]
     right = mesh.nodes[:, 0] == 42.0
     assert ga1[right].sum() == pytest.approx(75.0 * (c + 2.0 * p.aniso),
                                              rel=1e-12)
@@ -169,12 +172,17 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     assert len({point for _, point in calls}) == len(calls)
     assert len(calls) >= res.iterations + 1
 
-    # a whole step adds exactly two value-only assemblies: the lifted-state
-    # probe and the post-step energy record
+    # a whole step adds exactly one value-only assembly, the lifted-state
+    # probe; the record's energy, dissipation and reaction come from one
+    # assembly with gradient at the accepted point, which the minimizer
+    # already assembled, so that point is the only one assembled twice
     calls.clear()
-    evolution.incremental_step(prev, 20.0, mesh, dofmap, params, slip,
-                               program, MinimizeOptions())
+    state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
+                                          slip, program, MinimizeOptions())
     value_only = [point for need_grad, point in calls if not need_grad]
-    assert len(value_only) == 2
+    assert len(value_only) == 1
     grad_points = [point for need_grad, point in calls if need_grad]
-    assert len(set(grad_points)) == len(grad_points)
+    accepted = state.a1.tobytes() + state.a2.tobytes() + state.b.tobytes()
+    assert grad_points[-1] == accepted
+    assert grad_points.count(accepted) == 2
+    assert len(set(grad_points)) == len(grad_points) - 1

@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kinkband import (GeometryError, build_dofmap, build_structured_mesh,
-                      midpoint_rule)
+from kinkband import GeometryError, build_dofmap, build_structured_mesh
+from kinkband.energy import _WEIGHTS, _at_points
 from kinkband.mesh import (BOTTOM, INTERIOR, LEFT, RIGHT, TOP,
                            _all_element_geometry)
 
@@ -58,6 +58,21 @@ def test_two_by_two_counts():
     mesh = build_structured_mesh(1, 1, 2, 2)
     assert mesh.n_nodes == 9
     assert mesh.n_triangles == 8
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (5, 1), (4, 6), (34, 61)])
+def test_triangles_are_the_rectangle_loop(nx, ny):
+    # reference: rectangle by rectangle, row by row, each split along its
+    # diagonal n00-n11 into (n00, n10, n11) and (n00, n11, n01)
+    expected = []
+    for j in range(ny):
+        for i in range(nx):
+            n00 = j * (nx + 1) + i
+            n11 = n00 + nx + 2
+            expected += [(n00, n00 + 1, n11), (n00, n11, n11 - 1)]
+    tris = build_structured_mesh(42.0, 75.0, nx, ny).triangles
+    assert tris.dtype == np.int64 and tris.flags.c_contiguous
+    assert np.array_equal(tris, expected)
 
 
 def test_counting_formulas_and_area():
@@ -159,18 +174,24 @@ def test_degenerate_triangle_raises():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# quadrature: the rule the assembly kernel runs
+
+
+def _rule_points():
+    """(nq, 3) barycentric coordinates of the kernel's points: column c is
+    ``_at_points`` of the hat function of corner c."""
+    return _at_points(np.eye(3))
 
 
 def test_partition_of_unity():
-    rule = midpoint_rule()
-    assert np.max(np.abs(rule.points.sum(axis=1) - 1.0)) < 1e-12
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    assert (rule.weights > 0).all()
+    points = _rule_points()
+    assert np.max(np.abs(points.sum(axis=1) - 1.0)) < 1e-12
+    assert _WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+    assert (_WEIGHTS > 0).all()
 
 
 def test_quadrature_exact_for_quadratics():
-    rule = midpoint_rule()
+    points = _rule_points()
     rng = np.random.default_rng(11)
     for _ in range(20):
         pts = rng.uniform(-1.5, 1.5, size=(3, 2))
@@ -179,9 +200,9 @@ def test_quadrature_exact_for_quadratics():
         if two_a < 1e-2:
             continue
         area = 0.5 * abs(two_a)
-        qpoints = rule.points @ pts                       # physical positions
+        qpoints = points @ pts                            # physical positions
         for a, b in ((2, 0), (1, 1), (0, 2)):
-            approx = area * np.sum(rule.weights
+            approx = area * np.sum(_WEIGHTS
                                    * qpoints[:, 0] ** a * qpoints[:, 1] ** b)
             exact = exact_monomial_integral(pts[0], pts[1], pts[2], a, b)
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-14)
