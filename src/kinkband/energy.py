@@ -153,11 +153,6 @@ def _to_corners(vq):
     return out
 
 
-def _qmean(t, W):
-    """Weighted quadrature sum over the rows of a (3, nt) array, in order."""
-    return t[0] * W[0] + t[1] * W[1] + t[2] * W[2]
-
-
 def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
                  slip: SlipSystem, derivatives=False):
     """The pointwise stored density from grad y, by its components, and gamma,
@@ -166,9 +161,10 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     Returns ``(elastic, hardening, penalty, derivs)``: W(Fe), 0 at penalty
     points; beta (2 + gamma^2)^{r/2}; None when every point is admissible,
     else det_penalty at the penalty points and 0 elsewhere; and, with
-    ``derivatives``, (d00, d01, d10, d11, d_gamma) with d_ij = dW/d(grad y)_ij
-    = (S P^T)_ij, S = dW/dFe zero at penalty points, and d_gamma =
-    -(grad y s) . (S m) plus the hardening slope (else None).
+    ``derivatives``, one array whose rows are d00, d01, d10, d11 and d_gamma,
+    with d_ij = dW/d(grad y)_ij = (S P^T)_ij, S = dW/dFe zero at penalty
+    points, and d_gamma = -(grad y s) . (S m) plus the hardening slope
+    (else None).
     """
     (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
     u0 = y00 * s0 + y01 * s1                    # grad_y . s
@@ -187,11 +183,13 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     fem1 = f10 * m0 + f11 * m1
     if not derivatives:                 # a smaller peak of live arrays
         del f00, f01, f10, f11
+    det_m1 = det - 1.0
     elastic = ((params.C * (frob2 ** (params.p / 2.0) - 2.0 ** (params.p / 2.0)
                             - 2.0 * np.log(det_safe))
-                + params.D * (det - 1.0) ** 2)
+                + params.D * det_m1 ** 2)
                + params.aniso * (fem0 * fem0 + fem1 * fem1))
-    hardening = params.beta * (2.0 + gam * gam) ** (params.r / 2.0)
+    two_g2 = 2.0 + gam * gam
+    hardening = params.beta * two_g2 ** (params.r / 2.0)
     penalty = None
     if not admissible:
         elastic[~ok] = 0.0
@@ -202,20 +200,21 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     # S = dW/dFe on the smooth branch (cofactor of Fe in the det term);
     # arrays are deleted after their last read, for a smaller peak
     coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
-    coef_det = 2.0 * params.D * (det - 1.0) - 2.0 * params.C / det_safe
-    del frob2, det, det_safe
+    coef_det = 2.0 * params.D * det_m1 - 2.0 * params.C / det_safe
+    del frob2, det, det_m1, det_safe
     am0 = 2.0 * params.aniso * fem0
     am1 = 2.0 * params.aniso * fem1
     del fem0, fem1
-    s00 = (coef_p * f00 + coef_det * f11) + am0 * m0
-    s11 = (coef_p * f11 + coef_det * f00) + am1 * m1
+    derivs = np.empty((5,) + elastic.shape)     # d_ij averaged in one pass
+    s00, s01, s10, s11, d_gam = derivs
+    np.add(coef_p * f00 + coef_det * f11, am0 * m0, out=s00)
+    np.add(coef_p * f11 + coef_det * f00, am1 * m1, out=s11)
     del f00, f11
-    s01 = (coef_p * f01 - coef_det * f10) + am0 * m1
-    s10 = (coef_p * f10 - coef_det * f01) + am1 * m0
+    np.add(coef_p * f01 - coef_det * f10, am0 * m1, out=s01)
+    np.add(coef_p * f10 - coef_det * f01, am1 * m0, out=s10)
     del f01, f10, coef_p, coef_det, am0, am1
     if not admissible:
-        for s_ij in (s00, s01, s10, s11):
-            s_ij *= ok
+        derivs[:4] *= ok
 
     # chain rule to grad_y, in place: S P^T = S - gam * outer(S m, s)
     sm0 = s00 * m0 + s01 * m1
@@ -224,9 +223,9 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     s01 -= gam * (sm0 * s1)
     s10 -= gam * (sm1 * s0)
     s11 -= gam * (sm1 * s1)
-    d_gam = -(u0 * sm0 + u1 * sm1)
-    d_gam += params.beta * params.r * (2.0 + gam * gam) ** (params.r / 2.0 - 1.0) * gam
-    return elastic, hardening, penalty, (s00, s01, s10, s11, d_gam)
+    np.negative(u0 * sm0 + u1 * sm1, out=d_gam)
+    d_gam += params.beta * params.r * two_g2 ** (params.r / 2.0 - 1.0) * gam
+    return elastic, hardening, penalty, derivs
 
 
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
@@ -265,10 +264,12 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         means = dens @ W
         del dens
 
-        integral = (lambda v: area * v) if per_element else (lambda v: float(area @ v))
+        integral = ((lambda v: area * v) if per_element
+                    else (lambda v: float(area.dot(v))))
         elastic = integral(means[0])
         hardening = integral(means[1])
-        penalty = integral(np.zeros_like(area) if penalty is None else means[2])
+        no_penalty = np.zeros_like(area) if per_element else 0.0
+        penalty = no_penalty if penalty is None else integral(means[2])
         slip_grad = params.eps_grad * integral(g0 * g0 + g1 * g1)
         breakdown = EnergyBreakdown(
             elastic=elastic, hardening=hardening, slip_gradient=slip_grad,
@@ -280,9 +281,9 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
 
         # dW/d(grad_y) averaged over the quadrature points; the slip
         # derivative gains the dissipation slope
-        t00, t01, t10, t11 = (_qmean(d, W) for d in derivs[:4])
+        dq = derivs[:4].swapaxes(0, 1)          # (point, d_ij, element)
+        t00, t01, t10, t11 = dq[0] * W[0] + dq[1] * W[1] + dq[2] * W[2]
         dW_dg = derivs[4]
-        del derivs
         if diff is not None:
             dW_dg += params.sigma * diff / root
         del diff, root

@@ -122,22 +122,31 @@ def lift_state(state: State, mesh: Mesh2D, program: LoadProgram,
 
 def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
     """I + D^delta over the packed free DOFs: ``fun(x)`` is the value alone,
-    ``fun_grad(x)`` the value and analytic gradient from one assembly."""
-    a1_t, a2_t, b_t = template.a1, template.a2, template.b
+    ``fun_grad(x)`` the value and analytic gradient from one assembly.
+
+    Both scatter x into one nodal buffer holding the template's fixed
+    entries.  ``fun_grad.last`` is [a copy of x, the ``_assemble`` result]
+    of the latest ``fun_grad`` call, a list updated in place: fun_grad holds
+    no reference to itself, so it is freed without the cycle collector."""
+    q = np.concatenate((template.a1, template.a2, template.b))
+    nodal = q.reshape(3, -1)
+    last = [None, None]
 
     def fun(x):
-        a1, a2, b = dofmap.unpack(x, a1_t, a2_t, b_t)
-        breakdown, diss, _ = _assemble(mesh, a1, a2, b, params, slip,
-                                       b_prev=b_prev)
+        q[dofmap.free] = x
+        breakdown, diss, _ = _assemble(mesh, *nodal, params, slip, b_prev=b_prev)
         return breakdown.total + diss
 
     def fun_grad(x):
-        a1, a2, b = dofmap.unpack(x, a1_t, a2_t, b_t)
-        breakdown, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
-                                           b_prev=b_prev, need_grad=True)
+        q[dofmap.free] = x
+        assembly = _assemble(mesh, *nodal, params, slip, b_prev=b_prev,
+                             need_grad=True)
+        last[:] = x.copy(), assembly
+        breakdown, diss, grads = assembly
         # the rows of grads are the blocks of the nodal vector [a1, a2, b]
         return breakdown.total + diss, grads.reshape(-1)[dofmap.free]
 
+    fun_grad.last = last
     return fun, fun_grad
 
 
@@ -153,25 +162,34 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
     disjoint copy (``Mesh2D.detached``) with the DOF's corner value moved by
     t, and ``_assemble`` integrates the copies in batches of at most
     ``mesh.n_triangles``, so a batch needs no more memory than one assembly
-    over the mesh.
+    over the mesh.  The first call builds each batch's DOFs, elements and
+    moved entries, and later calls (the check's -h) reuse them; the copies
+    themselves are rebuilt per call, as keeping them all would raise the
+    check's peak memory by about a sixth at 34x61.
     """
     q = dofmap.unpack(x, template.a1, template.a2, template.b)
+    batches = []        # (DOFs, elements, moved entry of v) of each batch
 
     def oracle(t):
-        comp, node = np.divmod(dofmap.free, mesh.n_nodes)
-        indptr, indices = mesh.node_elements
-        size = np.diff(indptr)[node]
-        owner = np.repeat(np.arange(dofmap.n_free), size)    # DOF of each copy
-        # copy k of DOF i is element indices[k + first[i]] of i's patch
-        first = indptr[node] - np.cumsum(size) + size
+        if not batches:
+            comp, node = np.divmod(dofmap.free, mesh.n_nodes)
+            indptr, indices = mesh.node_elements
+            size = np.diff(indptr)[node]
+            owner = np.repeat(np.arange(dofmap.n_free), size)  # DOF of each copy
+            # copy k of DOF i is element indices[k + first[i]] of i's patch
+            first = indptr[node] - np.cumsum(size) + size
+            for lo in range(0, len(owner), mesh.n_triangles):
+                dof = owner[lo:lo + mesh.n_triangles]
+                k = np.arange(lo, lo + len(dof))
+                elems = indices[k + first[dof]]
+                corner = np.argmax(mesh.triangles[elems] == node[dof, None], axis=1)
+                batches.append((dof, elems, np.ravel_multi_index(
+                    (comp[dof], k - lo, corner), (3, len(k), 3))))
         out = np.zeros(dofmap.n_free)
-        for lo in range(0, len(owner), mesh.n_triangles):
-            dof = owner[lo:lo + mesh.n_triangles]
-            k = np.arange(lo, lo + len(dof))
-            elems = indices[k + first[dof]]
+        for dof, elems, moved in batches:
             corners = mesh.triangles.take(elems, axis=0)
             v = q.take(corners, axis=1)
-            v[comp[dof], k - lo, np.argmax(corners == node[dof, None], axis=1)] += t
+            v.reshape(-1)[moved] += t
             bd, diss, _ = _assemble(
                 mesh.detached(elems), *v.reshape(3, -1), params, slip,
                 b_prev=None if b_prev is None else b_prev.take(corners).ravel(),
@@ -239,9 +257,12 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         iterations += res.iterations
 
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
-    # the record's energy, smoothed increment and reaction from one assembly
-    breakdown, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
-                                       b_prev=b_prev, need_grad=True)
+    # the record from one assembly, the minimizer's latest if it ended there
+    point, assembly = fun_grad.last
+    if not np.array_equal(res.x_min, point):
+        assembly = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+                             need_grad=True)
+    breakdown, diss, grads = assembly
     # the smoothed increment is what the step minimized; the cumulative
     # variation uses the raw dissipation distance sigma * int |dgamma|
     var_inc = dissipation_increment(b_prev, b, mesh, replace(params, delta=0.0))

@@ -89,6 +89,14 @@ class Mesh2D:
         tri.flags.writeable = grads.flags.writeable = False
         return CornerMajor(triangles=tri, grads=grads, n_nodes=self.n_nodes)
 
+    @cached_property
+    def vtk_cells(self) -> str:
+        """The CELLS and CELL_TYPES blocks of this mesh's VTK snapshots."""
+        nt = self.n_triangles
+        return (f"CELLS {nt} {4 * nt}\n"
+                + ("3 %d %d %d\n" * nt) % tuple(self.triangles.ravel().tolist())
+                + f"CELL_TYPES {nt}\n" + "5\n" * nt)
+
     def detached(self, elems) -> "Mesh2D":
         """The elements ``elems`` (repeats allowed) as disjoint copies: copy k
         has the geometry of element elems[k] and its own corner nodes 3k,

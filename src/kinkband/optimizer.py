@@ -10,6 +10,8 @@ and the iterate sequence is deterministic for identical inputs.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,54 +56,51 @@ class MinimizeResult:
     gradient_norm: float
 
 
-def _line_search(fun_grad, x, f0, g0, d, t0):
-    """Strong-Wolfe search along d; returns (t, f, g) or None.
+def _line_search(fun_grad, x, f0, d, t0, dg0):
+    """Strong-Wolfe search along d from x, where the value is f0 and the
+    slope d'g is dg0 < 0; returns the accepted point (x_t, f, g) or None.
 
     Each trial point costs one ``fun_grad`` call, and the accepted point's
     gradient is the one computed there.  The gradient of a point that fails
     the Armijo test is not used.  Non-finite trial values behave like
     Armijo failures, which brackets the step away from penalty cliffs.
     """
-    dg0 = float(g0 @ d)
-
     def phi(t):
-        ft, gt = fun_grad(x + t * d)
-        return float(ft), gt
+        xt = x + t * d
+        ft, gt = fun_grad(xt)
+        return xt, float(ft), gt
 
-    def zoom(lo, f_lo, g_lo, hi):
+    def zoom(lo, lo_hit, hi):
         for _ in range(_MAX_ZOOM):
             t = 0.5 * (lo + hi)
-            ft, gt = phi(t)
-            if not np.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 or ft >= f_lo:
+            _, ft, gt = hit = phi(t)
+            if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
+                    or ft >= lo_hit[1]:
                 hi = t
                 continue
-            dphi = float(gt @ d)
+            dphi = float(gt.dot(d))
             if abs(dphi) <= -_WOLFE_C2 * dg0:
-                return t, ft, gt
+                return hit
             if dphi * (hi - lo) >= 0.0:
                 hi = lo
-            lo, f_lo, g_lo = t, ft, gt
-        if f_lo < f0:                        # best Armijo point found so far
-            return lo, f_lo, g_lo
-        return None
+            lo, lo_hit = t, hit
+        return lo_hit if lo_hit[1] < f0 else None    # best Armijo point so far
 
-    t_prev, f_prev, g_prev = 0.0, f0, g0
-    t = t0
+    # the start stands in for the previous trial; its gradient is never read
+    t_prev, prev, t = 0.0, (x, f0, None), t0
     for i in range(_MAX_LS_EVALS):
-        ft, gt = phi(t)
-        if not np.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
-                or (i > 0 and ft >= f_prev):
-            return zoom(t_prev, f_prev, g_prev, t)
-        dphi = float(gt @ d)
+        _, ft, gt = hit = phi(t)
+        if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
+                or (i > 0 and ft >= prev[1]):
+            return zoom(t_prev, prev, t)
+        dphi = float(gt.dot(d))
         if abs(dphi) <= -_WOLFE_C2 * dg0:
-            return t, ft, gt
+            return hit
         if dphi >= 0.0:
-            return zoom(t, ft, gt, t_prev)
-        t_prev, f_prev, g_prev = t, ft, gt
+            return zoom(t, hit, t_prev)
+        t_prev, prev = t, hit
         t *= 2.0
-    if t_prev <= 0.0:
-        return None
-    return t_prev, f_prev, g_prev
+    return prev if t_prev > 0.0 else None
 
 
 def minimize(fun_grad, x0, options: MinimizeOptions | None = None,
@@ -128,58 +127,51 @@ def minimize(fun_grad, x0, options: MinimizeOptions | None = None,
     f = float(f)
     if not np.isfinite(f):
         raise InvalidStartError(f"objective is {f} at the starting point")
-    gnorm = float(np.max(np.abs(g))) if len(g) else 0.0
+    gnorm = float(np.abs(g).max()) if len(g) else 0.0
     if gnorm <= opts.grad_tol:
         return MinimizeResult(x_min=x, f_min=f, iterations=0,
                               converged_by="gradient", gradient_norm=gnorm)
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    # the newest _LBFGS_MEMORY pairs; appending to a full deque drops the oldest
+    s_hist, y_hist, rho_hist = (deque(maxlen=_LBFGS_MEMORY) for _ in range(3))
 
     converged_by = "max_iters"
     it = 0
     small_decreases = 0
     for it in range(1, opts.max_iters + 1):
         d = _lbfgs_direction(g, s_hist, y_hist, rho_hist, h)
-        dg = float(d @ g)
+        dg = float(d.dot(g))
         if dg >= 0.0:                       # not a descent direction: reset memory
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            for hist in (s_hist, y_hist, rho_hist):
+                hist.clear()
             d = -g / h
-            dg = float(d @ g)
+            dg = float(d.dot(g))
 
         t0 = 1.0
         if not s_hist:                      # steepest-descent start: conservative step
-            dnorm = float(np.linalg.norm(d))
+            dnorm = math.sqrt(float(d.dot(d)))
             if dnorm > 0:
                 t0 = min(1.0, 1.0 / dnorm)
 
-        hit = _line_search(fun_grad, x, f, g, d, t0)
+        hit = _line_search(fun_grad, x, f, d, t0, dg)
         if hit is None or hit[1] >= f:
             # No acceptable decrease along a descent direction: vanishing step.
             converged_by = "step"
             break
-        t, f_new, g_new = hit
-        x_new = x + t * d
+        x_new, f_new, g_new = hit
 
         step = x_new - x
         y = g_new - g
-        ys = float(y @ step)
-        step_norm = float(np.linalg.norm(step))
-        if ys > 1e-12 * step_norm * float(np.linalg.norm(y)):
+        ys = float(y.dot(step))
+        step_norm = math.sqrt(float(step.dot(step)))
+        if ys > 1e-12 * step_norm * math.sqrt(float(y.dot(y))):
             s_hist.append(step)
             y_hist.append(y)
             rho_hist.append(1.0 / ys)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
 
         decrease = f - f_new
         x, f, g = x_new, f_new, g_new
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
 
         if step_norm < opts.tol_step:
             converged_by = "step"
@@ -206,16 +198,16 @@ def _lbfgs_direction(g, s_hist, y_hist, rho_hist, h):
     q = -g
     if not s_hist:
         return q / h
-    k = len(s_hist)
-    alphas = np.empty(k)
-    for i in range(k - 1, -1, -1):
-        alphas[i] = rho_hist[i] * float(s_hist[i] @ q)
-        q -= alphas[i] * y_hist[i]
-    theta = 1.0 / (rho_hist[-1] * float(y_hist[-1] @ (y_hist[-1] / h)))
+    alphas = []                              # newest pair first
+    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        alpha = rho * float(s.dot(q))
+        alphas.append(alpha)
+        q -= alpha * y
+    theta = 1.0 / (rho_hist[-1] * float(y_hist[-1].dot(y_hist[-1] / h)))
     q *= theta / h
-    for i in range(k):
-        beta = rho_hist[i] * float(y_hist[i] @ q)
-        q += (alphas[i] - beta) * s_hist[i]
+    for s, y, rho, alpha in zip(s_hist, y_hist, rho_hist, reversed(alphas)):
+        beta = rho * float(y.dot(q))
+        q += (alpha - beta) * s
     return q
 
 

@@ -111,10 +111,7 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")
         _write_vectors(fh, state.a1, state.a2)
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        fh.write(("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()))
-        fh.write(f"CELL_TYPES {nt}\n")
-        fh.write("5\n" * nt)
+        fh.write(mesh.vtk_cells)
         fh.write(f"POINT_DATA {n}\n")
         fh.write("VECTORS displacement double\n")
         _write_vectors(fh, u1, u2)

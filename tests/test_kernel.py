@@ -3,6 +3,9 @@ its pieces against the quadrature rule, the stress it gives at the
 reference state, and the cost of one line-search trial point and of one
 step."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -173,9 +176,9 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     assert len(calls) >= res.iterations + 1
 
     # a whole step adds exactly one value-only assembly, the lifted-state
-    # probe; the record's energy, dissipation and reaction come from one
-    # assembly with gradient at the accepted point, which the minimizer
-    # already assembled, so that point is the only one assembled twice
+    # probe; the record's energy, dissipation and reaction come from the
+    # minimizer's assembly with gradient at the accepted point, its latest,
+    # so no point is assembled twice
     calls.clear()
     state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
                                           slip, program, MinimizeOptions())
@@ -184,5 +187,56 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     grad_points = [point for need_grad, point in calls if need_grad]
     accepted = state.a1.tobytes() + state.a2.tobytes() + state.b.tobytes()
     assert grad_points[-1] == accepted
-    assert grad_points.count(accepted) == 2
-    assert len(set(grad_points)) == len(grad_points) - 1
+    assert len(set(grad_points)) == len(grad_points)
+
+
+@pytest.mark.parametrize("end_on_start", [False, True])
+def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
+                                                           end_on_start):
+    # the record takes the minimizer's latest assembly only at that point:
+    # a result that ends elsewhere, here on the start, is assembled afresh,
+    # and either way the record is bit for bit that of a fresh assembly
+    mesh = build_structured_mesh(42.0, 75.0, 4, 6)
+    dofmap = build_dofmap(mesh)
+    params, slip = MaterialParams(), SlipSystem.default()
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    prev = initial_state(mesh)
+
+    def on_start(fun_grad, x0, *args, **kwargs):
+        res = minimize(fun_grad, x0, *args, **kwargs)
+        # f_min = -inf also keeps the lifted restart out
+        res.x_min, res.f_min = x0.copy(), -np.inf
+        return res
+
+    if end_on_start:
+        monkeypatch.setattr(evolution, "minimize", on_start)
+    state, record = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
+                                               slip, program, MinimizeOptions())
+    breakdown, diss, grads = _assemble(mesh, state.a1, state.a2, state.b,
+                                       params, slip, b_prev=prev.b,
+                                       need_grad=True)
+    assert record.energy == breakdown
+    assert record.dissipation_increment == diss
+    assert record.reaction_force == reaction_force(grads, mesh)
+    if end_on_start:
+        # the minimizer moved, so its latest point is not the start
+        assert record.optimizer_iterations > 0
+        assert not state.b.any()
+
+
+def test_objective_is_freed_without_the_cycle_collector():
+    # fun_grad keeps its latest assembly; a reference cycle through it would
+    # keep every step's objective alive until the next collection
+    mesh = build_structured_mesh(42.0, 75.0, 4, 6)
+    dofmap = build_dofmap(mesh)
+    state = initial_state(mesh)
+    fun, fun_grad = evolution._make_objective(
+        mesh, dofmap, MaterialParams(), SlipSystem.default(), state, state.b)
+    fun_grad(dofmap.pack(state.a1, state.a2, state.b))
+    refs = [weakref.ref(fun), weakref.ref(fun_grad)]
+    gc.disable()
+    try:
+        del fun, fun_grad
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

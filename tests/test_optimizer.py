@@ -3,10 +3,12 @@ import pytest
 
 from kinkband import (InvalidStartError, MaterialParams, MinimizeOptions,
                       SlipSystem, build_dofmap, build_structured_mesh,
-                      gradient_check, initial_state, minimize)
+                      gradient_check, initial_state, minimize, optimizer)
+from kinkband.energy import curvature_scale
 from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions)
 from kinkband.optimizer import _lbfgs_direction
+from seed_optimizer import seed_minimize
 
 
 def rosenbrock(x):
@@ -339,3 +341,86 @@ def test_result_is_never_above_the_start(scaled):
         assert res.f_min == fun(res.x_min)
         reached.add(res.converged_by)
     assert reached == {"step", "function", "gradient", "max_iters"}
+
+
+# ---------------------------------------------------------------------------
+# the iterates against the frozen optimizer, exactly
+
+
+def _step_problem(sigma):
+    """(fun_grad, x0, h) of a step of the reference program on the 4x6 mesh."""
+    mesh = build_structured_mesh(42.0, 75.0, 4, 6)
+    dofmap = build_dofmap(mesh)
+    params = MaterialParams(sigma=sigma)
+    prev = initial_state(mesh)
+    template = apply_boundary_conditions(prev, mesh, dofmap,
+                                         LoadProgram(speed=0.18, Ly=75.0), 20.0)
+    _, fun_grad = _make_objective(mesh, dofmap, params, SlipSystem.default(),
+                                  template, prev.b)
+    return (fun_grad, dofmap.pack(template.a1, template.a2, template.b),
+            curvature_scale(mesh, dofmap, params))
+
+
+def _penalty_cliff():
+    """A stiff quadratic inside the unit disk and a flat 1e6 outside it, a
+    cliff as the determinant penalty makes one, with a start next to it."""
+    c, a = np.array([0.15, -0.55]), np.array([1.0, 25.0])
+
+    def fun_grad(x):
+        if float(x @ x) > 1.0:
+            return 1e6, np.zeros(2)
+        return 0.5 * float((x - c) @ (a * (x - c))), a * (x - c)
+    return fun_grad, np.array([-0.98, -0.13])
+
+
+def _recorded(fun_grad):
+    """fun_grad, and the list of the bytes of every point it is called at."""
+    points = []
+
+    def recording(x):
+        points.append(x.tobytes())
+        return fun_grad(x)
+    return recording, points
+
+
+def test_penalty_cliff_run_has_a_search_that_returns_its_lo_point(monkeypatch):
+    # one search of the run finds no point before the cliff that meets the
+    # curvature condition, so zoom runs out and returns its best Armijo
+    # point, which is not the latest point it evaluated
+    lo_returns = []
+
+    def watched(fun_grad, *args):
+        recording, points = _recorded(fun_grad)
+        hit = line_search(recording, *args)
+        lo_returns.append(hit is not None and hit[0].tobytes() != points[-1])
+        return hit
+
+    line_search = optimizer._line_search
+    monkeypatch.setattr(optimizer, "_line_search", watched)
+    fun_grad, x0 = _penalty_cliff()
+    res = minimize(fun_grad, x0, _tight())
+    assert res.converged_by == "function"
+    assert any(lo_returns) and not lo_returns[-1]
+
+
+@pytest.mark.parametrize("case", ["step", "stiff_step", "rosenbrock",
+                                  "penalty_cliff"])
+def test_iterates_equal_the_frozen_optimizer_bitwise(case):
+    h, options = None, _tight()
+    if case in ("step", "stiff_step"):
+        fun_grad, x0, h = _step_problem(1000.0 if case == "stiff_step" else 0.001)
+        assert (h == 1.0).all() == (case == "step")
+        options = MinimizeOptions()
+    elif case == "rosenbrock":
+        fun_grad, x0 = _fg(rosenbrock, rosenbrock_grad), np.array([-1.2, 1.0])
+    else:
+        fun_grad, x0 = _penalty_cliff()
+    live, live_points = _recorded(fun_grad)
+    frozen, frozen_points = _recorded(fun_grad)
+    res = minimize(live, x0, options, h=h)
+    ref = seed_minimize(frozen, x0, options, h=h)
+    assert res.iterations > 5
+    assert live_points == frozen_points
+    assert res.x_min.tobytes() == ref.x_min.tobytes()
+    assert (res.f_min, res.iterations, res.converged_by, res.gradient_norm) \
+        == (ref.f_min, ref.iterations, ref.converged_by, ref.gradient_norm)
