@@ -18,6 +18,18 @@ dissipation between two slip fields is
 
 ``material_law`` is the one pointwise copy of W, of the hardening and of
 their derivatives; the solver, the diagnostics and the tests all call it.
+It works in the slip frame.  With P = I - gamma s (x) m, Fe = grad y P
+maps s and m to
+
+    a = Fe s = grad y s ,   e = Fe m = grad y m - gamma a ,
+
+so |Fe|^2 = |a|^2 + |e|^2, |Fe m|^2 = |e|^2 and det Fe = +-(a0 e1 - a1 e0),
+the sign that of det [s m].  a and grad y m are element constants, formed
+once per element, so only e and what follows is formed per point.  These
+identities assume an orthonormal (s, m); ``SlipSystem`` checks that to
+1e-9, so they hold to that tolerance.  The derivative comes back as the
+frame rows P = S s - gamma S m and M = S m, S = dW/dFe, from which
+``_assemble`` forms dW/d(grad y) = P (x) s + M (x) m after averaging.
 The one quadrature is the edge-midpoint rule: ``_at_points`` takes a P1
 field from its corners to the 3 points, ``_to_corners`` is its transpose
 and ``_WEIGHTS`` holds the weights.  ``_assemble`` feeds the law grad y
@@ -31,6 +43,10 @@ systems the results are bit-identical to it:
 
 - |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), and every other contraction
   is a left-to-right sum;
+- the frame law drops only products by 0 or +-1 and sums with a zero, as
+  the components of an axis-aligned s and m make them, and keeps every
+  other sum up to commutation, so it rounds as the seed's Fe does (up to
+  the sign of a zero);
 - values at the points are 0.5 v_i + 0.5 v_j over the two corners of each
   point's edge, and the slip force on a corner is the same two-term sum
   over its two points: the matmuls by the rule's barycentric points,
@@ -153,6 +169,11 @@ def _to_corners(vq):
     return out
 
 
+def _field_at_points(mesh: Mesh2D, v):
+    """A nodal P1 field at the quadrature points, (3, nt)."""
+    return _at_points(v[mesh.corner_major.triangles])
+
+
 def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
                  slip: SlipSystem, derivatives=False):
     """The pointwise stored density from grad y, by its components, and gamma,
@@ -161,33 +182,32 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     Returns ``(elastic, hardening, penalty, derivs)``: W(Fe), 0 at penalty
     points; beta (2 + gamma^2)^{r/2}; None when every point is admissible,
     else det_penalty at the penalty points and 0 elsewhere; and, with
-    ``derivatives``, one array whose rows are d00, d01, d10, d11 and d_gamma,
-    with d_ij = dW/d(grad y)_ij = (S P^T)_ij, S = dW/dFe zero at penalty
-    points, and d_gamma = -(grad y s) . (S m) plus the hardening slope
-    (else None).
+    ``derivatives``, one array whose rows are the frame rows P0, P1, M0, M1
+    and d_gamma (else None).  With S = dW/dFe, zero at penalty points,
+    M = S m and P = S s - gamma M, so that dW/d(grad y) = S P^T has the
+    entries P_i s_j + M_i m_j, and d_gamma = -a . M plus the hardening slope.
     """
     (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
-    u0 = y00 * s0 + y01 * s1                    # grad_y . s
-    u1 = y10 * s0 + y11 * s1
-    f00 = y00 - gam * (u0 * m0)                 # Fe = grad_y - gam * outer(u, m)
-    f01 = y01 - gam * (u0 * m1)
-    f10 = y10 - gam * (u1 * m0)
-    f11 = y11 - gam * (u1 * m1)
-    det = f00 * f11 - f01 * f10
+    a0 = y00 * s0 + y01 * s1                    # a = grad_y s = Fe s
+    a1 = y10 * s0 + y11 * s1
+    e0 = (y00 * m0 + y01 * m1) - gam * a0       # e = grad_y m - gam a = Fe m
+    e1 = (y10 * m0 + y11 * m1) - gam * a1
+    fe2 = e0 * e0 + e1 * e1                     # |Fe m|^2
+    frob2 = fe2 + (a0 * a0 + a1 * a1)           # |Fe|^2
+    turn = 1.0 if s0 * m1 - s1 * m0 > 0.0 else -1.0     # det [s m]
+    det = a0 * e1 - a1 * e0 if turn > 0.0 else a1 * e0 - a0 * e1
     ok = det > params.det_floor
     admissible = bool(ok.all())                 # no penalty point
     det_safe = det if admissible else np.where(ok, det, 1.0)
-
-    frob2 = (f00 * f00 + f10 * f10) + (f01 * f01 + f11 * f11)
-    fem0 = f00 * m0 + f01 * m1                  # Fe m
-    fem1 = f10 * m0 + f11 * m1
     if not derivatives:                 # a smaller peak of live arrays
-        del f00, f01, f10, f11
+        del e0, e1
+
     det_m1 = det - 1.0
     elastic = ((params.C * (frob2 ** (params.p / 2.0) - 2.0 ** (params.p / 2.0)
                             - 2.0 * np.log(det_safe))
                 + params.D * det_m1 ** 2)
-               + params.aniso * (fem0 * fem0 + fem1 * fem1))
+               + params.aniso * fe2)
+    del fe2
     two_g2 = 2.0 + gam * gam
     hardening = params.beta * two_g2 ** (params.r / 2.0)
     penalty = None
@@ -197,44 +217,40 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     if not derivatives:
         return elastic, hardening, penalty, None
 
-    # S = dW/dFe on the smooth branch (cofactor of Fe in the det term);
-    # arrays are deleted after their last read, for a smaller peak
+    # S = coef_p Fe + coef_det cof Fe + 2 aniso e (x) m on the smooth branch,
+    # with cof Fe s = turn (e1, -e0) and cof Fe m = turn (-a1, a0): turn is
+    # folded into the constants of coef_det.  Arrays are deleted after their
+    # last read, for a smaller peak
     coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
-    coef_det = 2.0 * params.D * det_m1 - 2.0 * params.C / det_safe
+    coef_det = (turn * 2.0 * params.D * det_m1
+                - turn * 2.0 * params.C / det_safe)
     del frob2, det, det_m1, det_safe
-    am0 = 2.0 * params.aniso * fem0
-    am1 = 2.0 * params.aniso * fem1
-    del fem0, fem1
-    derivs = np.empty((5,) + elastic.shape)     # d_ij averaged in one pass
-    s00, s01, s10, s11, d_gam = derivs
-    np.add(coef_p * f00 + coef_det * f11, am0 * m0, out=s00)
-    np.add(coef_p * f11 + coef_det * f00, am1 * m1, out=s11)
-    del f00, f11
-    np.add(coef_p * f01 - coef_det * f10, am0 * m1, out=s01)
-    np.add(coef_p * f10 - coef_det * f01, am1 * m0, out=s10)
-    del f01, f10, coef_p, coef_det, am0, am1
+    derivs = np.empty((5,) + elastic.shape)     # the rows averaged in one pass
+    p0, p1, sm0, sm1, d_gam = derivs
+    np.add(coef_p * a0, coef_det * e1, out=p0)              # S s
+    np.subtract(coef_p * a1, coef_det * e0, out=p1)
+    np.add(coef_p * e0 - coef_det * a1, 2.0 * params.aniso * e0, out=sm0)
+    np.add(coef_p * e1 + coef_det * a0, 2.0 * params.aniso * e1, out=sm1)
+    del e0, e1, coef_p, coef_det
     if not admissible:
         derivs[:4] *= ok
 
-    # chain rule to grad_y, in place: S P^T = S - gam * outer(S m, s)
-    sm0 = s00 * m0 + s01 * m1
-    sm1 = s10 * m0 + s11 * m1
-    s00 -= gam * (sm0 * s0)
-    s01 -= gam * (sm0 * s1)
-    s10 -= gam * (sm1 * s0)
-    s11 -= gam * (sm1 * s1)
-    np.negative(u0 * sm0 + u1 * sm1, out=d_gam)
+    p0 -= gam * sm0                             # S s - gam S m
+    p1 -= gam * sm1
+    np.negative(a0 * sm0 + a1 * sm1, out=d_gam)
     d_gam += params.beta * params.r * two_g2 ** (params.r / 2.0 - 1.0) * gam
     return elastic, hardening, penalty, derivs
 
 
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-              b_prev=None, need_grad=False, per_element=False):
+              gam_prev=None, need_grad=False, per_element=False):
     """Quadrature assembly of energy (and dissipation / gradients).
 
     Returns (breakdown, dissipation, grads) where grads is None or a (3, n)
     array whose rows are the nodal gradients ga1, ga2, gb of I + D^delta.
-    With ``per_element`` the breakdown fields and the dissipation are (nt,)
+    ``gam_prev`` is the previous slip at the quadrature points, (3, nt) as
+    ``_field_at_points`` gives it, or None for no dissipation.  With
+    ``per_element`` the breakdown fields and the dissipation are (nt,)
     arrays of element integrals instead of their totals.
     """
     geo, area = mesh.corner_major, mesh.element_area
@@ -253,13 +269,13 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         # the densities integrated, copied through (point, element) views
         # into one (k, nt, 3) buffer for one batched BLAS matvec
         pointwise = [elastic, hardening] + ([] if penalty is None else [penalty])
-        dens = np.empty((len(pointwise) + (b_prev is not None), len(area), 3))
+        dens = np.empty((len(pointwise) + (gam_prev is not None), len(area), 3))
         for d, v in zip(dens, pointwise):
             np.multiply(v, 1.0, out=d.T)            # a copy, faster than d.T[...] = v
         del pointwise
         diff = root = None
-        if b_prev is not None:
-            diff = gam - _at_points(b_prev[tri])
+        if gam_prev is not None:
+            diff = gam - gam_prev
             root = np.sqrt(params.delta ** 2 + diff * diff, out=dens[-1].T)
         means = dens @ W
         del dens
@@ -279,10 +295,14 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         if not need_grad:
             return breakdown, diss, None
 
-        # dW/d(grad_y) averaged over the quadrature points; the slip
-        # derivative gains the dissipation slope
-        dq = derivs[:4].swapaxes(0, 1)          # (point, d_ij, element)
-        t00, t01, t10, t11 = dq[0] * W[0] + dq[1] * W[1] + dq[2] * W[2]
+        # the frame rows averaged over the quadrature points, then
+        # dW/d(grad_y) = P s^T + M m^T; the slip derivative gains the
+        # dissipation slope
+        dq = derivs[:4].swapaxes(0, 1)          # (point, row, element)
+        p0, p1, sm0, sm1 = dq[0] * W[0] + dq[1] * W[1] + dq[2] * W[2]
+        (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
+        t00, t01 = p0 * s0 + sm0 * m0, p0 * s1 + sm0 * m1
+        t10, t11 = p1 * s0 + sm1 * m0, p1 * s1 + sm1 * m1
         dW_dg = derivs[4]
         if diff is not None:
             dW_dg += params.sigma * diff / root
@@ -349,7 +369,7 @@ def dissipation_increment(gamma_prev, gamma, mesh: Mesh2D,
     gamma_prev = np.asarray(gamma_prev, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     _check_lengths(mesh, gamma_prev, gamma)
-    diff = _at_points((gamma - gamma_prev)[mesh.corner_major.triangles])
+    diff = _field_at_points(mesh, gamma - gamma_prev)
     root = np.empty((mesh.n_triangles, 3))      # (nt, 3), as _assemble sums it
     np.sqrt(params.delta ** 2 + diff * diff, out=root.T)
     return params.sigma * float(mesh.element_area @ (root @ _WEIGHTS))

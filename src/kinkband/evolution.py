@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, MaterialParams, _assemble, curvature_scale,
-                     dissipation_increment, element_grad_y)
+from .energy import (EnergyBreakdown, MaterialParams, _assemble, _field_at_points,
+                     curvature_scale, dissipation_increment, element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -127,19 +127,22 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
     Both scatter x into one nodal buffer holding the template's fixed
     entries.  ``fun_grad.last`` is [a copy of x, the ``_assemble`` result]
     of the latest ``fun_grad`` call, a list updated in place: fun_grad holds
-    no reference to itself, so it is freed without the cycle collector."""
+    no reference to itself, so it is freed without the cycle collector.
+    The previous slip ``b_prev`` is taken to the quadrature points once."""
     q = np.concatenate((template.a1, template.a2, template.b))
+    gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
     nodal = q.reshape(3, -1)
     last = [None, None]
 
     def fun(x):
         q[dofmap.free] = x
-        breakdown, diss, _ = _assemble(mesh, *nodal, params, slip, b_prev=b_prev)
+        breakdown, diss, _ = _assemble(mesh, *nodal, params, slip,
+                                       gam_prev=gam_prev)
         return breakdown.total + diss
 
     def fun_grad(x):
         q[dofmap.free] = x
-        assembly = _assemble(mesh, *nodal, params, slip, b_prev=b_prev,
+        assembly = _assemble(mesh, *nodal, params, slip, gam_prev=gam_prev,
                              need_grad=True)
         last[:] = x.copy(), assembly
         breakdown, diss, grads = assembly
@@ -168,6 +171,7 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
     check's peak memory by about a sixth at 34x61.
     """
     q = dofmap.unpack(x, template.a1, template.a2, template.b)
+    gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
     batches = []        # (DOFs, elements, moved entry of v) of each batch
 
     def oracle(t):
@@ -192,7 +196,7 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
             v.reshape(-1)[moved] += t
             bd, diss, _ = _assemble(
                 mesh.detached(elems), *v.reshape(3, -1), params, slip,
-                b_prev=None if b_prev is None else b_prev.take(corners).ravel(),
+                gam_prev=None if gam_prev is None else gam_prev[:, elems],
                 per_element=True)
             out += np.bincount(dof, weights=bd.total + diss,
                                minlength=dofmap.n_free)
@@ -260,7 +264,8 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     # the record from one assembly, the minimizer's latest if it ended there
     point, assembly = fun_grad.last
     if not np.array_equal(res.x_min, point):
-        assembly = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+        assembly = _assemble(mesh, a1, a2, b, params, slip,
+                             gam_prev=_field_at_points(mesh, b_prev),
                              need_grad=True)
     breakdown, diss, grads = assembly
     # the smoothed increment is what the step minimized; the cumulative

@@ -14,8 +14,17 @@ def random_rotation(rng):
 
 def law_at(F, params, slip, gam=None, derivatives=False):
     """``material_law`` at the gradients F, shape (..., 2, 2), and slips gam
-    of shape F.shape[:-2] (zero by default)."""
+    of shape F.shape[:-2] (zero by default).  With ``derivatives`` the frame
+    rows P, M are mapped to the rows d00, d01, d10, d11 of dW/d(grad y),
+    d_ij = P_i s_j + M_i m_j, followed by d_gamma."""
     F = np.asarray(F, dtype=float)
     gam = np.zeros(F.shape[:-2]) if gam is None else np.asarray(gam, dtype=float)
-    return material_law(F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1],
-                        gam, params, slip, derivatives=derivatives)
+    elastic, hardening, penalty, derivs = material_law(
+        F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1], gam, params,
+        slip, derivatives=derivatives)
+    if derivs is not None:
+        p0, p1, sm0, sm1, d_gam = derivs
+        (s0, s1), (m0, m1) = slip.s, slip.m
+        derivs = np.array([p0 * s0 + sm0 * m0, p0 * s1 + sm0 * m1,
+                           p1 * s0 + sm1 * m0, p1 * s1 + sm1 * m1, d_gam])
+    return elastic, hardening, penalty, derivs

@@ -6,7 +6,7 @@ import pytest
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, dissipation_increment,
                       initial_state, total_energy)
-from kinkband.energy import _assemble, curvature_scale
+from kinkband.energy import _assemble, _field_at_points, curvature_scale
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
 from rotations import law_at, random_rotation
@@ -97,7 +97,12 @@ def test_hardening_density_examples(slip):
 @pytest.mark.parametrize("slip", [
     SlipSystem.default(),
     SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)]),
-               m=np.array([np.cos(0.7), np.sin(0.7)]))], ids=["default", "rotated"])
+               m=np.array([np.cos(0.7), np.sin(0.7)])),
+    # m negated: det [s m] = +1, where it is -1 for the two above, so the
+    # law takes its other determinant ordering
+    SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)]),
+               m=np.array([-np.cos(0.7), -np.sin(0.7)]))],
+    ids=["default", "rotated", "rotated_negated_m"])
 def test_material_law_derivatives_match_central_differences(params, slip):
     # d(elastic + hardening) / d(Y00, Y01, Y10, Y11, gamma) at admissible points
     rng = np.random.default_rng(37)
@@ -311,15 +316,20 @@ def test_dissipation_dimension_mismatch(params, mesh_4x6):
 
 def _packed_gradient(state, mesh, dofmap, params, slip, gamma_prev=None):
     """The gradient of I (+ D^delta) over the free DOF vector."""
+    gam_prev = (None if gamma_prev is None
+                else _field_at_points(mesh, gamma_prev))
     _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
-                            b_prev=gamma_prev, need_grad=True)
+                            gam_prev=gam_prev, need_grad=True)
     return dofmap.pack(*grads)
 
 
 def _packed_objective(mesh, dofmap, params, slip, template, b_prev):
+    gam_prev = _field_at_points(mesh, b_prev)
+
     def fun(x):
         a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
-        bd, diss, _ = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev)
+        bd, diss, _ = _assemble(mesh, a1, a2, b, params, slip,
+                                gam_prev=gam_prev)
         return bd.total + diss
     return fun
 
@@ -445,13 +455,13 @@ def test_curvature_scale_is_the_curvature_ratio(mesh_4x6, dofmap_4x6, slip):
         e = np.zeros(mesh_4x6.n_nodes)
         e[i] = t
 
-        def curvature(b_prev):
+        def curvature(gam_prev):
             gp = _assemble(mesh_4x6, st.a1, st.a2, e, params, slip,
-                           b_prev=b_prev, need_grad=True)[2][2]
+                           gam_prev=gam_prev, need_grad=True)[2][2]
             gm = _assemble(mesh_4x6, st.a1, st.a2, -e, params, slip,
-                           b_prev=b_prev, need_grad=True)[2][2]
+                           gam_prev=gam_prev, need_grad=True)[2][2]
             return (gp[i] - gm[i]) / (2.0 * t)
 
         stored = curvature(None)
-        dissipation = curvature(zero) - stored
+        dissipation = curvature(_field_at_points(mesh_4x6, zero)) - stored
         assert h[i] == pytest.approx(dissipation / stored, rel=1e-5)

@@ -8,7 +8,7 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
                       energy_inequality_check, incremental_step, initial_state,
                       lift_state, minimize, reaction_force, run_simulation,
                       stability_check, total_energy)
-from kinkband.energy import _assemble
+from kinkband.energy import _assemble, _field_at_points
 from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
                                 apply_boundary_conditions)
 from kinkband.mesh import BOTTOM, INTERIOR, LEFT, RIGHT, TOP
@@ -257,7 +257,7 @@ def test_record_is_the_accepted_state(run_10x18_k76):
                       "total"):
             assert getattr(rec.energy, field) == getattr(energy, field), field
         _, diss, _ = _assemble(mesh, state.a1, state.a2, state.b, params,
-                               slip, b_prev=prev.b)
+                               slip, gam_prev=_field_at_points(mesh, prev.b))
         assert rec.dissipation_increment == diss
         assert rec.reaction_force == _platen_force(state, mesh, params, slip)
         assert rec.min_det_Fe == _min_det(mesh, state.a1, state.a2)

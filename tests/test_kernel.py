@@ -13,15 +13,20 @@ import kinkband.evolution as evolution
 from kinkband import (MaterialParams, MinimizeOptions, SlipSystem, State,
                       build_dofmap, build_structured_mesh, initial_state,
                       minimize)
-from kinkband.energy import _assemble, _at_points, _to_corners
+from kinkband.energy import _assemble, _at_points, _field_at_points, _to_corners
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
                                 reaction_force)
 from seed_kernel import seed_assemble
 
-# axis-aligned slip systems: every product with a component of s or m is exact
+# axis-aligned slip systems: every product with a component of s or m is
+# exact; the negated frames run both determinant orderings with negative
+# components
 AXIS_SLIPS = {
     "default": SlipSystem.default(),
     "swapped": SlipSystem(s=np.array([1.0, 0.0]), m=np.array([0.0, 1.0])),
+    "negated_s": SlipSystem(s=np.array([0.0, -1.0]), m=np.array([1.0, 0.0])),
+    "negated_swapped": SlipSystem(s=np.array([-1.0, 0.0]),
+                                  m=np.array([0.0, 1.0])),
 }
 BREAKDOWN_FIELDS = ("elastic", "hardening", "slip_gradient", "penalty", "total")
 
@@ -37,7 +42,8 @@ def _random_inputs(mesh, rng, amp):
 
 def _both(mesh, a1, a2, b, slip, b_prev, need_grad):
     params = MaterialParams()
-    new = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+    gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
+    new = _assemble(mesh, a1, a2, b, params, slip, gam_prev=gam_prev,
                     need_grad=need_grad)
     old = seed_assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
                         need_grad=need_grad)
@@ -122,7 +128,8 @@ def test_objective_gradient_is_the_packed_nodal_gradient():
     _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
                                             template, b_prev)
     x = dofmap.pack(a1, a2, b)
-    _, _, nodal = _assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+    _, _, nodal = _assemble(mesh, a1, a2, b, params, slip,
+                            gam_prev=_field_at_points(mesh, b_prev),
                             need_grad=True)
     assert np.array_equal(fun_grad(x)[1], dofmap.pack(*nodal))
 
@@ -212,9 +219,9 @@ def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
         monkeypatch.setattr(evolution, "minimize", on_start)
     state, record = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
                                                slip, program, MinimizeOptions())
-    breakdown, diss, grads = _assemble(mesh, state.a1, state.a2, state.b,
-                                       params, slip, b_prev=prev.b,
-                                       need_grad=True)
+    breakdown, diss, grads = _assemble(
+        mesh, state.a1, state.a2, state.b, params, slip,
+        gam_prev=_field_at_points(mesh, prev.b), need_grad=True)
     assert record.energy == breakdown
     assert record.dissipation_increment == diss
     assert record.reaction_force == reaction_force(grads, mesh)

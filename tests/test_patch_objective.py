@@ -11,7 +11,7 @@ import kinkband.evolution as evolution
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, parse_config)
 from kinkband.cli import cli_main
-from kinkband.energy import _assemble
+from kinkband.energy import _assemble, _field_at_points
 from kinkband.evolution import State, _make_objective, _patch_oracle
 
 SLIPS = {
@@ -76,12 +76,15 @@ def test_assemble_over_every_element_by_index_equals_the_default(amp,
     every = np.arange(mesh.n_triangles)
     copies = mesh.detached(every)
     qc = q[:, mesh.triangles].reshape(3, -1)
-    bc = None if b_prev is None else b_prev[mesh.triangles].ravel()
+    gp = gc = None
+    if b_prev is not None:
+        gp = _field_at_points(mesh, b_prev)
+        gc = _field_at_points(copies, b_prev[mesh.triangles].ravel())
     for need_grad in (False, True):
-        bd, diss, grads = _assemble(mesh, *q, params, slip, b_prev=b_prev,
+        bd, diss, grads = _assemble(mesh, *q, params, slip, gam_prev=gp,
                                     need_grad=need_grad)
         bd_i, diss_i, grads_i = _assemble(copies, *qc, params, slip,
-                                          b_prev=bc, need_grad=need_grad)
+                                          gam_prev=gc, need_grad=need_grad)
         for field in BREAKDOWN_FIELDS:
             assert getattr(bd_i, field) == getattr(bd, field), field
         assert diss_i == diss
@@ -93,9 +96,9 @@ def test_assemble_over_every_element_by_index_equals_the_default(amp,
         else:
             assert grads is None and grads_i is None
     # per element, both give the same integrals, which sum to the totals
-    bd_e, diss_e, _ = _assemble(mesh, *q, params, slip, b_prev=b_prev,
+    bd_e, diss_e, _ = _assemble(mesh, *q, params, slip, gam_prev=gp,
                                 per_element=True)
-    bd_c, diss_c, _ = _assemble(copies, *qc, params, slip, b_prev=bc,
+    bd_c, diss_c, _ = _assemble(copies, *qc, params, slip, gam_prev=gc,
                                 per_element=True)
     for field in BREAKDOWN_FIELDS:
         assert np.array_equal(getattr(bd_c, field), getattr(bd_e, field))
