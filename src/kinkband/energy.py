@@ -28,45 +28,41 @@ the sign that of det [s m].  a and grad y m are element constants, formed
 once per element, so only e and what follows is formed per point.  These
 identities assume an orthonormal (s, m); ``SlipSystem`` checks that to
 1e-9, so they hold to that tolerance.  The derivative comes back as the
-frame rows P = S s - gamma S m and M = S m, S = dW/dFe, from which
-``_assemble`` forms dW/d(grad y) = P (x) s + M (x) m after averaging.
-The one quadrature is the edge-midpoint rule: ``_at_points`` takes a P1
-field from its corners to the 3 points, ``_to_corners`` is its transpose
-and ``_WEIGHTS`` holds the weights.  ``_assemble`` feeds the law grad y
-and grad gamma as (nt,) arrays per component and gamma as a (3, nt)
-array, row q for quadrature point q, so element constants
-broadcast along the outer axis (``Mesh2D.corner_major`` is the geometry in
-this layout), and keeps the P1 gradients, the quadrature sums, the
-dissipation and the scatter.  Every sum keeps the order of the original
-einsum kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip
-systems the results are bit-identical to it:
+frame rows P = S s - gamma S m and M = S m, S = dW/dFe, from which the
+kernel forms dW/d(grad y) = P (x) s + M (x) m after averaging.  The one
+quadrature is the edge-midpoint rule: ``_at_points`` takes a P1 field from
+its corners to the 3 points, ``_to_corners`` is its transpose and
+``_WEIGHTS`` holds the weights.  The one kernel, ``_integrate``, takes
+corner values (field, corner, element) and feeds the law grad y and grad
+gamma as (k,) arrays per component and gamma as (3, k), row q for point q,
+so element constants broadcast along the outer axis; ``_assemble`` gathers
+its input from a mesh's nodal arrays and scatters its element vectors.
+An element's integrals come out the same in any batch of elements, and
+every sum keeps the order of the original einsum kernel (frozen in
+tests/seed_kernel.py), so for axis-aligned slip systems the results are
+bit-identical to it (for rotated ones the seed's stacked matmul fused
+multiply-adds, so the two agree to rounding):
 
-- |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), and every other contraction
-  is a left-to-right sum;
-- the frame law drops only products by 0 or +-1 and sums with a zero, as
-  the components of an axis-aligned s and m make them, and keeps every
-  other sum up to commutation, so it rounds as the seed's Fe does (up to
-  the sign of a zero);
-- values at the points are 0.5 v_i + 0.5 v_j over the two corners of each
-  point's edge, and the slip force on a corner is the same two-term sum
-  over its two points: the matmuls by the rule's barycentric points,
-  whose products by 0.5 and 0 are exact;
-- the integrands are copied into one C-ordered (k, nt, 3) buffer for one
-  batched BLAS ``@ weights``, which sums each element's row as
-  ``(nt, 3) @ weights`` of that integrand alone does, and each integral is
-  then ``area @ row``;
-- the three nodal gradient blocks are one ``bincount`` over [a1, a2, b] in
-  element order, so each node sums its elements in ascending order;
-- the penalty masks are applied only where some point is inadmissible:
-  elsewhere they would keep every value as it is.
-
-(For rotated slip systems the old kernel's stacked matmul fused
-multiply-adds, so the two agree to rounding.)
+- |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), other contractions sum left
+  to right; the frame law drops only products by 0 or +-1 and sums with a
+  zero, and keeps every other sum up to commutation, so it rounds as the
+  seed's Fe does (up to the sign of a zero);
+- a point's value is 0.5 v_i + 0.5 v_j over the two corners of its edge,
+  and a corner's slip force the same two-term sum over its two points, as
+  the matmuls by the rule's barycentric points (exact products) give them;
+- the integrands are copied into one C-ordered (integrand, element, point)
+  buffer for one batched BLAS ``@ weights``, which sums each element's row
+  as ``(k, 3) @ weights`` of that integrand alone does, and each integral
+  is then ``area @ row``;
+- the nodal gradient blocks are one element-order ``bincount`` over
+  [a1, a2, b], so each node sums its elements in ascending order;
+- the penalty masks are applied only where some point is inadmissible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,10 +127,10 @@ def _check_lengths(mesh: Mesh2D, *arrays):
                 f"{mesh.n_nodes} nodes")
 
 
-def _p1_gradient(vt, geo):
+def _p1_gradient(vt, grads):
     """Element gradient (d/dx1, d/dx2) of a P1 field from its (3, nt) corner
-    values, as two (nt,) arrays summed in corner order."""
-    gx, gy = geo.grads
+    values and (2, 3, nt) hat gradients, two (nt,) arrays in corner order."""
+    gx, gy = grads
     return (vt[0] * gx[0] + vt[1] * gx[1] + vt[2] * gx[2],
             vt[0] * gy[0] + vt[1] * gy[1] + vt[2] * gy[2])
 
@@ -143,8 +139,8 @@ def element_grad_y(mesh: Mesh2D, a1, a2):
     """Element-constant grad y as components (Y00, Y01, Y10, Y11) and its
     determinant, which equals det Fe at every point (det P = 1)."""
     geo = mesh.corner_major
-    y00, y01 = _p1_gradient(a1[geo.triangles], geo)
-    y10, y11 = _p1_gradient(a2[geo.triangles], geo)
+    y00, y01 = _p1_gradient(a1[geo.triangles], geo.grads)
+    y10, y11 = _p1_gradient(a2[geo.triangles], geo.grads)
     return y00, y01, y10, y11, y00 * y11 - y01 * y10
 
 
@@ -242,32 +238,56 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     return elastic, hardening, penalty, derivs
 
 
-def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-              gam_prev=None, need_grad=False, per_element=False):
-    """Quadrature assembly of energy (and dissipation / gradients).
+class Elements(NamedTuple):
+    """k elements' hat gradients (2, 3, k) [1/mm] and areas (k,) [mm^2]."""
 
-    Returns (breakdown, dissipation, grads) where grads is None or a (3, n)
-    array whose rows are the nodal gradients ga1, ga2, gb of I + D^delta.
-    ``gam_prev`` is the previous slip at the quadrature points, (3, nt) as
+    grads: np.ndarray
+    area: np.ndarray
+
+    @property
+    def n_triangles(self) -> int:
+        return len(self.area)
+
+
+def _assemble(mesh, a1, a2, b, params: MaterialParams, slip: SlipSystem,
+              gam_prev=None, need_grad=False, per_element=False):
+    """Quadrature assembly: (breakdown, dissipation, grads) of a Mesh2D from
+    nodal a1, a2, b, grads None or the (3, n) nodal gradients ga1, ga2, gb
+    of I + D^delta; or of an ``Elements`` batch from the (3, k) corner
+    values a1, a2, b of its elements, grads None or the element vectors.
+    ``gam_prev`` is the previous slip at the quadrature points, (3, k) as
     ``_field_at_points`` gives it, or None for no dissipation.  With
-    ``per_element`` the breakdown fields and the dissipation are (nt,)
-    arrays of element integrals instead of their totals.
-    """
-    geo, area = mesh.corner_major, mesh.element_area
+    ``per_element`` the breakdown fields and the dissipation are (k,)
+    arrays of element integrals instead of totals."""
+    if isinstance(mesh, Elements):
+        return _integrate((a1, a2, b), *mesh, params, slip, gam_prev,
+                          need_grad, per_element)
+    geo = mesh.corner_major
     tri = geo.triangles
+    breakdown, diss, loc = _integrate(
+        (a1[tri], a2[tri], b[tri]), geo.grads, mesh.element_area, params,
+        slip, gam_prev, need_grad, per_element)
+    if loc is not None:
+        loc = np.bincount(geo.slots, weights=loc.ravel(),
+                          minlength=3 * mesh.n_nodes).reshape(3, -1)
+    return breakdown, diss, loc
+
+
+def _integrate(v, grads, area, params, slip, gam_prev, need_grad, per_element):
+    """The kernel of ``_assemble``: corner values v, (field, corner, element),
+    and the elements' geometry in; element vectors out, unscattered."""
     W = _WEIGHTS
 
     with np.errstate(over="ignore", invalid="ignore"):
-        y00, y01 = _p1_gradient(a1[tri], geo)       # rows of grad_y, (nt,)
-        y10, y11 = _p1_gradient(a2[tri], geo)
-        bt = b[tri]
-        g0, g1 = _p1_gradient(bt, geo)              # grad gamma
-        gam = _at_points(bt)                        # (3, nt) slip at quad points
-        del bt
+        y00, y01 = _p1_gradient(v[0], grads)        # rows of grad_y, (k,)
+        y10, y11 = _p1_gradient(v[1], grads)
+        g0, g1 = _p1_gradient(v[2], grads)          # grad gamma
+        gam = _at_points(v[2])                      # (3, k) slip at quad points
+        del v
         elastic, hardening, penalty, derivs = material_law(
             y00, y01, y10, y11, gam, params, slip, derivatives=need_grad)
         # the densities integrated, copied through (point, element) views
-        # into one (k, nt, 3) buffer for one batched BLAS matvec
+        # into one buffer for one batched BLAS matvec
         pointwise = [elastic, hardening] + ([] if penalty is None else [penalty])
         dens = np.empty((len(pointwise) + (gam_prev is not None), len(area), 3))
         for d, v in zip(dens, pointwise):
@@ -311,13 +331,12 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams, slip: SlipSystem,
         # element vectors of a1, a2 and b as (block, element, corner), the
         # order of ``slots``, written through (corner, element) views
         loc = np.empty((3, len(area), 3))
-        gx, gy = geo.grads
+        gx, gy = grads
         np.multiply(area, t00 * gx + t01 * gy, out=loc[0].T)
         np.multiply(area, t10 * gx + t11 * gy, out=loc[1].T)
         np.add(area * _to_corners(dW_dg * W[:, None]),
                area * (2.0 * params.eps_grad * (g0 * gx + g1 * gy)), out=loc[2].T)
-    grads = np.bincount(geo.slots, weights=loc.ravel(), minlength=3 * mesh.n_nodes)
-    return breakdown, diss, grads.reshape(3, -1)
+    return breakdown, diss, loc
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,

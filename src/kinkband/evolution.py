@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, MaterialParams, _assemble, _field_at_points,
-                     curvature_scale, dissipation_increment, element_grad_y)
+from .energy import (EnergyBreakdown, Elements, MaterialParams, _assemble,
+                     _field_at_points, curvature_scale, dissipation_increment,
+                     element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -157,22 +158,20 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
     """Coordinate oracle of the gradient check around ``x``.
 
     ``oracle(t)`` returns, for every packed DOF i, I + D^delta at x + t e_i
-    integrated over the elements of i's node patch only.  The energy is a
-    sum of element terms and a nodal coefficient enters only the elements
-    of its node's patch, so that value is f(x + t e_i) minus a constant, the
-    integral over the other elements, and its central differences are those
-    of ``fun`` of ``_make_objective``.  Each patch element of each DOF is one
-    disjoint copy (``Mesh2D.detached``) with the DOF's corner value moved by
-    t, and ``_assemble`` integrates the copies in batches of at most
-    ``mesh.n_triangles``, so a batch needs no more memory than one assembly
-    over the mesh.  The first call builds each batch's DOFs, elements and
-    moved entries, and later calls (the check's -h) reuse them; the copies
-    themselves are rebuilt per call, as keeping them all would raise the
-    check's peak memory by about a sixth at 34x61.
+    over the elements of i's node patch only: f(x + t e_i) minus the
+    integral over the other elements, which i does not enter, so its
+    central differences are those of ``fun`` of ``_make_objective``.  Each
+    patch element of each DOF is one copy, its corner values gathered at x
+    with the DOF's own moved by t, integrated by ``_assemble`` in
+    ``Elements`` batches of at most ``mesh.n_triangles`` (no more memory
+    than one assembly over the mesh).  The first call finds each batch's
+    DOFs, elements and moved entries, for reuse by the check's -h; corner
+    values and geometry are gathered again per call, for a lower peak.
     """
     q = dofmap.unpack(x, template.a1, template.a2, template.b)
+    geo, area = mesh.corner_major, mesh.element_area
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
-    batches = []        # (DOFs, elements, moved entry of v) of each batch
+    batches = []        # (DOFs, elements, flat entry (comp, corner, j) of v)
 
     def oracle(t):
         if not batches:
@@ -184,19 +183,19 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
             first = indptr[node] - np.cumsum(size) + size
             for lo in range(0, len(owner), mesh.n_triangles):
                 dof = owner[lo:lo + mesh.n_triangles]
-                k = np.arange(lo, lo + len(dof))
-                elems = indices[k + first[dof]]
-                corner = np.argmax(mesh.triangles[elems] == node[dof, None], axis=1)
-                batches.append((dof, elems, np.ravel_multi_index(
-                    (comp[dof], k - lo, corner), (3, len(k), 3))))
+                j = np.arange(len(dof))                 # copy j of the batch
+                elems = indices[lo + j + first[dof]]
+                tri = geo.triangles.take(elems, axis=1)
+                corner = (tri[1] == node[dof]) + 2 * (tri[2] == node[dof])
+                batches.append((dof, elems, (3 * comp[dof] + corner) * len(j) + j))
         out = np.zeros(dofmap.n_free)
         for dof, elems, moved in batches:
-            corners = mesh.triangles.take(elems, axis=0)
-            v = q.take(corners, axis=1)
+            v = q.take(geo.triangles.take(elems, axis=1), axis=1)  # (3, 3, k)
             v.reshape(-1)[moved] += t
             bd, diss, _ = _assemble(
-                mesh.detached(elems), *v.reshape(3, -1), params, slip,
-                gam_prev=None if gam_prev is None else gam_prev[:, elems],
+                Elements(geo.grads.take(elems, axis=2), area.take(elems)), *v,
+                params, slip,
+                gam_prev=None if gam_prev is None else gam_prev.take(elems, axis=1),
                 per_element=True)
             out += np.bincount(dof, weights=bd.total + diss,
                                minlength=dofmap.n_free)

@@ -97,24 +97,6 @@ class Mesh2D:
                 + ("3 %d %d %d\n" * nt) % tuple(self.triangles.ravel().tolist())
                 + f"CELL_TYPES {nt}\n" + "5\n" * nt)
 
-    def detached(self, elems) -> "Mesh2D":
-        """The elements ``elems`` (repeats allowed) as disjoint copies: copy k
-        has the geometry of element elems[k] and its own corner nodes 3k,
-        3k + 1, 3k + 2, so a nodal field on it is ``v[triangles[elems]].ravel()``
-        for a field v of this mesh.
-
-        The copies' triangles and hat gradients are transposed views of
-        corner-major arrays, the gradients taken from this mesh's
-        ``corner_major``, so the copies' own ``corner_major`` copies
-        nothing."""
-        corners = self.triangles.take(elems, axis=0).ravel()
-        tri = np.arange(corners.size).reshape(-1, 3).T.copy()
-        grads = self.corner_major.grads.take(elems, axis=2)
-        return Mesh2D(Lx=self.Lx, Ly=self.Ly, nodes=self.nodes.take(corners, axis=0),
-                      triangles=tri.T, boundary_tags=self.boundary_tags.take(corners),
-                      element_area=self.element_area.take(elems),
-                      basis_gradients=grads.transpose(2, 1, 0))
-
 
 def _all_element_geometry(nodes, triangles):
     """Areas and hat-function gradients of every triangle from its vertices."""

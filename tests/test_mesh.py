@@ -274,18 +274,3 @@ def test_node_elements_is_the_inverse_of_triangles(nx, ny):
     for i in range(mesh.n_nodes):
         expected = np.flatnonzero((mesh.triangles == i).any(axis=1))
         assert np.array_equal(indices[indptr[i]:indptr[i + 1]], expected)
-
-
-def test_detached_copies_keep_each_element(mesh_4x6):
-    elems = np.array([5, 0, 5, 47, 12])                 # repeats allowed
-    copies = mesh_4x6.detached(elems)
-    corners = mesh_4x6.triangles[elems]
-    assert copies.n_triangles == 5 and copies.n_nodes == 15
-    assert np.array_equal(copies.triangles.ravel(), np.arange(15))
-    assert np.array_equal(copies.nodes, mesh_4x6.nodes[corners.ravel()])
-    assert np.array_equal(copies.boundary_tags,
-                          mesh_4x6.boundary_tags[corners.ravel()])
-    area, grads = _all_element_geometry(copies.nodes, copies.triangles)
-    assert np.array_equal(copies.element_area, mesh_4x6.element_area[elems])
-    assert np.array_equal(area, copies.element_area)
-    assert np.array_equal(grads, copies.basis_gradients)
