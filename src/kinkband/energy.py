@@ -36,9 +36,10 @@ its corners to the 3 points, ``_to_corners`` is its transpose and
 corner values (field, corner, element) and feeds the law grad y and grad
 gamma as (k,) arrays per component and gamma as (3, k), row q for point q,
 so element constants broadcast along the outer axis; ``_assemble`` gathers
-its input from a mesh's nodal arrays and scatters its element vectors.
-An element's integrals come out the same in any batch of elements, and
-every sum keeps the order of the original einsum kernel (frozen in
+its input from a mesh's nodal arrays and scatters its element vectors by
+``CornerMajor.slots``, the scatter the gradient check's corner sweep
+(``evolution._patch_oracle``) also sums its element values with.  Every
+sum keeps the order of the original einsum kernel (frozen in
 tests/seed_kernel.py), so for axis-aligned slip systems the results are
 bit-identical to it (for rotated ones the seed's stacked matmul fused
 multiply-adds, so the two agree to rounding):
@@ -62,7 +63,6 @@ multiply-adds, so the two agree to rounding):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -238,30 +238,15 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     return elastic, hardening, penalty, derivs
 
 
-class Elements(NamedTuple):
-    """k elements' hat gradients (2, 3, k) [1/mm] and areas (k,) [mm^2]."""
-
-    grads: np.ndarray
-    area: np.ndarray
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.area)
-
-
-def _assemble(mesh, a1, a2, b, params: MaterialParams, slip: SlipSystem,
-              gam_prev=None, need_grad=False, per_element=False):
-    """Quadrature assembly: (breakdown, dissipation, grads) of a Mesh2D from
-    nodal a1, a2, b, grads None or the (3, n) nodal gradients ga1, ga2, gb
-    of I + D^delta; or of an ``Elements`` batch from the (3, k) corner
-    values a1, a2, b of its elements, grads None or the element vectors.
-    ``gam_prev`` is the previous slip at the quadrature points, (3, k) as
-    ``_field_at_points`` gives it, or None for no dissipation.  With
-    ``per_element`` the breakdown fields and the dissipation are (k,)
-    arrays of element integrals instead of totals."""
-    if isinstance(mesh, Elements):
-        return _integrate((a1, a2, b), *mesh, params, slip, gam_prev,
-                          need_grad, per_element)
+def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams,
+              slip: SlipSystem, gam_prev=None, need_grad=False,
+              per_element=False):
+    """Quadrature assembly over a mesh from nodal a1, a2, b: (breakdown,
+    dissipation, grads), grads None or the (3, n) nodal gradients ga1, ga2,
+    gb of I + D^delta.  ``gam_prev`` is the previous slip at the quadrature
+    points, (3, nt) as ``_field_at_points`` gives it, or None for no
+    dissipation.  With ``per_element`` the breakdown fields and the
+    dissipation are (nt,) arrays of element integrals instead of totals."""
     geo = mesh.corner_major
     tri = geo.triangles
     breakdown, diss, loc = _integrate(

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, Elements, MaterialParams, _assemble,
-                     _field_at_points, curvature_scale, dissipation_increment,
-                     element_grad_y)
+from .energy import (EnergyBreakdown, MaterialParams, _assemble,
+                     _field_at_points, _integrate, curvature_scale,
+                     dissipation_increment, element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -160,46 +160,30 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
     ``oracle(t)`` returns, for every packed DOF i, I + D^delta at x + t e_i
     over the elements of i's node patch only: f(x + t e_i) minus the
     integral over the other elements, which i does not enter, so its
-    central differences are those of ``fun`` of ``_make_objective``.  Each
-    patch element of each DOF is one copy, its corner values gathered at x
-    with the DOF's own moved by t, integrated by ``_assemble`` in
-    ``Elements`` batches of at most ``mesh.n_triangles`` (no more memory
-    than one assembly over the mesh).  The first call finds each batch's
-    DOFs, elements and moved entries, for reuse by the check's -h; corner
-    values and geometry are gathered again per call, for a lower peak.
+    central differences are those of ``fun`` of ``_make_objective``.  The
+    corner values at x are gathered once; each call makes one kernel pass
+    over the whole mesh per field and corner c, 9 in all, with corner c of
+    that field moved by t in every element.  Each element's integral then
+    sits at its (field, element, corner) slot, and the gradient's own
+    ``slots`` scatter sums it, in element order, into the DOF at that
+    corner.
     """
-    q = dofmap.unpack(x, template.a1, template.a2, template.b)
-    geo, area = mesh.corner_major, mesh.element_area
+    geo = mesh.corner_major
+    v = dofmap.unpack(x, template.a1, template.a2, template.b)[:, geo.triangles]
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
-    batches = []        # (DOFs, elements, flat entry (comp, corner, j) of v)
 
     def oracle(t):
-        if not batches:
-            comp, node = np.divmod(dofmap.free, mesh.n_nodes)
-            indptr, indices = mesh.node_elements
-            size = np.diff(indptr)[node]
-            owner = np.repeat(np.arange(dofmap.n_free), size)  # DOF of each copy
-            # copy k of DOF i is element indices[k + first[i]] of i's patch
-            first = indptr[node] - np.cumsum(size) + size
-            for lo in range(0, len(owner), mesh.n_triangles):
-                dof = owner[lo:lo + mesh.n_triangles]
-                j = np.arange(len(dof))                 # copy j of the batch
-                elems = indices[lo + j + first[dof]]
-                tri = geo.triangles.take(elems, axis=1)
-                corner = (tri[1] == node[dof]) + 2 * (tri[2] == node[dof])
-                batches.append((dof, elems, (3 * comp[dof] + corner) * len(j) + j))
-        out = np.zeros(dofmap.n_free)
-        for dof, elems, moved in batches:
-            v = q.take(geo.triangles.take(elems, axis=1), axis=1)  # (3, 3, k)
-            v.reshape(-1)[moved] += t
-            bd, diss, _ = _assemble(
-                Elements(geo.grads.take(elems, axis=2), area.take(elems)), *v,
-                params, slip,
-                gam_prev=None if gam_prev is None else gam_prev.take(elems, axis=1),
-                per_element=True)
-            out += np.bincount(dof, weights=bd.total + diss,
-                               minlength=dofmap.n_free)
-        return out
+        out = np.empty((3, mesh.n_triangles, 3))    # (field, element, corner)
+        for field, corner in np.ndindex(3, 3):
+            at_x = v[field, corner].copy()
+            v[field, corner] += t
+            bd, diss, _ = _integrate(v, geo.grads, mesh.element_area, params,
+                                     slip, gam_prev, need_grad=False,
+                                     per_element=True)
+            v[field, corner] = at_x
+            out[field, :, corner] = bd.total + diss
+        return np.bincount(geo.slots, weights=out.ravel(),
+                           minlength=3 * mesh.n_nodes)[dofmap.free]
 
     return oracle
 
@@ -357,8 +341,8 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
     = 1e-6: central differences at a step of 1e-8 are dominated by
     summation roundoff on energies of this magnitude.  Each difference
     point moves one DOF, and its value is the energy of that DOF's element
-    patch alone (``_patch_oracle``), so all of them together cost about
-    twice the sum of the patch sizes in element evaluations.
+    patch alone (``_patch_oracle``), so all of them together cost 18 kernel
+    passes over the mesh, one per field, corner and sign.
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                       program, 0.0)

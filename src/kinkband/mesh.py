@@ -67,20 +67,6 @@ class Mesh2D:
         return float(self.element_area.sum())
 
     @cached_property
-    def node_elements(self):
-        """Node-to-element map in CSR form, built on first use: the elements
-        containing node i are ``indices[indptr[i]:indptr[i + 1]]``, ascending.
-        Returns (indptr, indices), both read-only."""
-        flat = self.triangles.ravel()
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
-        # a stable sort of the corner slots 3e + c by node keeps each node's
-        # elements ascending, since a node is a corner of an element once
-        indices = np.argsort(flat, kind="stable") // 3
-        indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices
-
-    @cached_property
     def corner_major(self) -> CornerMajor:
         """The element geometry with the corner index first, as the assembly
         kernel reads it, built on first use; its arrays are read-only."""

@@ -263,14 +263,3 @@ def test_p1_interpolation_exact_for_affine(mesh_4x6):
     g = np.einsum("ei,eij->ej", vals[mesh_4x6.triangles],
                   mesh_4x6.basis_gradients)
     np.testing.assert_allclose(g, np.broadcast_to(c, g.shape), atol=1e-12)
-
-
-@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (4, 6), (10, 18)])
-def test_node_elements_is_the_inverse_of_triangles(nx, ny):
-    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
-    indptr, indices = mesh.node_elements
-    assert indptr[0] == 0 and indptr[-1] == len(indices) == 3 * mesh.n_triangles
-    assert np.all(np.diff(indptr) >= 1)
-    for i in range(mesh.n_nodes):
-        expected = np.flatnonzero((mesh.triangles == i).any(axis=1))
-        assert np.array_equal(indices[indptr[i]:indptr[i + 1]], expected)

@@ -1,8 +1,7 @@
 """The patch oracle of the gradient check: its values are the full
 assembly's element integrals summed over each patch, its central
-differences are those of the full assembly, it integrates at most
-``n_triangles`` element copies per kernel call, and a patch missing an
-element is caught."""
+differences are those of the full assembly, it is 9 kernel passes over the
+whole mesh per sign, and a patch missing an element is caught."""
 
 import math
 
@@ -13,7 +12,7 @@ import kinkband.evolution as evolution
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, parse_config)
 from kinkband.cli import cli_main
-from kinkband.energy import Elements, _assemble, _at_points, _field_at_points
+from kinkband.energy import _assemble, _field_at_points, _integrate
 from kinkband.evolution import State, _make_objective, _patch_oracle
 
 SLIPS = {
@@ -70,47 +69,20 @@ def test_patch_differences_equal_full_differences(slip_name, with_prev, amp):
 @pytest.mark.parametrize("amp", [0.1, 5.0])
 def test_assemble_over_every_element_by_index_equals_the_default(amp,
                                                                  with_prev):
-    # every element's corner values, indexed in order, give the default
-    # totals and, scattered back, its gradients bit for bit
+    # the per-element integrals, indexed by element, sum to the totals
     args, x = _problem("default", amp, with_prev)
     mesh, dofmap, params, slip, template, b_prev = args
     q = dofmap.unpack(x, template.a1, template.a2, template.b)
-    geo = mesh.corner_major
-    every = np.arange(mesh.n_triangles)
-    corners = geo.triangles.take(every, axis=1)
-    batch = Elements(geo.grads.take(every, axis=2), mesh.element_area.take(every))
-    qc = q.take(corners, axis=1)                        # (field, corner, element)
-    gp = gc = None
-    if b_prev is not None:
-        gp = _field_at_points(mesh, b_prev)
-        gc = _at_points(b_prev.take(corners))
-    for need_grad in (False, True):
-        bd, diss, grads = _assemble(mesh, *q, params, slip, gam_prev=gp,
-                                    need_grad=need_grad)
-        bd_i, diss_i, grads_i = _assemble(batch, *qc, params, slip,
-                                          gam_prev=gc, need_grad=need_grad)
-        for field in BREAKDOWN_FIELDS:
-            assert getattr(bd_i, field) == getattr(bd, field), field
-        assert diss_i == diss
-        if need_grad:
-            for g_i, g in zip(grads_i, grads):
-                assert np.array_equal(
-                    np.bincount(mesh.triangles.ravel(), weights=g_i.ravel(),
-                                minlength=mesh.n_nodes), g)
-        else:
-            assert grads is None and grads_i is None
-    # per element, both give the same integrals, which sum to the totals
+    gp = None if b_prev is None else _field_at_points(mesh, b_prev)
+    bd, diss, _ = _assemble(mesh, *q, params, slip, gam_prev=gp)
     bd_e, diss_e, _ = _assemble(mesh, *q, params, slip, gam_prev=gp,
                                 per_element=True)
-    bd_c, diss_c, _ = _assemble(batch, *qc, params, slip, gam_prev=gc,
-                                per_element=True)
     for field in BREAKDOWN_FIELDS:
-        assert np.array_equal(getattr(bd_c, field), getattr(bd_e, field))
+        assert getattr(bd_e, field).shape == (mesh.n_triangles,)
         assert math.fsum(getattr(bd_e, field)) == pytest.approx(
             getattr(bd, field), rel=1e-12, abs=1e-12)
-    assert np.array_equal(diss_c, diss_e)
-    assert math.fsum(np.broadcast_to(diss_e, every.shape)) == pytest.approx(
-        diss, rel=1e-12, abs=1e-12)
+    diss_e = np.broadcast_to(diss_e, (mesh.n_triangles,))
+    assert math.fsum(diss_e) == pytest.approx(diss, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("slip_name", sorted(SLIPS))
@@ -120,9 +92,7 @@ def test_oracle_sums_the_full_element_integrals_over_each_patch(
         mesh_4x6, dofmap_4x6, slip_name, with_prev, t):
     # oracle(t)[i] is the sum, in element order, of the full mesh's
     # per-element total + dissipation at x + t e_i over i's patch, bit for
-    # bit.  The sweep's copies run in DOF order in batches of n_triangles,
-    # and a DOF whose copies straddle two batches (6 of 75 here) gets each
-    # batch's part summed first
+    # bit
     mesh, dofmap = mesh_4x6, dofmap_4x6
     params, slip = MaterialParams(), SLIPS[slip_name]
     rng = np.random.default_rng(7)
@@ -134,64 +104,55 @@ def test_oracle_sums_the_full_element_integrals_over_each_patch(
     gp = None if b_prev is None else _field_at_points(mesh, b_prev)
     x = dofmap.pack(template.a1, template.a2, template.b)
     got = _patch_oracle(mesh, dofmap, params, slip, template, b_prev, x)(t)
-    indptr, indices = mesh.node_elements
-    first = 0                                   # the DOF's first copy
-    straddling = 0
     for i, node in enumerate(dofmap.free % n):
         xi = x.copy()
         xi[i] += t
         q = dofmap.unpack(xi, template.a1, template.a2, template.b)
         bd, diss, _ = _assemble(mesh, *q, params, slip, gam_prev=gp,
                                 per_element=True)
-        patch = indices[indptr[node]:indptr[node + 1]]
-        batch = (first + np.arange(len(patch))) // mesh.n_triangles
-        first += len(patch)
-        straddling += batch[-1] > batch[0]
         want = 0.0
-        for part in np.bincount(batch - batch[0],
-                                weights=(bd.total + diss)[patch]):
-            want += part
+        for e in np.flatnonzero((mesh.triangles == node).any(axis=1)):
+            want += (bd.total + diss)[e]
         assert got[i] == want, i
-    assert straddling == 6
 
 
-def test_sweep_batches_cover_at_most_n_triangles_copies(monkeypatch):
-    # at 34x61 the whole sweep is 2 * ceil(sum of patch sizes / n_triangles)
-    # kernel calls on element batches, none over more element copies than
-    # the mesh has
+def test_sweep_is_18_kernel_passes_over_every_element(monkeypatch):
+    # at 34x61 the whole sweep is one kernel pass per field, corner and
+    # sign, each over the mesh's elements: no more memory than one assembly
     problem = evolution.build_problem(parse_config(""))
     mesh, dofmap = problem[:2]
     assert (mesh.n_triangles, dofmap.n_free) == (4148, 6250)
     sizes = []
 
-    def counted(mesh_, *args, **kwargs):
-        if not kwargs.get("need_grad"):         # all but the one gradient
-            assert isinstance(mesh_, Elements)
-            sizes.append(mesh_.n_triangles)
-        return _assemble(mesh_, *args, **kwargs)
+    def counted(v, grads, area, *args, **kwargs):
+        sizes.append(len(area))
+        return _integrate(v, grads, area, *args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_assemble", counted)
+    monkeypatch.setattr(evolution, "_integrate", counted)
     assert evolution._startup_gradient_check(*problem) < 1e-5
-    indptr = mesh.node_elements[0]
-    patch_sum = int(np.diff(indptr)[dofmap.free % mesh.n_nodes].sum())
-    assert sum(sizes) == 2 * patch_sum
-    assert len(sizes) <= 2 * math.ceil(patch_sum / mesh.n_triangles)
-    assert max(sizes) <= mesh.n_triangles
+    assert sizes == [mesh.n_triangles] * 18
 
 
-def test_a_patch_missing_one_element_fails_the_check():
-    # negative control: drop one element from one node's patch, and the
-    # differences in that node's DOFs no longer match the analytic gradient
+def test_a_patch_missing_one_element_fails_the_check(monkeypatch):
+    # negative control: drop element 110 from the a1 pass of its corner 0,
+    # node 60, and the difference in that DOF no longer matches the
+    # analytic gradient
     problem = evolution.build_problem(parse_config("mesh.nx = 10\nmesh.ny = 18"))
     mesh = problem[0]
     assert evolution._startup_gradient_check(*problem) < 1e-5
-    node = 60
-    indptr, indices = mesh.node_elements
-    assert indptr[node + 1] - indptr[node] == 6
-    vars(mesh)["node_elements"] = (
-        np.concatenate([indptr[:node + 1], indptr[node + 1:] - 1]),
-        np.delete(indices, indptr[node]))
+    assert mesh.corner_major.triangles[0, 110] == 60
+    calls = []
+
+    def dropping(*args, **kwargs):
+        bd, diss, loc = _integrate(*args, **kwargs)
+        if len(calls) % 9 == 0:                 # field a1, corner 0
+            bd.total[110] = 0.0
+        calls.append(None)
+        return bd, diss, loc
+
+    monkeypatch.setattr(evolution, "_integrate", dropping)
     err = evolution._startup_gradient_check(*problem)
+    assert len(calls) == 18
     assert err > evolution.GRADIENT_CHECK_TOL
 
 
