@@ -33,12 +33,12 @@ kernel forms dW/d(grad y) = P (x) s + M (x) m after averaging.  The one
 quadrature is the edge-midpoint rule: ``_at_points`` takes a P1 field from
 its corners to the 3 points, ``_to_corners`` is its transpose and
 ``_WEIGHTS`` holds the weights.  The one kernel, ``_integrate``, takes
-corner values (field, corner, element) and feeds the law grad y and grad
-gamma as (k,) arrays per component and gamma as (3, k), row q for point q,
-so element constants broadcast along the outer axis; ``_assemble`` gathers
-its input from a mesh's nodal arrays and scatters its element vectors by
-``CornerMajor.slots``, the scatter the gradient check's corner sweep
-(``evolution._patch_oracle``) also sums its element values with.  Every
+what it reads: the gradient rows of a1, a2 and b, (k,) arrays, and gamma
+at the points, (3, k), row q for point q, so element constants broadcast.
+``_assemble`` forms both from gathered corner values and scatters element
+vectors by ``CornerMajor.slots``; the gradient check's sweep
+(``evolution._patch_oracle``) sums with that scatter too, and per pass
+recomputes only the moved field's rows, and gamma only for b.  Every
 sum keeps the order of the original einsum kernel (frozen in
 tests/seed_kernel.py), so for axis-aligned slip systems the results are
 bit-identical to it (for rotated ones the seed's stacked matmul fused
@@ -246,29 +246,32 @@ def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams,
     gb of I + D^delta.  ``gam_prev`` is the previous slip at the quadrature
     points, (3, nt) as ``_field_at_points`` gives it, or None for no
     dissipation.  With ``per_element`` the breakdown fields and the
-    dissipation are (nt,) arrays of element integrals instead of totals."""
+    dissipation are (nt,) arrays of element integrals instead of totals.
+    Each call forms every kernel input afresh from the gathered corners."""
     geo = mesh.corner_major
-    tri = geo.triangles
+    tri, grads = geo.triangles, geo.grads
+    bt = b[tri]
+    rows = (_p1_gradient(a1[tri], grads), _p1_gradient(a2[tri], grads),
+            _p1_gradient(bt, grads))
     breakdown, diss, loc = _integrate(
-        (a1[tri], a2[tri], b[tri]), geo.grads, mesh.element_area, params,
-        slip, gam_prev, need_grad, per_element)
+        rows, _at_points(bt), grads, mesh.element_area, params, slip,
+        gam_prev, need_grad, per_element)
     if loc is not None:
         loc = np.bincount(geo.slots, weights=loc.ravel(),
                           minlength=3 * mesh.n_nodes).reshape(3, -1)
     return breakdown, diss, loc
 
 
-def _integrate(v, grads, area, params, slip, gam_prev, need_grad, per_element):
-    """The kernel of ``_assemble``: corner values v, (field, corner, element),
-    and the elements' geometry in; element vectors out, unscattered."""
+def _integrate(rows, gam, grads, area, params, slip, gam_prev, need_grad,
+               per_element):
+    """The kernel of ``_assemble``: the gradient rows ((y00, y01), (y10,
+    y11), (g0, g1)) of a1, a2 and b, the (3, k) slip at the points and the
+    elements' geometry in, none of them written, so passes may share them;
+    element vectors out, unscattered."""
     W = _WEIGHTS
+    (y00, y01), (y10, y11), (g0, g1) = rows     # grad_y and grad gamma, (k,)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        y00, y01 = _p1_gradient(v[0], grads)        # rows of grad_y, (k,)
-        y10, y11 = _p1_gradient(v[1], grads)
-        g0, g1 = _p1_gradient(v[2], grads)          # grad gamma
-        gam = _at_points(v[2])                      # (3, k) slip at quad points
-        del v
         elastic, hardening, penalty, derivs = material_law(
             y00, y01, y10, y11, gam, params, slip, derivatives=need_grad)
         # the densities integrated, copied through (point, element) views

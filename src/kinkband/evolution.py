@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, MaterialParams, _assemble,
-                     _field_at_points, _integrate, curvature_scale,
-                     dissipation_increment, element_grad_y)
+from .energy import (EnergyBreakdown, MaterialParams, _assemble, _at_points,
+                     _field_at_points, _integrate, _p1_gradient,
+                     curvature_scale, dissipation_increment, element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -161,15 +161,18 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
     over the elements of i's node patch only: f(x + t e_i) minus the
     integral over the other elements, which i does not enter, so its
     central differences are those of ``fun`` of ``_make_objective``.  The
-    corner values at x are gathered once; each call makes one kernel pass
-    over the whole mesh per field and corner c, 9 in all, with corner c of
-    that field moved by t in every element.  Each element's integral then
-    sits at its (field, element, corner) slot, and the gradient's own
-    ``slots`` scatter sums it, in element order, into the DOF at that
-    corner.
+    corner values, gradient rows and point slip at x are formed once; each
+    call makes one kernel pass over the whole mesh per field and corner c,
+    9 in all, with corner c of that field moved by t in every element, and
+    recomputes only that field's rows, and the slip only when b moves.
+    Each element's integral then sits at its (field, element, corner)
+    slot, and the gradient's own ``slots`` scatter sums it, in element
+    order, into the DOF at that corner.
     """
     geo = mesh.corner_major
     v = dofmap.unpack(x, template.a1, template.a2, template.b)[:, geo.triangles]
+    base_rows = [_p1_gradient(vf, geo.grads) for vf in v]
+    base_gam = _at_points(v[2])
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
 
     def oracle(t):
@@ -177,10 +180,13 @@ def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
         for field, corner in np.ndindex(3, 3):
             at_x = v[field, corner].copy()
             v[field, corner] += t
-            bd, diss, _ = _integrate(v, geo.grads, mesh.element_area, params,
-                                     slip, gam_prev, need_grad=False,
-                                     per_element=True)
+            rows = base_rows.copy()
+            rows[field] = _p1_gradient(v[field], geo.grads)
+            gam = _at_points(v[2]) if field == 2 else base_gam
             v[field, corner] = at_x
+            bd, diss, _ = _integrate(rows, gam, geo.grads, mesh.element_area,
+                                     params, slip, gam_prev, need_grad=False,
+                                     per_element=True)
             out[field, :, corner] = bd.total + diss
         return np.bincount(geo.slots, weights=out.ravel(),
                            minlength=3 * mesh.n_nodes)[dofmap.free]
@@ -342,7 +348,8 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
     summation roundoff on energies of this magnitude.  Each difference
     point moves one DOF, and its value is the energy of that DOF's element
     patch alone (``_patch_oracle``), so all of them together cost 18 kernel
-    passes over the mesh, one per field, corner and sign.
+    passes over the mesh, one per field, corner and sign, each recomputing
+    only the moved field's gradient rows (and for b the point slip).
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                       program, 0.0)

@@ -1,7 +1,8 @@
 """The patch oracle of the gradient check: its values are the full
 assembly's element integrals summed over each patch, its central
 differences are those of the full assembly, it is 9 kernel passes over the
-whole mesh per sign, and a patch missing an element is caught."""
+whole mesh per sign that recompute only the moved field, and a patch
+missing an element is caught."""
 
 import math
 
@@ -12,7 +13,8 @@ import kinkband.evolution as evolution
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, parse_config)
 from kinkband.cli import cli_main
-from kinkband.energy import _assemble, _field_at_points, _integrate
+from kinkband.energy import (_assemble, _at_points, _field_at_points,
+                             _integrate, _p1_gradient)
 from kinkband.evolution import State, _make_objective, _patch_oracle
 
 SLIPS = {
@@ -124,13 +126,43 @@ def test_sweep_is_18_kernel_passes_over_every_element(monkeypatch):
     assert (mesh.n_triangles, dofmap.n_free) == (4148, 6250)
     sizes = []
 
-    def counted(v, grads, area, *args, **kwargs):
+    def counted(rows, gam, grads, area, *args, **kwargs):
         sizes.append(len(area))
-        return _integrate(v, grads, area, *args, **kwargs)
+        return _integrate(rows, gam, grads, area, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "_integrate", counted)
     assert evolution._startup_gradient_check(*problem) < 1e-5
     assert sizes == [mesh.n_triangles] * 18
+
+
+def test_sweep_recomputes_only_the_moved_field(monkeypatch):
+    # at 34x61 the oracle forms the three fields' gradient rows and the
+    # point slip once, then per pass only the moved field's rows and, in
+    # the b passes, the slip; every a1 or a2 pass gets the base slip object
+    problem = evolution.build_problem(parse_config(""))
+    rows_made, gams_made, gams_seen = [], [], []
+
+    def rows_counted(vt, grads):
+        rows_made.append(None)
+        return _p1_gradient(vt, grads)
+
+    def gam_counted(vt):
+        gams_made.append(_at_points(vt))
+        return gams_made[-1]
+
+    def kernel(rows, gam, *args, **kwargs):
+        gams_seen.append(gam)
+        return _integrate(rows, gam, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_p1_gradient", rows_counted)
+    monkeypatch.setattr(evolution, "_at_points", gam_counted)
+    monkeypatch.setattr(evolution, "_integrate", kernel)
+    assert evolution._startup_gradient_check(*problem) < 1e-5
+    assert len(rows_made) == 3 + 18
+    assert len(gams_made) == 1 + 6
+    assert len(gams_seen) == 18
+    for i, gam in enumerate(gams_seen):          # field-major, 9 per sign
+        assert (gam is gams_made[0]) == (i % 9 < 6), i
 
 
 def test_a_patch_missing_one_element_fails_the_check(monkeypatch):
