@@ -35,14 +35,14 @@ its corners to the 3 points, ``_to_corners`` is its transpose and
 ``_WEIGHTS`` holds the weights.  The one kernel, ``_integrate``, takes
 what it reads: the gradient rows of a1, a2 and b, (k,) arrays, and gamma
 at the points, (3, k), row q for point q, so element constants broadcast.
-``_assemble`` forms both from gathered corner values and scatters element
-vectors by ``CornerMajor.slots``; the gradient check's sweep
-(``evolution._patch_oracle``) sums with that scatter too, and per pass
-recomputes only the moved field's rows, and gamma only for b.  Every
-sum keeps the order of the original einsum kernel (frozen in
-tests/seed_kernel.py), so for axis-aligned slip systems the results are
-bit-identical to it (for rotated ones the seed's stacked matmul fused
-multiply-adds, so the two agree to rounding):
+Its two callers gather corner values by ``Mesh2D.corners`` and scatter by
+``Mesh2D.slots``: ``_assemble`` forms both inputs from the corners and
+scatters element vectors; the gradient check's sweep (``_patch_oracle``)
+scatters element integrals, and per pass recomputes only the moved field's
+rows, and gamma only for b.  Every sum keeps the order of the original
+einsum kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip
+systems the results are bit-identical to it (for rotated ones the seed's
+stacked matmul fused multiply-adds, so the two agree to rounding):
 
 - |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), other contractions sum left
   to right; the frame law drops only products by 0 or +-1 and sums with a
@@ -138,9 +138,8 @@ def _p1_gradient(vt, grads):
 def element_grad_y(mesh: Mesh2D, a1, a2):
     """Element-constant grad y as components (Y00, Y01, Y10, Y11) and its
     determinant, which equals det Fe at every point (det P = 1)."""
-    geo = mesh.corner_major
-    y00, y01 = _p1_gradient(a1[geo.triangles], geo.grads)
-    y10, y11 = _p1_gradient(a2[geo.triangles], geo.grads)
+    y00, y01 = _p1_gradient(a1[mesh.corners], mesh.grads)
+    y10, y11 = _p1_gradient(a2[mesh.corners], mesh.grads)
     return y00, y01, y10, y11, y00 * y11 - y01 * y10
 
 
@@ -167,7 +166,7 @@ def _to_corners(vq):
 
 def _field_at_points(mesh: Mesh2D, v):
     """A nodal P1 field at the quadrature points, (3, nt)."""
-    return _at_points(v[mesh.corner_major.triangles])
+    return _at_points(v[mesh.corners])
 
 
 def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
@@ -239,35 +238,74 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
 
 
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams,
-              slip: SlipSystem, gam_prev=None, need_grad=False,
-              per_element=False):
+              slip: SlipSystem, gam_prev=None, need_grad=False):
     """Quadrature assembly over a mesh from nodal a1, a2, b: (breakdown,
     dissipation, grads), grads None or the (3, n) nodal gradients ga1, ga2,
     gb of I + D^delta.  ``gam_prev`` is the previous slip at the quadrature
     points, (3, nt) as ``_field_at_points`` gives it, or None for no
-    dissipation.  With ``per_element`` the breakdown fields and the
-    dissipation are (nt,) arrays of element integrals instead of totals.
-    Each call forms every kernel input afresh from the gathered corners."""
-    geo = mesh.corner_major
-    tri, grads = geo.triangles, geo.grads
+    dissipation.  Each call forms every kernel input afresh from the
+    gathered corners."""
+    tri, grads = mesh.corners, mesh.grads
     bt = b[tri]
     rows = (_p1_gradient(a1[tri], grads), _p1_gradient(a2[tri], grads),
             _p1_gradient(bt, grads))
     breakdown, diss, loc = _integrate(
         rows, _at_points(bt), grads, mesh.element_area, params, slip,
-        gam_prev, need_grad, per_element)
+        gam_prev, need_grad, per_element=False)
     if loc is not None:
-        loc = np.bincount(geo.slots, weights=loc.ravel(),
+        loc = np.bincount(mesh.slots, weights=loc.ravel(),
                           minlength=3 * mesh.n_nodes).reshape(3, -1)
     return breakdown, diss, loc
 
 
+def _patch_oracle(mesh: Mesh2D, q, params: MaterialParams, slip: SlipSystem,
+                  gam_prev=None):
+    """Coordinate oracle of the gradient check around the (3, n) nodal
+    values q, rows a1, a2, b; ``gam_prev`` as for ``_assemble``.
+
+    ``oracle(t)`` returns, for every entry i of the nodal vector [a1, a2,
+    b] (length 3n), I + D^delta at q + t e_i over the elements of i's node
+    patch only: the full value minus the integral over the other elements,
+    which i does not enter, so its central differences are those of the
+    full assembly.  The corner values, gradient rows and point slip at q
+    are formed once; each call makes one kernel pass over the whole mesh
+    per field and corner c, 9 in all, with corner c of that field moved by
+    t in every element, and recomputes only that field's rows, and the
+    slip only when b moves.  Each element's integral then sits at its
+    (field, element, corner) slot, and the gradient's own ``slots``
+    scatter sums it, in element order, into the entry at that corner.
+    """
+    v = q[:, mesh.corners]                      # (field, corner, element)
+    base_rows = [_p1_gradient(vf, mesh.grads) for vf in v]
+    base_gam = _at_points(v[2])
+
+    def oracle(t):
+        out = np.empty((3, mesh.n_triangles, 3))    # (field, element, corner)
+        for field, corner in np.ndindex(3, 3):
+            at_q = v[field, corner].copy()
+            v[field, corner] += t
+            rows = base_rows.copy()
+            rows[field] = _p1_gradient(v[field], mesh.grads)
+            gam = _at_points(v[2]) if field == 2 else base_gam
+            v[field, corner] = at_q
+            bd, diss, _ = _integrate(rows, gam, mesh.grads, mesh.element_area,
+                                     params, slip, gam_prev, need_grad=False,
+                                     per_element=True)
+            out[field, :, corner] = bd.total + diss
+        return np.bincount(mesh.slots, weights=out.ravel(),
+                           minlength=3 * mesh.n_nodes)
+
+    return oracle
+
+
 def _integrate(rows, gam, grads, area, params, slip, gam_prev, need_grad,
                per_element):
-    """The kernel of ``_assemble``: the gradient rows ((y00, y01), (y10,
-    y11), (g0, g1)) of a1, a2 and b, the (3, k) slip at the points and the
-    elements' geometry in, none of them written, so passes may share them;
-    element vectors out, unscattered."""
+    """The kernel of ``_assemble`` and ``_patch_oracle``: the gradient rows
+    ((y00, y01), (y10, y11), (g0, g1)) of a1, a2 and b, the (3, k) slip at
+    the points and the elements' geometry in, none of them written, so
+    passes may share them; element vectors out, unscattered.  With
+    ``per_element`` the breakdown fields and the dissipation are (k,)
+    arrays of element integrals instead of totals."""
     W = _WEIGHTS
     (y00, y01), (y10, y11), (g0, g1) = rows     # grad_y and grad gamma, (k,)
 
@@ -342,13 +380,13 @@ def curvature_scale(mesh: Mesh2D, dofmap: DofMap,
     reference state, C p 2^{(p-2)/2} + 2 aniso + beta r 2^{(r-2)/2} (exact
     because s is orthogonal to m).
     """
-    geo, area = mesh.corner_major, mesh.element_area
+    area = mesh.element_area
     # m and l per (block, element, corner), written through (corner, element)
     # views and summed in element order by blocks 0 and 1 of ``slots``
     loc = np.empty((2, len(area), 3))
     np.multiply(area, _to_corners(0.5 * _WEIGHTS[:, None]), out=loc[0].T)
-    np.multiply(area, (geo.grads ** 2).sum(axis=0), out=loc[1].T)
-    mass, lap = np.bincount(geo.slots[:loc.size], weights=loc.ravel(),
+    np.multiply(area, (mesh.grads ** 2).sum(axis=0), out=loc[1].T)
+    mass, lap = np.bincount(mesh.slots[:loc.size], weights=loc.ravel(),
                             minlength=2 * mesh.n_nodes).reshape(2, -1)
     k = (params.C * params.p * 2.0 ** ((params.p - 2.0) / 2.0)
          + 2.0 * params.aniso

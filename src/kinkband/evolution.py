@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, MaterialParams, _assemble, _at_points,
-                     _field_at_points, _integrate, _p1_gradient,
-                     curvature_scale, dissipation_increment, element_grad_y)
+from .energy import (EnergyBreakdown, MaterialParams, _assemble,
+                     _field_at_points, _patch_oracle, curvature_scale,
+                     dissipation_increment, element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -152,46 +152,6 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
 
     fun_grad.last = last
     return fun, fun_grad
-
-
-def _patch_oracle(mesh, dofmap, params, slip, template: State, b_prev, x):
-    """Coordinate oracle of the gradient check around ``x``.
-
-    ``oracle(t)`` returns, for every packed DOF i, I + D^delta at x + t e_i
-    over the elements of i's node patch only: f(x + t e_i) minus the
-    integral over the other elements, which i does not enter, so its
-    central differences are those of ``fun`` of ``_make_objective``.  The
-    corner values, gradient rows and point slip at x are formed once; each
-    call makes one kernel pass over the whole mesh per field and corner c,
-    9 in all, with corner c of that field moved by t in every element, and
-    recomputes only that field's rows, and the slip only when b moves.
-    Each element's integral then sits at its (field, element, corner)
-    slot, and the gradient's own ``slots`` scatter sums it, in element
-    order, into the DOF at that corner.
-    """
-    geo = mesh.corner_major
-    v = dofmap.unpack(x, template.a1, template.a2, template.b)[:, geo.triangles]
-    base_rows = [_p1_gradient(vf, geo.grads) for vf in v]
-    base_gam = _at_points(v[2])
-    gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
-
-    def oracle(t):
-        out = np.empty((3, mesh.n_triangles, 3))    # (field, element, corner)
-        for field, corner in np.ndindex(3, 3):
-            at_x = v[field, corner].copy()
-            v[field, corner] += t
-            rows = base_rows.copy()
-            rows[field] = _p1_gradient(v[field], geo.grads)
-            gam = _at_points(v[2]) if field == 2 else base_gam
-            v[field, corner] = at_x
-            bd, diss, _ = _integrate(rows, gam, geo.grads, mesh.element_area,
-                                     params, slip, gam_prev, need_grad=False,
-                                     per_element=True)
-            out[field, :, corner] = bd.total + diss
-        return np.bincount(geo.slots, weights=out.ravel(),
-                           minlength=3 * mesh.n_nodes)[dofmap.free]
-
-    return oracle
 
 
 def _smooth_bumps(mesh, dofmap, rng):
@@ -347,9 +307,11 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
     = 1e-6: central differences at a step of 1e-8 are dominated by
     summation roundoff on energies of this magnitude.  Each difference
     point moves one DOF, and its value is the energy of that DOF's element
-    patch alone (``_patch_oracle``), so all of them together cost 18 kernel
-    passes over the mesh, one per field, corner and sign, each recomputing
-    only the moved field's gradient rows (and for b the point slip).
+    patch alone: ``energy._patch_oracle`` gives it for every entry of the
+    nodal vector, of which the check takes the free ones, ``dofmap.free``.
+    All of them together cost 18 kernel passes over the mesh, one per
+    field, corner and sign, each recomputing only the moved field's
+    gradient rows (and for b the point slip).
     """
     probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                       program, 0.0)
@@ -362,8 +324,10 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
         + 0.6 * _smooth_bumps(mesh, dofmap, rng)
     zero = np.zeros(mesh.n_nodes)
     x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
-    oracle = _patch_oracle(mesh, dofmap, params, slip, probe, b_prev, x)
-    return gradient_check(oracle, lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
+    oracle = _patch_oracle(mesh, dofmap.unpack(x, probe.a1, probe.a2, probe.b),
+                           params, slip, _field_at_points(mesh, b_prev))
+    return gradient_check(lambda t: oracle(t)[dofmap.free],
+                          lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
 
 
 def build_problem(config):

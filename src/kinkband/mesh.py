@@ -21,38 +21,27 @@ class GeometryError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class CornerMajor:
-    """Per-element geometry of a mesh with the corner index c first."""
-
-    triangles: np.ndarray  # (3, n_tri) node of corner c of each element
-    grads: np.ndarray      # (2, 3, n_tri) d/dx1, d/dx2 of corner c's hat [1/mm]
-    n_nodes: int
-
-    @cached_property
-    def slots(self) -> np.ndarray:
-        """(3 * 3 n_tri,) entry 3 (k n_tri + e) + c is the position of corner
-        c of element e in block k of the nodal vector [a1, a2, b] (length
-        3n); built on first use, as only gradients need it."""
-        slots = (self.triangles.T.ravel()
-                 + self.n_nodes * np.arange(3)[:, None]).ravel()
-        slots.flags.writeable = False
-        return slots
-
-
-@dataclass
 class Mesh2D:
-    """Triangulated rectangle (0, Lx) x (0, Ly) with P1 element geometry.
+    """Triangulated rectangle (0, Lx) x (0, Ly) with P1 element geometry,
+    the corner index c first, as the assembly kernel reads it.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable: the fields cannot be rebound and the arrays are read-only, so
+    the cached ``slots`` and ``vtk_cells`` always match; safe for
+    concurrent reads.
     """
 
     Lx: float
     Ly: float
     nodes: np.ndarray            # (n_nodes, 2) reference coordinates [mm]
-    triangles: np.ndarray        # (n_tri, 3) node indices, counter-clockwise
+    corners: np.ndarray          # (3, n_tri) node of corner c, counter-clockwise
     boundary_tags: np.ndarray    # (n_nodes,) tag codes
     element_area: np.ndarray     # (n_tri,) [mm^2]
-    basis_gradients: np.ndarray  # (n_tri, 3, 2) gradients of the hat functions [1/mm]
+    grads: np.ndarray            # (2, 3, n_tri) d/dx1, d/dx2 of corner c's hat [1/mm]
+
+    def __post_init__(self):
+        for a in (self.nodes, self.corners, self.boundary_tags,
+                  self.element_area, self.grads):
+            a.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -60,48 +49,43 @@ class Mesh2D:
 
     @property
     def n_triangles(self) -> int:
-        return len(self.triangles)
+        return self.corners.shape[1]
 
     @property
     def total_area(self) -> float:
         return float(self.element_area.sum())
 
     @cached_property
-    def corner_major(self) -> CornerMajor:
-        """The element geometry with the corner index first, as the assembly
-        kernel reads it, built on first use; its arrays are read-only."""
-        tri = np.ascontiguousarray(self.triangles.T)
-        grads = np.ascontiguousarray(self.basis_gradients.transpose(2, 1, 0))
-        tri.flags.writeable = grads.flags.writeable = False
-        return CornerMajor(triangles=tri, grads=grads, n_nodes=self.n_nodes)
+    def slots(self) -> np.ndarray:
+        """(3 * 3 n_tri,) entry 3 (k n_tri + e) + c is the position of corner
+        c of element e in block k of the nodal vector [a1, a2, b] (length
+        3n); built on first use, as only gradients need it."""
+        slots = (self.corners.T.ravel()
+                 + self.n_nodes * np.arange(3)[:, None]).ravel()
+        slots.flags.writeable = False
+        return slots
 
     @cached_property
     def vtk_cells(self) -> str:
         """The CELLS and CELL_TYPES blocks of this mesh's VTK snapshots."""
         nt = self.n_triangles
         return (f"CELLS {nt} {4 * nt}\n"
-                + ("3 %d %d %d\n" * nt) % tuple(self.triangles.ravel().tolist())
+                + ("3 %d %d %d\n" * nt) % tuple(self.corners.T.ravel().tolist())
                 + f"CELL_TYPES {nt}\n" + "5\n" * nt)
 
 
-def _all_element_geometry(nodes, triangles):
-    """Areas and hat-function gradients of every triangle from its vertices."""
-    p1 = nodes[triangles[:, 0]]
-    p2 = nodes[triangles[:, 1]]
-    p3 = nodes[triangles[:, 2]]
-    two_a = ((p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1])
-             - (p3[:, 0] - p1[:, 0]) * (p2[:, 1] - p1[:, 1]))
+def _all_element_geometry(nodes, corners):
+    """Areas (n_tri,) and hat-function gradients (2, 3, n_tri) of every
+    triangle from the nodes of its (3, n_tri) corners."""
+    (x1, x2, x3), (y1, y2, y3) = nodes.T[:, corners]
+    two_a = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
     if np.any(two_a <= 0.0):
         bad = int(np.argmax(two_a <= 0.0))
         raise GeometryError(f"degenerate or inverted triangle at index {bad}")
-    grads = np.empty((len(triangles), 3, 2))
-    grads[:, 0, 0] = p2[:, 1] - p3[:, 1]
-    grads[:, 0, 1] = p3[:, 0] - p2[:, 0]
-    grads[:, 1, 0] = p3[:, 1] - p1[:, 1]
-    grads[:, 1, 1] = p1[:, 0] - p3[:, 0]
-    grads[:, 2, 0] = p1[:, 1] - p2[:, 1]
-    grads[:, 2, 1] = p2[:, 0] - p1[:, 0]
-    grads /= two_a[:, None, None]
+    grads = np.empty((2, 3, len(two_a)))
+    grads[0] = y2 - y3, y3 - y1, y1 - y2
+    grads[1] = x3 - x2, x1 - x3, x2 - x1
+    grads /= two_a
     return 0.5 * two_a, grads
 
 
@@ -126,7 +110,8 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
     n00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1)
            + np.arange(nx, dtype=np.int64)).ravel()
     n11 = n00 + nx + 2
-    tris = np.column_stack((n00, n00 + 1, n11, n00, n11, n11 - 1)).reshape(-1, 3)
+    corners = np.column_stack(
+        (n00, n00 + 1, n11, n00, n11, n11 - 1)).reshape(-1, 3).T.copy()
 
     # nodes with y = 0 are bottom, y = Ly top, the others with x in {0, Lx}
     # left/right; a later assignment wins, so corners go bottom > top > lateral
@@ -138,9 +123,9 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
     tags[np.abs(y - Ly) < tol] = TOP
     tags[np.abs(y) < tol] = BOTTOM
 
-    area, grads = _all_element_geometry(nodes, tris)
-    return Mesh2D(Lx=float(Lx), Ly=float(Ly), nodes=nodes, triangles=tris,
-                  boundary_tags=tags, element_area=area, basis_gradients=grads)
+    area, grads = _all_element_geometry(nodes, corners)
+    return Mesh2D(Lx=float(Lx), Ly=float(Ly), nodes=nodes, corners=corners,
+                  boundary_tags=tags, element_area=area, grads=grads)
 
 
 @dataclass
@@ -155,7 +140,6 @@ class DofMap:
     """
 
     free: np.ndarray
-    n_nodes: int
 
     @property
     def n_free(self) -> int:
@@ -178,4 +162,4 @@ def build_dofmap(mesh: Mesh2D) -> DofMap:
     free = np.flatnonzero(np.concatenate((
         tags == INTERIOR, (tags != BOTTOM) & (tags != TOP),
         np.ones(mesh.n_nodes, dtype=bool))))
-    return DofMap(free=free, n_nodes=mesh.n_nodes)
+    return DofMap(free=free)

@@ -298,7 +298,7 @@ def test_dissipation_against_dense_quadrature(params):
     pts = np.array(pts)
     wts = np.array(wts)
 
-    diff = (g2 - g1)[mesh.triangles] @ pts.T
+    diff = (g2 - g1)[mesh.corners.T] @ pts.T
     vals = np.sqrt(params.delta ** 2 + diff ** 2)
     d7 = params.sigma * float(mesh.element_area @ (vals @ wts))
     assert d3 == pytest.approx(d7, rel=1e-3)
@@ -392,7 +392,7 @@ def test_uniform_slip_shift_kills_gradient_term(slip, mesh_4x6, dofmap_4x6):
                           gamma_prev=b_prev)
     diff = (gb - g0)[dofmap_4x6.free >= 2 * mesh_4x6.n_nodes]
     # d/dgamma of beta (2 + gamma^2) = 2 beta gamma, integrated against hats
-    lumped = np.bincount(mesh_4x6.triangles.ravel(),
+    lumped = np.bincount(mesh_4x6.corners.T.ravel(),
                          weights=np.repeat(mesh_4x6.element_area / 3.0, 3),
                          minlength=mesh_4x6.n_nodes)
     np.testing.assert_allclose(diff, 2.0 * 0.02 * 0.2 * lumped, rtol=1e-10)

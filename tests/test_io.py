@@ -436,7 +436,7 @@ def test_vtk_undeformed_snapshot(tmp_path):
     for name in ("E_11", "E_22", "E_12", "grad_u_11", "grad_u_22"):
         np.testing.assert_allclose(data["cell_data"][name], 0.0, atol=1e-14)
     np.testing.assert_allclose(data["cell_data"]["det_Fe"], 1.0, rtol=1e-13)
-    assert (data["cells"] == mesh.triangles).all()
+    assert (data["cells"] == mesh.corners.T).all()
 
 
 def test_vtk_uniform_compression_strain(tmp_path):

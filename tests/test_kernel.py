@@ -5,6 +5,7 @@ step."""
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +46,11 @@ def _both(mesh, a1, a2, b, slip, b_prev, need_grad):
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
     new = _assemble(mesh, a1, a2, b, params, slip, gam_prev=gam_prev,
                     need_grad=need_grad)
-    old = seed_assemble(mesh, a1, a2, b, params, slip, b_prev=b_prev,
+    # the seed reads the row-major layout, given here as views
+    row_major = SimpleNamespace(
+        triangles=mesh.corners.T, basis_gradients=mesh.grads.transpose(2, 1, 0),
+        element_area=mesh.element_area, n_nodes=mesh.n_nodes)
+    old = seed_assemble(row_major, a1, a2, b, params, slip, b_prev=b_prev,
                         need_grad=need_grad)
     return new, old
 

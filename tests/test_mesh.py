@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import numpy as np
@@ -60,19 +61,25 @@ def test_two_by_two_counts():
     assert mesh.n_triangles == 8
 
 
-@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (5, 1), (4, 6), (34, 61)])
-def test_triangles_are_the_rectangle_loop(nx, ny):
-    # reference: rectangle by rectangle, row by row, each split along its
-    # diagonal n00-n11 into (n00, n10, n11) and (n00, n11, n01)
+def _rectangle_loop(nx, ny):
+    """The triangles' nodes, one row per triangle: rectangle by rectangle,
+    row by row, each split along its diagonal n00-n11 into (n00, n10, n11)
+    and (n00, n11, n01)."""
     expected = []
     for j in range(ny):
         for i in range(nx):
             n00 = j * (nx + 1) + i
             n11 = n00 + nx + 2
             expected += [(n00, n00 + 1, n11), (n00, n11, n11 - 1)]
-    tris = build_structured_mesh(42.0, 75.0, nx, ny).triangles
-    assert tris.dtype == np.int64 and tris.flags.c_contiguous
-    assert np.array_equal(tris, expected)
+    return expected
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (5, 1), (4, 6), (34, 61)])
+def test_triangles_are_the_rectangle_loop(nx, ny):
+    expected = _rectangle_loop(nx, ny)
+    corners = build_structured_mesh(42.0, 75.0, nx, ny).corners
+    assert corners.dtype == np.int64 and corners.flags.c_contiguous
+    assert np.array_equal(corners.T, expected)
 
 
 def test_counting_formulas_and_area():
@@ -92,8 +99,57 @@ def test_invalid_arguments(args):
 def test_positive_areas_and_gradient_sums():
     mesh = build_structured_mesh(3.5, 2.25, 7, 5)
     assert (mesh.element_area > 0).all()
-    sums = mesh.basis_gradients.sum(axis=1)
+    sums = mesh.grads.sum(axis=1)
     assert np.max(np.abs(sums)) < 1e-13
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 6), (34, 61)])
+def test_geometry_is_the_per_triangle_formula(nx, ny):
+    # each triangle on its own, from its three nodes in the rectangle loop:
+    # twice the area is the cross product of two edges, and the hat of
+    # corner i has the gradient (y_j - y_k, x_k - x_j) / 2A for (i, j, k) a
+    # cyclic order; the mesh's arrays hold these bits, corner index first
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    nt = 2 * nx * ny
+    area = np.empty(nt)
+    grads = np.empty((2, 3, nt))
+    for e, tri in enumerate(_rectangle_loop(nx, ny)):
+        (x1, y1), (x2, y2), (x3, y3) = (mesh.nodes[n].tolist() for n in tri)
+        two_a = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+        area[e] = 0.5 * two_a
+        grads[0, :, e] = [(y2 - y3) / two_a, (y3 - y1) / two_a,
+                          (y1 - y2) / two_a]
+        grads[1, :, e] = [(x3 - x2) / two_a, (x1 - x3) / two_a,
+                          (x2 - x1) / two_a]
+    assert mesh.grads.flags.c_contiguous and mesh.grads.shape == grads.shape
+    assert np.array_equal(mesh.grads, grads)
+    assert np.array_equal(mesh.element_area, area)
+
+
+def test_vtk_cells_are_the_row_major_connectivity():
+    nx, ny = 4, 6
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    nt = 2 * nx * ny
+    want = (f"CELLS {nt} {4 * nt}\n"
+            + "".join(f"3 {i} {j} {k}\n" for i, j, k in _rectangle_loop(nx, ny))
+            + f"CELL_TYPES {nt}\n" + "5\n" * nt)
+    assert mesh.vtk_cells == want
+
+
+def test_mesh_is_immutable():
+    # the cached slots and VTK text stay those of the mesh: no array can be
+    # written and no field rebound
+    mesh = build_structured_mesh(42.0, 75.0, 4, 6)
+    for name in ("nodes", "corners", "boundary_tags", "element_area",
+                 "grads", "slots"):
+        a = getattr(mesh, name)
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    with pytest.raises(ValueError):
+        mesh.nodes[:, 1] *= 2.0
+    for name in ("Lx", "nodes", "corners", "grads"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mesh, name, getattr(mesh, name))
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +193,8 @@ def _triangle_geometry(p1, p2, p3):
     """Area and hat-function gradients of one triangle, from the mesh's
     vectorized geometry."""
     area, grads = _all_element_geometry(np.array([p1, p2, p3], dtype=float),
-                                        np.array([[0, 1, 2]]))
-    return area[0], grads[0]
+                                        np.array([[0], [1], [2]]))
+    return area[0], grads[:, :, 0].T
 
 
 def test_reference_triangle_geometry():
@@ -260,6 +316,5 @@ def test_p1_interpolation_exact_for_affine(mesh_4x6):
     # the elementwise gradient of the interpolant of f(x) = c . x equals c
     c = np.array([0.75, -1.25])
     vals = mesh_4x6.nodes @ c
-    g = np.einsum("ei,eij->ej", vals[mesh_4x6.triangles],
-                  mesh_4x6.basis_gradients)
+    g = np.einsum("ie,jie->ej", vals[mesh_4x6.corners], mesh_4x6.grads)
     np.testing.assert_allclose(g, np.broadcast_to(c, g.shape), atol=1e-12)

@@ -9,13 +9,14 @@ import math
 import numpy as np
 import pytest
 
+import kinkband.energy as energy
 import kinkband.evolution as evolution
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
-                      build_structured_mesh, parse_config)
+                      build_structured_mesh, gradient_check, parse_config)
 from kinkband.cli import cli_main
 from kinkband.energy import (_assemble, _at_points, _field_at_points,
-                             _integrate, _p1_gradient)
-from kinkband.evolution import State, _make_objective, _patch_oracle
+                             _integrate, _p1_gradient, _patch_oracle)
+from kinkband.evolution import State, _make_objective
 
 SLIPS = {
     "default": SlipSystem.default(),
@@ -41,6 +42,54 @@ def _problem(slip_name, amp, with_prev, seed=3):
     return args, x
 
 
+def _free_oracle(mesh, dofmap, params, slip, template, b_prev, x):
+    """The patch oracle around the packed x, taken at the free DOFs."""
+    q = dofmap.unpack(x, template.a1, template.a2, template.b)
+    gp = None if b_prev is None else _field_at_points(mesh, b_prev)
+    oracle = _patch_oracle(mesh, q, params, slip, gp)
+    return lambda t: oracle(t)[dofmap.free]
+
+
+def _element_integrals(mesh, a1, a2, b, params, slip, gam_prev=None):
+    """The breakdown and dissipation of ``_assemble`` as (nt,) arrays of
+    element integrals: its kernel on the same inputs, per element."""
+    rows = [_p1_gradient(f[mesh.corners], mesh.grads) for f in (a1, a2, b)]
+    bd, diss, _ = _integrate(rows, _at_points(b[mesh.corners]), mesh.grads,
+                             mesh.element_area, params, slip, gam_prev,
+                             need_grad=False, per_element=True)
+    return bd, diss
+
+
+def _startup_probe(problem):
+    """The start-up check's probe of ``problem``, built as
+    ``_startup_gradient_check`` builds it: the packed x, the (3, n) nodal
+    values there, the zero previous slip at the points and the packed
+    analytic gradient."""
+    mesh, dofmap, params, slip, program = problem
+    probe = evolution.apply_boundary_conditions(
+        evolution.initial_state(mesh), mesh, dofmap, program, 0.0)
+    rng = np.random.default_rng(12345)
+    x = dofmap.pack(probe.a1, probe.a2, probe.b)
+    x = x + 0.6 * evolution._smooth_bumps(mesh, dofmap, rng) \
+        + 0.6 * evolution._smooth_bumps(mesh, dofmap, rng)
+    zero = np.zeros(mesh.n_nodes)
+    x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
+    q = dofmap.unpack(x, probe.a1, probe.a2, probe.b)
+    gam_prev = np.zeros((3, mesh.n_triangles))
+    _, _, grads = _assemble(mesh, *q, params, slip, gam_prev=gam_prev,
+                            need_grad=True)
+    return x, q, gam_prev, grads.reshape(-1)[dofmap.free]
+
+
+def _sweep_error(problem, x, q, gam_prev, grad):
+    """The gradient check's error with the patch oracle called directly,
+    once per sign."""
+    mesh, dofmap, params, slip, _ = problem
+    oracle = _patch_oracle(mesh, q, params, slip, gam_prev)
+    return gradient_check(lambda t: oracle(t)[dofmap.free], lambda v: grad,
+                          x, evolution.GRADIENT_CHECK_STEP)
+
+
 @pytest.mark.parametrize("slip_name", sorted(SLIPS))
 @pytest.mark.parametrize("with_prev", [False, True])
 @pytest.mark.parametrize("amp", [0.1, 5.0])
@@ -53,7 +102,7 @@ def test_patch_differences_equal_full_differences(slip_name, with_prev, amp):
         a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
         assert _assemble(mesh, a1, a2, b, params, slip)[0].penalty > 0.0
     full, _ = _make_objective(*args)
-    oracle = _patch_oracle(*args, x)
+    oracle = _free_oracle(*args, x)
     patch_p, patch_m = oracle(1e-6), oracle(-1e-6)
     eps = np.finfo(float).eps
     worst = 0.0
@@ -77,8 +126,7 @@ def test_assemble_over_every_element_by_index_equals_the_default(amp,
     q = dofmap.unpack(x, template.a1, template.a2, template.b)
     gp = None if b_prev is None else _field_at_points(mesh, b_prev)
     bd, diss, _ = _assemble(mesh, *q, params, slip, gam_prev=gp)
-    bd_e, diss_e, _ = _assemble(mesh, *q, params, slip, gam_prev=gp,
-                                per_element=True)
+    bd_e, diss_e = _element_integrals(mesh, *q, params, slip, gam_prev=gp)
     for field in BREAKDOWN_FIELDS:
         assert getattr(bd_e, field).shape == (mesh.n_triangles,)
         assert math.fsum(getattr(bd_e, field)) == pytest.approx(
@@ -105,15 +153,14 @@ def test_oracle_sums_the_full_element_integrals_over_each_patch(
     b_prev = template.b - 0.1 * rng.standard_normal(n) if with_prev else None
     gp = None if b_prev is None else _field_at_points(mesh, b_prev)
     x = dofmap.pack(template.a1, template.a2, template.b)
-    got = _patch_oracle(mesh, dofmap, params, slip, template, b_prev, x)(t)
+    got = _free_oracle(mesh, dofmap, params, slip, template, b_prev, x)(t)
     for i, node in enumerate(dofmap.free % n):
         xi = x.copy()
         xi[i] += t
         q = dofmap.unpack(xi, template.a1, template.a2, template.b)
-        bd, diss, _ = _assemble(mesh, *q, params, slip, gam_prev=gp,
-                                per_element=True)
+        bd, diss = _element_integrals(mesh, *q, params, slip, gam_prev=gp)
         want = 0.0
-        for e in np.flatnonzero((mesh.triangles == node).any(axis=1)):
+        for e in np.flatnonzero((mesh.corners == node).any(axis=0)):
             want += (bd.total + diss)[e]
         assert got[i] == want, i
 
@@ -124,14 +171,15 @@ def test_sweep_is_18_kernel_passes_over_every_element(monkeypatch):
     problem = evolution.build_problem(parse_config(""))
     mesh, dofmap = problem[:2]
     assert (mesh.n_triangles, dofmap.n_free) == (4148, 6250)
+    probe = _startup_probe(problem)
     sizes = []
 
     def counted(rows, gam, grads, area, *args, **kwargs):
         sizes.append(len(area))
         return _integrate(rows, gam, grads, area, *args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_integrate", counted)
-    assert evolution._startup_gradient_check(*problem) < 1e-5
+    monkeypatch.setattr(energy, "_integrate", counted)
+    assert _sweep_error(problem, *probe) < 1e-5
     assert sizes == [mesh.n_triangles] * 18
 
 
@@ -140,6 +188,7 @@ def test_sweep_recomputes_only_the_moved_field(monkeypatch):
     # point slip once, then per pass only the moved field's rows and, in
     # the b passes, the slip; every a1 or a2 pass gets the base slip object
     problem = evolution.build_problem(parse_config(""))
+    probe = _startup_probe(problem)
     rows_made, gams_made, gams_seen = [], [], []
 
     def rows_counted(vt, grads):
@@ -154,10 +203,10 @@ def test_sweep_recomputes_only_the_moved_field(monkeypatch):
         gams_seen.append(gam)
         return _integrate(rows, gam, *args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_p1_gradient", rows_counted)
-    monkeypatch.setattr(evolution, "_at_points", gam_counted)
-    monkeypatch.setattr(evolution, "_integrate", kernel)
-    assert evolution._startup_gradient_check(*problem) < 1e-5
+    monkeypatch.setattr(energy, "_p1_gradient", rows_counted)
+    monkeypatch.setattr(energy, "_at_points", gam_counted)
+    monkeypatch.setattr(energy, "_integrate", kernel)
+    assert _sweep_error(problem, *probe) < 1e-5
     assert len(rows_made) == 3 + 18
     assert len(gams_made) == 1 + 6
     assert len(gams_seen) == 18
@@ -171,8 +220,12 @@ def test_a_patch_missing_one_element_fails_the_check(monkeypatch):
     # analytic gradient
     problem = evolution.build_problem(parse_config("mesh.nx = 10\nmesh.ny = 18"))
     mesh = problem[0]
-    assert evolution._startup_gradient_check(*problem) < 1e-5
-    assert mesh.corner_major.triangles[0, 110] == 60
+    probe = _startup_probe(problem)
+    # the direct sweep is the start-up check's, bit for bit
+    err = _sweep_error(problem, *probe)
+    assert err == evolution._startup_gradient_check(*problem)
+    assert err < 1e-5
+    assert mesh.corners[0, 110] == 60
     calls = []
 
     def dropping(*args, **kwargs):
@@ -182,8 +235,8 @@ def test_a_patch_missing_one_element_fails_the_check(monkeypatch):
         calls.append(None)
         return bd, diss, loc
 
-    monkeypatch.setattr(evolution, "_integrate", dropping)
-    err = evolution._startup_gradient_check(*problem)
+    monkeypatch.setattr(energy, "_integrate", dropping)
+    err = _sweep_error(problem, *probe)
     assert len(calls) == 18
     assert err > evolution.GRADIENT_CHECK_TOL
 
