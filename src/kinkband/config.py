@@ -173,8 +173,11 @@ def parse_config(text_or_path) -> SimulationConfig:
     import os
 
     if isinstance(text_or_path, (str, os.PathLike)) and os.path.exists(text_or_path):
-        with open(text_or_path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text_or_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {text_or_path}: {exc}") from None
     else:
         text = str(text_or_path)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import (EnergyBreakdown, MaterialParams, _assemble,
                      _field_at_points, _patch_oracle, curvature_scale,
-                     dissipation_increment, element_grad_y)
+                     dissipation_increment, element_grad_y, total_energy)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -211,12 +211,9 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
 
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     # the record from one assembly, the minimizer's latest if it ended there
-    point, assembly = fun_grad.last
-    if not np.array_equal(res.x_min, point):
-        assembly = _assemble(mesh, a1, a2, b, params, slip,
-                             gam_prev=_field_at_points(mesh, b_prev),
-                             need_grad=True)
-    breakdown, diss, grads = assembly
+    if not np.array_equal(res.x_min, fun_grad.last[0]):
+        fun_grad(res.x_min)
+    breakdown, diss, grads = fun_grad.last[1]
     # the smoothed increment is what the step minimized; the cumulative
     # variation uses the raw dissipation distance sigma * int |dgamma|
     var_inc = dissipation_increment(b_prev, b, mesh, replace(params, delta=0.0))
@@ -264,8 +261,7 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
     """
     rng = np.random.default_rng(0) if rng is None else rng
     bc = apply_boundary_conditions(state, mesh, dofmap, program, t)
-    breakdown, _, _ = _assemble(mesh, bc.a1, bc.a2, state.b, params, slip)
-    f_state = breakdown.total
+    f_state = total_energy(bc, mesh, params, slip).total
     x = dofmap.pack(bc.a1, bc.a2, state.b)
     competitor_value, _ = _make_objective(mesh, dofmap, params, slip, bc,
                                           state.b)

@@ -1,11 +1,13 @@
 """Quasi-Newton minimization over the free DOF vector.
 
 Limited-memory BFGS with a strong-Wolfe line search and an optional
-per-coordinate scale of the initial inverse Hessian.  Non-finite trial
-values (the determinant penalty creates cliffs) are treated as failed
-sufficient-decrease tests, so the search shrinks through them instead of
-aborting the run.  Accepted objective values are monotone non-increasing
-and the iterate sequence is deterministic for identical inputs.
+per-coordinate scale of the initial inverse Hessian.  The search is one
+loop that doubles the step until a trial bounds it, then bisects.
+Non-finite trial values (the determinant penalty creates cliffs) are
+treated as failed sufficient-decrease tests, so the search shrinks through
+them instead of aborting the run.  Accepted objective values are monotone
+non-increasing and the iterate sequence is deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -60,47 +62,42 @@ def _line_search(fun_grad, x, f0, d, t0, dg0):
     """Strong-Wolfe search along d from x, where the value is f0 and the
     slope d'g is dg0 < 0; returns the accepted point (x_t, f, g) or None.
 
+    One loop over a bracket [lo, hi] (Nocedal & Wright, Algorithms 3.5-3.6):
+    lo is the best Armijo step so far, 0 before one; hi is unset while the
+    step doubles from t0, at most _MAX_LS_EVALS trials, and once a trial
+    bounds the step it bisects, at most _MAX_ZOOM more.  Out of trials, the
+    point at lo is returned if it is below f0.
+
     Each trial point costs one ``fun_grad`` call, and the accepted point's
     gradient is the one computed there.  The gradient of a point that fails
     the Armijo test is not used.  Non-finite trial values behave like
     Armijo failures, which brackets the step away from penalty cliffs.
     """
-    def phi(t):
+    # the start stands in for the point at lo; its gradient is never read
+    lo, best, hi, t = 0.0, (x, f0, None), None, t0
+    n, stop = 0, _MAX_LS_EVALS
+    while n < stop:
+        n += 1
         xt = x + t * d
         ft, gt = fun_grad(xt)
-        return xt, float(ft), gt
-
-    def zoom(lo, lo_hit, hi):
-        for _ in range(_MAX_ZOOM):
-            t = 0.5 * (lo + hi)
-            _, ft, gt = hit = phi(t)
-            if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
-                    or ft >= lo_hit[1]:
-                hi = t
-                continue
+        ft = float(ft)
+        # the first trial is not compared with the start: f0 + c1 t dg0 can
+        # round to f0, and a trial at f0 then passes Armijo and is kept
+        if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
+                or (n > 1 and ft >= best[1]):
+            bound = t
+        else:
             dphi = float(gt.dot(d))
             if abs(dphi) <= -_WOLFE_C2 * dg0:
-                return hit
-            if dphi * (hi - lo) >= 0.0:
-                hi = lo
-            lo, lo_hit = t, hit
-        return lo_hit if lo_hit[1] < f0 else None    # best Armijo point so far
-
-    # the start stands in for the previous trial; its gradient is never read
-    t_prev, prev, t = 0.0, (x, f0, None), t0
-    for i in range(_MAX_LS_EVALS):
-        _, ft, gt = hit = phi(t)
-        if not math.isfinite(ft) or ft > f0 + _WOLFE_C1 * t * dg0 \
-                or (i > 0 and ft >= prev[1]):
-            return zoom(t_prev, prev, t)
-        dphi = float(gt.dot(d))
-        if abs(dphi) <= -_WOLFE_C2 * dg0:
-            return hit
-        if dphi >= 0.0:
-            return zoom(t, hit, t_prev)
-        t_prev, prev = t, hit
-        t *= 2.0
-    return prev if t_prev > 0.0 else None
+                return xt, ft, gt
+            # while hi is unset it lies beyond lo, in the direction of d
+            bound = lo if dphi * (1.0 if hi is None else hi - lo) >= 0.0 else hi
+            lo, best = t, (xt, ft, gt)
+        if hi is None and bound is not None:
+            stop = n + _MAX_ZOOM
+        hi = bound
+        t = 2.0 * t if hi is None else 0.5 * (lo + hi)
+    return best if best[1] < f0 else None    # a lo kept at f0 is no decrease
 
 
 def minimize(fun_grad, x0, options: MinimizeOptions | None = None,

@@ -323,18 +323,8 @@ def test_csv_roundtrip_exact(tmp_path, tiny_run):
     write_history_csv(records, path, Lx=config.Lx, Ly=config.Ly,
                       speed=config.speed)
     parsed = read_history_csv(path)
-    assert len(parsed) == len(records)
-    for a, b in zip(parsed, records):
-        assert a.k == b.k
-        assert a.time == b.time
-        assert a.energy.total == b.energy.total
-        assert a.energy.elastic == b.energy.elastic
-        assert a.dissipation_increment == b.dissipation_increment
-        assert a.cumulative_dissipation == b.cumulative_dissipation
-        assert a.reaction_force == b.reaction_force
-        assert a.max_abs_gamma == b.max_abs_gamma
-        assert a.min_det_Fe == b.min_det_Fe
-        assert a.optimizer_iterations == b.optimizer_iterations
+    # dataclass equality: every field, floats exactly
+    assert parsed == records
 
 
 def test_csv_refuses_empty(tmp_path):
@@ -498,6 +488,22 @@ def test_cli_run_k0_exits_1(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     code = cli_main(["validate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
+
+
+def test_cli_config_directory_is_a_config_error(tmp_path, capsys):
+    code = cli_main(["validate", "--config", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+
+
+def test_cli_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code = cli_main(["validate", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
 
 
 def test_cli_check_gradient(tmp_path, capsys):

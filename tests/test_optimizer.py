@@ -7,8 +7,8 @@ from kinkband import (InvalidStartError, MaterialParams, MinimizeOptions,
 from kinkband.energy import curvature_scale
 from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions)
-from kinkband.optimizer import _lbfgs_direction
-from seed_optimizer import seed_minimize
+from kinkband.optimizer import _lbfgs_direction, _line_search
+from seed_optimizer import seed_line_search, seed_minimize
 
 
 def rosenbrock(x):
@@ -401,6 +401,60 @@ def test_penalty_cliff_run_has_a_search_that_returns_its_lo_point(monkeypatch):
     res = minimize(fun_grad, x0, _tight())
     assert res.converged_by == "function"
     assert any(lo_returns) and not lo_returns[-1]
+
+
+# name: (f, f', t0, trials, accepted step or None) of a 1-D search from 0
+# along +1, one per way the search can end
+_SEARCH_EXITS = {
+    "first_trial": (lambda x: 0.5 * (x - 1.0) ** 2, lambda x: x - 1.0,
+                    1.0, 1, 1.0),
+    "after_doubling": (lambda x: 0.5 * (x - 100.0) ** 2, lambda x: x - 100.0,
+                       1.0, 5, 16.0),
+    "armijo_failure_then_bisection": (lambda x: 0.5 * (x - 0.1) ** 2,
+                                      lambda x: x - 0.1, 1.0, 4, 0.125),
+    # the trial at 1.25 passes Armijo with slope 9: the bracket is [1.25, 0.625]
+    "slope_flip_then_bisection": (
+        lambda x: -x + 100.0 * max(0.0, x - 1.2) ** 2,
+        lambda x: -1.0 + 200.0 * max(0.0, x - 1.2), 0.3125, 9, 1.201171875),
+    "doublings_exhausted": (lambda x: -x, lambda x: -1.0, 1.0, 25, 2.0 ** 24),
+    # a cliff at 1: the bisections close in on it from below at slope -1
+    "bisections_exhausted": (lambda x: -x if x < 1.0 else 1e6,
+                             lambda x: -1.0 if x < 1.0 else 0.0,
+                             0.75, 2 + 30, 1.0 - 2.0 ** -32),
+    "bisections_over_non_finite_values": (
+        lambda x: 0.0 if x == 0.0 else np.nan,
+        lambda x: -1.0 if x == 0.0 else np.nan, 1.0, 1 + 30, None),
+    # f0 + c1 t dg0 rounds to f0 = 1e16, so a first trial at f0 passes Armijo
+    "rounding_first_trial": (lambda x: 1e16, lambda x: -1.0 + 0.5 * x,
+                             1.0, 1, 1.0),
+    # the first trial, at f0, becomes lo; every later one is not below it,
+    # and the bisections run out with lo's value not below f0: no point
+    "rounding_then_bisections_exhausted": (lambda x: 1e16, lambda x: -1.0,
+                                           1.0, 2 + 30, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_EXITS))
+def test_line_search_equals_the_frozen_search_bitwise(case):
+    f, fprime, t0, trials, accepted = _SEARCH_EXITS[case]
+
+    def fun_grad(x):
+        return f(float(x[0])), np.array([fprime(float(x[0]))])
+    x, d = np.zeros(1), np.ones(1)
+    f0, g0 = fun_grad(x)
+    live, live_points = _recorded(fun_grad)
+    frozen, frozen_points = _recorded(fun_grad)
+    hit = _line_search(live, x, f0, d, t0, float(d.dot(g0)))
+    ref = seed_line_search(frozen, x, f0, g0, d, t0)
+    assert live_points == frozen_points
+    assert len(live_points) == trials
+    if accepted is None:
+        assert hit is None and ref is None
+    else:
+        assert ref[0] == accepted
+        assert hit[0].tobytes() == (x + ref[0] * d).tobytes()
+        assert hit[1] == ref[1]
+        assert hit[2].tobytes() == ref[2].tobytes()
 
 
 @pytest.mark.parametrize("case", ["step", "stiff_step", "rosenbrock",
