@@ -1,13 +1,14 @@
 """Command-line entry point: run, check-gradient, validate.
 
-Exit codes: 0 success, 1 configuration error, 2 simulation failure.  The
-output directory resolves as --out flag > KINKBAND_OUT_DIR environment
-variable > output.directory config key.
+Exit codes: 0 success, 1 configuration error, 2 simulation failure.  A
+run's only inputs are its command line and its config file: the output
+directory is --out if given, else the output.directory config key.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import os
 import sys
@@ -41,23 +42,17 @@ def _build_parser():
 
 
 def _load_config(args):
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
-    config = parse_config(args.config)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {args.config}: {exc}") from None
+    config = parse_config(text)
     if getattr(args, "steps", None) is not None:
         config.K = args.steps
     if getattr(args, "mesh", None) is not None:
         config.nx, config.ny = args.mesh
     return validate_config(config)
-
-
-def _resolve_out_dir(args, config):
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("KINKBAND_OUT_DIR")
-    if env:
-        return env
-    return config.directory
 
 
 def _write_outputs(config, records, states, out_dir):
@@ -83,7 +78,7 @@ def _cmd_run(args):
 
     logging.getLogger("kinkband").setLevel(logging.INFO)   # per-step progress
     config = _load_config(args)
-    out_dir = _resolve_out_dir(args, config)
+    out_dir = args.out or config.directory
     try:
         records, states = run_simulation(config)
     except StepFailureError as exc:
@@ -140,5 +135,19 @@ def cli_main(argv=None) -> int:
     return 1
 
 
+def _set_allocator_thresholds():
+    """Keep freed blocks in the heap, so that each step's large numpy
+    temporaries do not fault in fresh pages: glibc's mmap threshold 32 MiB,
+    trim threshold 1 GiB.  Skipped silently where libc has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)          # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)           # M_TRIM_THRESHOLD
+
+
 def console_main() -> None:
+    _set_allocator_thresholds()
     raise SystemExit(cli_main())

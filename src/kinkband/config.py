@@ -5,7 +5,8 @@ comments, unknown keys rejected.  Every key has a default, so an empty file
 yields the reference compression setup: a 42 x 75 mm specimen compressed at
 0.18 mm/s for 100 s in 76 steps.  The ``material.*`` and ``optimizer.*``
 keys are the fields of ``MaterialParams`` and ``MinimizeOptions``, which
-declare their defaults and check their own values.
+declare their defaults and check their own values.  ``parse_config`` takes
+the text; the CLI reads the file.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ _KEYS = {
     "load.speed": ("speed", _nonnegative, "must be nonnegative"),
     "load.T": ("T", _positive, "must be positive"),
     "load.K": ("K", _at_least_one, "must be at least 1"),
-    "output.directory": ("directory", None, ""),
+    "output.directory": ("directory", bool, "must not be empty"),
     "output.snapshot_stride": ("snapshot_stride", _at_least_one,
                                "must be at least 1"),
     "output.formats": ("formats",
@@ -168,19 +169,8 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
     return config
 
 
-def parse_config(text_or_path) -> SimulationConfig:
-    """Parse a config from a path or literal text; defaults fill omissions."""
-    import os
-
-    if isinstance(text_or_path, (str, os.PathLike)) and os.path.exists(text_or_path):
-        try:
-            with open(text_or_path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read {text_or_path}: {exc}") from None
-    else:
-        text = str(text_or_path)
-
+def parse_config(text: str) -> SimulationConfig:
+    """Parse config text; defaults fill omissions."""
     config = SimulationConfig()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

@@ -11,7 +11,8 @@ with |.| the Frobenius norm, plus the slip terms
 
 the second being eps_grad |grad Fp|^2 for unit s and m.  Where
 det Fe <= det_floor the elastic density is replaced by the flat penalty
-det_penalty and its gradient contribution is zero.  The smoothed
+det_penalty and its gradient contribution is zero; both guards are
+constants (1e-8 and 1e6 MPa), not material parameters.  The smoothed
 dissipation between two slip fields is
 
     sigma * integral sqrt(delta^2 + (gamma1 - gamma2)^2) dx .
@@ -63,6 +64,7 @@ stacked matmul fused multiply-adds, so the two agree to rounding):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,8 +80,8 @@ class MaterialParams:
 
     Defaults are the reference compression setup: C = 0.6 GPa, D = 0.2 GPa,
     aniso = 0.1 GPa, beta = 20 kPa, eps_grad = 500 N, sigma = 1 kPa,
-    delta = 1e-5, penalty 1e6.  The model only constrains the growth
-    exponent to p > 2; see the README for why the default sits just above 2.
+    delta = 1e-5.  The model only constrains the growth exponent to p > 2;
+    see the README for why the default sits just above 2.
     """
 
     C: float = 600.0            # MPa
@@ -91,13 +93,12 @@ class MaterialParams:
     p: float = 2.2              # growth exponent, > 2
     r: float = 2.0              # hardening exponent
     delta: float = 1e-5         # dissipation smoothing
-    det_penalty: float = 1e6    # MPa, density where det Fe <= det_floor
-    det_floor: float = 1e-8
+    det_penalty: ClassVar[float] = 1e6    # MPa, density where det Fe <= det_floor
+    det_floor: ClassVar[float] = 1e-8
 
     def validate(self) -> None:
         """Raise ValueError whose message starts with the bad field's name."""
-        for name in ("C", "D", "aniso", "eps_grad", "sigma", "delta",
-                     "det_penalty", "det_floor"):
+        for name in ("C", "D", "aniso", "eps_grad", "sigma", "delta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.beta >= 0:

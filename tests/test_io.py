@@ -4,6 +4,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,13 +32,29 @@ def test_empty_config_gives_reference_defaults():
     assert config.material.eps_grad == 500.0
     assert config.material.sigma == 0.001
     assert config.material.delta == 1e-5
-    assert config.material.det_penalty == 1e6
     assert config.T == 100.0
     assert config.speed == 0.18
     assert config.K == 76
     assert config.Lx == 42.0 and config.Ly == 75.0
     assert (config.s1, config.s2, config.m1, config.m2) == (0.0, 1.0, 1.0, 0.0)
     assert config.optimizer.tol_step == 1e-10 and config.optimizer.tol_fun == 1e-4
+
+
+def test_penalty_guards_are_constants():
+    assert MaterialParams.det_floor == 1e-8
+    assert MaterialParams.det_penalty == 1e6
+    assert "det_floor" not in {f.name for f in fields(MaterialParams)}
+    assert "det_penalty" not in {f.name for f in fields(MaterialParams)}
+
+
+@pytest.mark.parametrize("key", ["material.det_penalty", "material.det_floor"])
+def test_penalty_guard_keys_are_unknown(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1")
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_invalid_value_names_key():
@@ -52,7 +69,6 @@ _BAD_SECTION_VALUES = [
     ("material.beta", "-0.1"), ("material.beta", "nan"),
     ("material.eps_grad", "0"), ("material.sigma", "-1"), ("material.p", "2"),
     ("material.r", "0.5"), ("material.delta", "0"),
-    ("material.det_penalty", "-1"), ("material.det_floor", "0"),
     ("optimizer.tol_step", "0"), ("optimizer.tol_fun", "-1e-4"),
     ("optimizer.max_iters", "0"),
 ]
@@ -250,8 +266,6 @@ material.sigma = 0.001
 material.p = 2.2000000000000002
 material.r = 2
 material.delta = 1.0000000000000001e-05
-material.det_penalty = 1000000
-material.det_floor = 1e-08
 slip.s1 = 0
 slip.s2 = 1
 slip.m1 = 1
@@ -268,11 +282,25 @@ output.formats = csv,vtk
 """
 
 
-def test_parse_from_file(tmp_path):
+def test_parse_from_file(tmp_path, capsys):
+    # parse_config takes text only; the CLI reads the file
     path = tmp_path / "sim.cfg"
     path.write_text("mesh.nx = 3\nmesh.ny = 4\n")
-    config = parse_config(path)
+    with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
+        parse_config(str(path))
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    config = parse_config(capsys.readouterr().out)
     assert (config.nx, config.ny) == (3, 4)
+
+
+def test_empty_output_directory_rejected(tmp_path, capsys):
+    # it used to pass, solve every step and then fail in os.makedirs('')
+    with pytest.raises(ConfigError, match="output.directory must not be empty"):
+        parse_config("output.directory =")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\noutput.directory =\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert "output.directory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +516,7 @@ def test_cli_run_k0_exits_1(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     code = cli_main(["validate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read")
 
 
 def test_cli_config_directory_is_a_config_error(tmp_path, capsys):
@@ -583,15 +612,46 @@ def test_cli_run_mesh_and_steps_overrides(tmp_path):
     assert len(read_history_csv(out_dir / "history.csv")) == 2
 
 
-def test_cli_env_var_output_dir(tmp_path, monkeypatch):
+def test_cli_output_dir_ignores_environment(tmp_path, monkeypatch):
+    # a run's inputs are its command line and its config file only
+    config_dir = tmp_path / "from_config"
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n"
-                   "output.formats = csv\n")
+                   f"output.formats = csv\noutput.directory = {config_dir}\n")
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("KINKBAND_OUT_DIR", str(env_dir))
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 0
-    assert (env_dir / "history.csv").exists()
+    assert (config_dir / "history.csv").exists()
+    assert not env_dir.exists()
+
+
+def test_console_main_sets_allocator_thresholds_before_dispatch(monkeypatch):
+    import kinkband.cli as cli
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(("mallopt", param, value))
+
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(cli, "cli_main", lambda: calls.append("cli_main") or 0)
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 0
+    assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, 1 << 30),
+                     "cli_main"]
+
+
+def test_console_main_without_mallopt_skips_it(monkeypatch):
+    import kinkband.cli as cli
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(cli, "cli_main", lambda: 0)
+    with pytest.raises(SystemExit) as info:
+        cli.console_main()
+    assert info.value.code == 0
 
 
 def test_cli_run_saves_partial_results_on_step_failure(tmp_path, monkeypatch,
