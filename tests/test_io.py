@@ -47,7 +47,12 @@ def test_penalty_guards_are_constants():
     assert "det_penalty" not in {f.name for f in fields(MaterialParams)}
 
 
-@pytest.mark.parametrize("key", ["material.det_penalty", "material.det_floor"])
+# the penalty guards were material keys; they are MaterialParams constants
+# now, and a config that sets one, to any value, names it as unknown
+_GUARD_KEYS = ["material.det_penalty", "material.det_floor"]
+
+
+@pytest.mark.parametrize("key", _GUARD_KEYS)
 def test_penalty_guard_keys_are_unknown(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"{key} = 1")
@@ -82,11 +87,15 @@ def test_bad_section_values_cover_every_section_key():
     assert {key for key, _ in _BAD_SECTION_VALUES} == keys
 
 
-@pytest.mark.parametrize("key, value", _BAD_SECTION_VALUES)
+@pytest.mark.parametrize("key, value", _BAD_SECTION_VALUES + [
+    ("material.det_penalty", "-1"), ("material.det_floor", "0")])
 def test_out_of_range_section_value_names_full_key(key, value):
     with pytest.raises(ConfigError) as info:
         parse_config(f"{key} = {value}")
-    assert str(info.value).startswith(f"{key} must ")
+    if key in _GUARD_KEYS:
+        assert str(info.value) == f"line 1: unknown key '{key}'"
+    else:
+        assert str(info.value).startswith(f"{key} must ")
 
 
 _FLOAT_KEYS = [key for key, (_, _, kind) in _TABLE.items() if kind is float]
@@ -98,11 +107,14 @@ def test_float_keys_cover_every_section():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", _FLOAT_KEYS)
+@pytest.mark.parametrize("key", _FLOAT_KEYS + _GUARD_KEYS)
 def test_non_finite_value_rejected(key, value):
     with pytest.raises(ConfigError) as info:
         parse_config(f"{key} = {value}")
-    assert str(info.value) == f"{key} must be finite, got {value}"
+    if key in _GUARD_KEYS:
+        assert str(info.value) == f"line 1: unknown key '{key}'"
+    else:
+        assert str(info.value) == f"{key} must be finite, got {value}"
 
 
 @pytest.mark.parametrize("command", ["validate", "check-gradient"])
