@@ -1,8 +1,8 @@
 """Command-line entry point: run, check-gradient, validate.
 
 Exit codes: 0 success, 1 configuration error, 2 simulation failure.  A
-run's only inputs are its command line and its config file: the output
-directory is --out if given, else the output.directory config key.
+config is its file, parsed and validated once; ``run`` also takes the output
+directory, --out if given, else output.directory, and creates it first.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from .config import ConfigError, parse_config, serialize_config, validate_config
+from .config import ConfigError, parse_config, serialize_config
 
 
 def _build_parser():
@@ -26,15 +26,10 @@ def _build_parser():
     run = sub.add_parser("run", help="run the load program and write results")
     run.add_argument("--config", required=True, help="path to config file")
     run.add_argument("--out", default=None, help="output directory override")
-    run.add_argument("--steps", type=int, default=None, help="override load.K")
-    run.add_argument("--mesh", type=int, nargs=2, default=None,
-                     metavar=("NX", "NY"), help="override mesh.nx mesh.ny")
 
     check = sub.add_parser("check-gradient",
                            help="compare analytic and FD gradients on a random state")
     check.add_argument("--config", required=True)
-    check.add_argument("--mesh", type=int, nargs=2, default=None,
-                       metavar=("NX", "NY"))
 
     val = sub.add_parser("validate", help="parse a config and echo the result")
     val.add_argument("--config", required=True)
@@ -47,19 +42,13 @@ def _load_config(args):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from None
-    config = parse_config(text)
-    if getattr(args, "steps", None) is not None:
-        config.K = args.steps
-    if getattr(args, "mesh", None) is not None:
-        config.nx, config.ny = args.mesh
-    return validate_config(config)
+    return parse_config(text)
 
 
 def _write_outputs(config, records, states, out_dir):
     from .evolution import build_problem
     from .output import write_history_csv, write_snapshot_vtk
 
-    os.makedirs(out_dir, exist_ok=True)
     formats = set(config.formats.split(","))
     if "csv" in formats and records:
         write_history_csv(records, os.path.join(out_dir, "history.csv"),
@@ -78,7 +67,10 @@ def _cmd_run(args):
 
     logging.getLogger("kinkband").setLevel(logging.INFO)   # per-step progress
     config = _load_config(args)
-    out_dir = args.out or config.directory
+    if args.out == "":
+        raise ConfigError("--out must not be empty")
+    out_dir = config.directory if args.out is None else args.out
+    os.makedirs(out_dir, exist_ok=True)     # fail before solving, not after
     try:
         records, states = run_simulation(config)
     except StepFailureError as exc:

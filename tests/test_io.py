@@ -217,10 +217,8 @@ def test_cli_geometry_off_the_gradient_checks_scale_exit_1(tmp_path, capsys,
     # to fail it with an error of 1.6e102 (1e100) or nan, and exit 2
     cfg = tmp_path / "scale.cfg"
     cfg.write_text(f"geometry.Lx = {side}\ngeometry.Ly = {side}\n"
-                   "load.speed = 0\n")
-    code = cli_main([command, "--config", str(cfg), "--mesh", "2", "2"]
-                    if command == "check-gradient" else
-                    [command, "--config", str(cfg)])
+                   "load.speed = 0\nmesh.nx = 2\nmesh.ny = 2\n")
+    code = cli_main([command, "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
@@ -549,9 +547,8 @@ def test_cli_config_not_utf8_is_a_config_error(tmp_path, capsys):
 
 def test_cli_check_gradient(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("")
-    code = cli_main(["check-gradient", "--config", str(cfg),
-                     "--mesh", "4", "6"])
+    cfg.write_text("mesh.nx = 4\nmesh.ny = 6\n")
+    code = cli_main(["check-gradient", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code == 0
     err = float(out.strip().rsplit(" ", 1)[-1])
@@ -577,9 +574,8 @@ def test_cli_check_gradient_fails_on_nan_gradient(tmp_path, monkeypatch,
 
     monkeypatch.setattr(evolution, "_make_objective", nan_objective)
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("")
-    code = cli_main(["check-gradient", "--config", str(cfg),
-                     "--mesh", "4", "6"])
+    cfg.write_text("mesh.nx = 4\nmesh.ny = 6\n")
+    code = cli_main(["check-gradient", "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.strip().endswith("nan")
@@ -614,14 +610,77 @@ def test_cli_run_end_to_end(tmp_path, capsys):
     read_vtk_ascii(out_dir / "snapshot_0003.vtk")
 
 
-def test_cli_run_mesh_and_steps_overrides(tmp_path):
+@pytest.mark.parametrize("command,flags", [
+    ("run", ["--steps", "2"]),
+    ("run", ["--mesh", "2", "3"]),
+    ("check-gradient", ["--mesh", "4", "6"]),
+])
+def test_cli_has_no_config_overrides(tmp_path, monkeypatch, capsys, command,
+                                     flags):
+    # a config is its file: load.K and mesh.nx/ny are set there only
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("")
-    out_dir = tmp_path / "o2"
-    code = cli_main(["run", "--config", str(cfg), "--out", str(out_dir),
-                     "--steps", "2", "--mesh", "2", "3"])
-    assert code == 0
-    assert len(read_history_csv(out_dir / "history.csv")) == 2
+    code = cli_main([command, "--config", str(cfg)] + flags)
+    assert code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_solves_the_config_validate_prints(tmp_path, monkeypatch,
+                                                    capsys):
+    import kinkband.evolution as evolution
+
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return [], []
+
+    monkeypatch.setattr(evolution, "run_simulation", record)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 5\nmesh.ny = 7\nload.K = 3\nload.T = 6\n"
+                   "output.formats = csv\n")
+    assert cli_main(["validate", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert cli_main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(seen) == 1
+    assert serialize_config(seen[0]) == printed
+
+
+def test_cli_run_claims_output_directory_before_solving(tmp_path, monkeypatch,
+                                                        capsys):
+    # an output path that cannot be made used to cost the whole run
+    import kinkband.evolution as evolution
+
+    calls = []
+    monkeypatch.setattr(evolution, "run_simulation",
+                        lambda *args: calls.append(args) or ([], []))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n")
+    code = cli_main(["run", "--config", str(cfg),
+                     "--out", str(blocker / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("i/o error: ")
+    assert calls == []
+
+
+def test_cli_run_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # "" is not "absent": it must not fall back to output.directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n"
+                   "output.directory = from_config\n")
+    code = cli_main(["run", "--config", str(cfg), "--out", ""])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ")
+    assert "--out" in err
+    assert not (tmp_path / "from_config").exists()
 
 
 def test_cli_output_dir_ignores_environment(tmp_path, monkeypatch):

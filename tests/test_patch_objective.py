@@ -245,9 +245,8 @@ def test_a_patch_missing_one_element_fails_the_check(monkeypatch):
 def test_cli_check_gradient_error_stays_small_on_finer_meshes(
         tmp_path, capsys, nx, ny):
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("")
-    code = cli_main(["check-gradient", "--config", str(cfg),
-                     "--mesh", str(nx), str(ny)])
+    cfg.write_text(f"mesh.nx = {nx}\nmesh.ny = {ny}\n")
+    code = cli_main(["check-gradient", "--config", str(cfg)])
     out = capsys.readouterr().out
     assert code == 0
     err = float(out.strip().rsplit(" ", 1)[-1])
