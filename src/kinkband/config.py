@@ -56,11 +56,9 @@ class SimulationConfig:
     nx: int = 34
     ny: int = 61
     material: MaterialParams = field(default_factory=MaterialParams)
-    # slip system
+    # slip system: the glide direction; the normal is derived from it
     s1: float = 0.0
     s2: float = 1.0
-    m1: float = 1.0
-    m2: float = 0.0
     # load program
     speed: float = 0.18
     T: float = 100.0
@@ -77,7 +75,7 @@ class SimulationConfig:
 _SECTIONS = ("material", "optimizer")
 
 # key -> (attribute, constraint, description of the constraint) of the other
-# fields; the slip vectors are checked together by SlipSystem
+# fields; the glide direction (s1, s2) is checked as a whole by SlipSystem
 _KEYS = {
     "geometry.Lx": ("Lx", _positive, "must be positive"),
     "geometry.Ly": ("Ly", _positive, "must be positive"),
@@ -85,8 +83,6 @@ _KEYS = {
     "mesh.ny": ("ny", _at_least_one, "must be at least 1"),
     "slip.s1": ("s1", None, ""),
     "slip.s2": ("s2", None, ""),
-    "slip.m1": ("m1", None, ""),
-    "slip.m2": ("m2", None, ""),
     "load.speed": ("speed", _nonnegative, "must be nonnegative"),
     "load.T": ("T", _positive, "must be positive"),
     "load.K": ("K", _at_least_one, "must be at least 1"),
@@ -149,7 +145,7 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
         except ValueError as exc:       # the message starts with the field
             raise ConfigError(f"{section}.{exc}") from None
     try:
-        SlipSystem(s=(config.s1, config.s2), m=(config.m1, config.m2))
+        SlipSystem(s=(config.s1, config.s2))
     except ValueError as exc:
         raise ConfigError(f"slip: {exc}") from None
     if not config.speed * config.T < config.Ly:

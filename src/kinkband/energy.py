@@ -24,11 +24,11 @@ maps s and m to
 
     a = Fe s = grad y s ,   e = Fe m = grad y m - gamma a ,
 
-so |Fe|^2 = |a|^2 + |e|^2, |Fe m|^2 = |e|^2 and det Fe = +-(a0 e1 - a1 e0),
-the sign that of det [s m].  a and grad y m are element constants, formed
-once per element, so only e and what follows is formed per point.  These
-identities assume an orthonormal (s, m); ``SlipSystem`` checks that to
-1e-9, so they hold to that tolerance.  The derivative comes back as the
+so |Fe|^2 = |a|^2 + |e|^2, |Fe m|^2 = |e|^2 and det Fe = a1 e0 - a0 e1,
+as m is s turned clockwise (det [s m] = -1).  a and grad y m are element
+constants, formed once per element, so only e and what follows is formed
+per point.  These identities assume a unit s; ``SlipSystem`` checks that
+to 1e-9, so they hold to that tolerance.  The derivative comes back as the
 frame rows P = S s - gamma S m and M = S m, S = dW/dFe, from which the
 kernel forms dW/d(grad y) = P (x) s + M (x) m after averaging.  The one
 quadrature is the edge-midpoint rule: ``_at_points`` takes a P1 field from
@@ -190,8 +190,7 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     e1 = (y10 * m0 + y11 * m1) - gam * a1
     fe2 = e0 * e0 + e1 * e1                     # |Fe m|^2
     frob2 = fe2 + (a0 * a0 + a1 * a1)           # |Fe|^2
-    turn = 1.0 if s0 * m1 - s1 * m0 > 0.0 else -1.0     # det [s m]
-    det = a0 * e1 - a1 * e0 if turn > 0.0 else a1 * e0 - a0 * e1
+    det = a1 * e0 - a0 * e1                     # det Fe, as det [s m] = -1
     ok = det > params.det_floor
     admissible = bool(ok.all())                 # no penalty point
     det_safe = det if admissible else np.where(ok, det, 1.0)
@@ -213,13 +212,12 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     if not derivatives:
         return elastic, hardening, penalty, None
 
-    # S = coef_p Fe + coef_det cof Fe + 2 aniso e (x) m on the smooth branch,
-    # with cof Fe s = turn (e1, -e0) and cof Fe m = turn (-a1, a0): turn is
-    # folded into the constants of coef_det.  Arrays are deleted after their
-    # last read, for a smaller peak
+    # S = coef_p Fe + c cof Fe + 2 aniso e (x) m on the smooth branch, with
+    # c = 2 D (det - 1) - 2 C / det, cof Fe s = (-e1, e0) and cof Fe m =
+    # (a1, -a0): coef_det = -c takes their signs.  Arrays are deleted after
+    # their last read, for a smaller peak
     coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
-    coef_det = (turn * 2.0 * params.D * det_m1
-                - turn * 2.0 * params.C / det_safe)
+    coef_det = -2.0 * params.D * det_m1 + 2.0 * params.C / det_safe
     del frob2, det, det_m1, det_safe
     derivs = np.empty((5,) + elastic.shape)     # the rows averaged in one pass
     p0, p1, sm0, sm1, d_gam = derivs

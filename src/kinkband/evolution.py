@@ -330,8 +330,7 @@ def build_problem(config):
     """Mesh, dofmap, material, slip system and load program of a validated
     SimulationConfig, in the argument order of the solver functions."""
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
-    slip = SlipSystem(s=np.array([config.s1, config.s2]),
-                      m=np.array([config.m1, config.m2]))
+    slip = SlipSystem(s=np.array([config.s1, config.s2]))
     program = LoadProgram(speed=config.speed, Ly=config.Ly)
     return mesh, build_dofmap(mesh), config.material, slip, program
 

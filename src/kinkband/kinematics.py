@@ -1,40 +1,38 @@
 """Multiplicative elastic/plastic split for a single slip system.
 
-The plastic distortion is rank-one: Fp(gamma) = I + gamma * s (x) m with
-orthogonal unit vectors s (glide direction) and m (slip-plane normal), so
-det Fp = 1 and its inverse is I - gamma * s (x) m.
+The plastic distortion is rank-one: Fp(gamma) = I + gamma * s (x) m with s
+the unit glide direction and m the slip-plane normal, s turned clockwise,
+so det [s m] = -1, det Fp = 1 and its inverse is I - gamma * s (x) m.  The
+opposite normal is the same model with gamma negated, so m is not an input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-_ORTHO_TOL = 1e-9
+_UNIT_TOL = 1e-9
 
 
 @dataclass
 class SlipSystem:
-    """Glide direction s and slip-plane normal m, orthogonal unit vectors."""
+    """Unit glide direction s; the slip-plane normal m is s turned clockwise."""
 
     s: np.ndarray
-    m: np.ndarray
+    m: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
-        self.m = np.asarray(self.m, dtype=float)
-        if abs(np.linalg.norm(self.s) - 1.0) > _ORTHO_TOL:
+        if abs(np.linalg.norm(self.s) - 1.0) > _UNIT_TOL:
             raise ValueError(f"glide direction must be a unit vector, got {self.s}")
-        if abs(np.linalg.norm(self.m) - 1.0) > _ORTHO_TOL:
-            raise ValueError(f"slip-plane normal must be a unit vector, got {self.m}")
-        if abs(float(self.s @ self.m)) > _ORTHO_TOL:
-            raise ValueError(f"s and m must be orthogonal, got s.m = {self.s @ self.m}")
+        # 0.0 - s0 keeps the default m at +0.0, not -0.0
+        self.m = np.array([self.s[1], 0.0 - self.s[0]])
 
     @classmethod
     def default(cls) -> "SlipSystem":
         """Vertical glide on vertical layer planes: s = (0,1), m = (1,0)."""
-        return cls(s=np.array([0.0, 1.0]), m=np.array([1.0, 0.0]))
+        return cls(s=np.array([0.0, 1.0]))
 
 
 def plastic_distortion(gamma: float, slip: SlipSystem) -> np.ndarray:
@@ -50,4 +48,3 @@ def inverse_plastic(gamma: float, slip: SlipSystem) -> np.ndarray:
 def elastic_strain(grad_y: np.ndarray, gamma: float, slip: SlipSystem) -> np.ndarray:
     """Fe = grad_y (I - gamma * s (x) m); det Fe = det grad_y."""
     return np.asarray(grad_y) @ inverse_plastic(gamma, slip)
-

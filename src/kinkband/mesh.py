@@ -12,8 +12,7 @@ import numpy as np
 INTERIOR = 0
 BOTTOM = 1
 TOP = 2
-LEFT = 3
-RIGHT = 4
+LATERAL = 3
 
 
 class GeometryError(ValueError):
@@ -114,12 +113,11 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
         (n00, n00 + 1, n11, n00, n11, n11 - 1)).reshape(-1, 3).T.copy()
 
     # nodes with y = 0 are bottom, y = Ly top, the others with x in {0, Lx}
-    # left/right; a later assignment wins, so corners go bottom > top > lateral
+    # lateral; a later assignment wins, so corners go bottom > top > lateral
     x, y = nodes.T
     tol = 1e-9 * max(Lx, Ly)
     tags = np.full(len(nodes), INTERIOR, dtype=np.int64)
-    tags[np.abs(x - Lx) < tol] = RIGHT
-    tags[np.abs(x) < tol] = LEFT
+    tags[(np.abs(x) < tol) | (np.abs(x - Lx) < tol)] = LATERAL
     tags[np.abs(y - Ly) < tol] = TOP
     tags[np.abs(y) < tol] = BOTTOM
 

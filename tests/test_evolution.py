@@ -11,7 +11,7 @@ from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
 from kinkband.energy import _assemble, _field_at_points
 from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
                                 apply_boundary_conditions)
-from kinkband.mesh import BOTTOM, INTERIOR, LEFT, RIGHT, TOP
+from kinkband.mesh import BOTTOM, INTERIOR, LATERAL, TOP
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def test_apply_bc_leaves_free_entries(small_problem):
     kept = (np.concatenate((out.a1, out.a2, out.b))
             == np.concatenate((st.a1, st.a2, st.b)))
     assert (np.flatnonzero(kept) == dofmap.free).all()
-    lateral = (mesh.boundary_tags == LEFT) | (mesh.boundary_tags == RIGHT)
+    lateral = mesh.boundary_tags == LATERAL
     assert (out.a2[lateral] == st.a2[lateral]).all()
     np.testing.assert_allclose(out.a1[lateral], mesh.nodes[lateral, 0])
 

@@ -36,7 +36,7 @@ def test_empty_config_gives_reference_defaults():
     assert config.speed == 0.18
     assert config.K == 76
     assert config.Lx == 42.0 and config.Ly == 75.0
-    assert (config.s1, config.s2, config.m1, config.m2) == (0.0, 1.0, 1.0, 0.0)
+    assert (config.s1, config.s2) == (0.0, 1.0)
     assert config.optimizer.tol_step == 1e-10 and config.optimizer.tol_fun == 1e-4
 
 
@@ -48,18 +48,31 @@ def test_penalty_guards_are_constants():
 
 
 # the penalty guards were material keys; they are MaterialParams constants
-# now, and a config that sets one, to any value, names it as unknown
+# now.  The slip-plane normal was set by slip.m1 and slip.m2; it is s turned
+# clockwise now, as the opposite normal is the same model with gamma negated.
+# A config that sets one of these keys, to any value, names it as unknown
 _GUARD_KEYS = ["material.det_penalty", "material.det_floor"]
+_NORMAL_KEYS = ["slip.m1", "slip.m2"]
+_REMOVED_KEYS = _GUARD_KEYS + _NORMAL_KEYS
+
+
+def _assert_unknown_key(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1")
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", _GUARD_KEYS)
 def test_penalty_guard_keys_are_unknown(tmp_path, capsys, key):
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        parse_config(f"{key} = 1")
-    cfg = tmp_path / "guard.cfg"
-    cfg.write_text(f"{key} = 1\n")
-    assert cli_main(["validate", "--config", str(cfg)]) == 1
-    assert f"unknown key '{key}'" in capsys.readouterr().err
+    _assert_unknown_key(tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize("key", _NORMAL_KEYS)
+def test_slip_normal_keys_are_unknown(tmp_path, capsys, key):
+    _assert_unknown_key(tmp_path, capsys, key)
 
 
 def test_invalid_value_names_key():
@@ -107,11 +120,11 @@ def test_float_keys_cover_every_section():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", _FLOAT_KEYS + _GUARD_KEYS)
+@pytest.mark.parametrize("key", _FLOAT_KEYS + _REMOVED_KEYS)
 def test_non_finite_value_rejected(key, value):
     with pytest.raises(ConfigError) as info:
         parse_config(f"{key} = {value}")
-    if key in _GUARD_KEYS:
+    if key in _REMOVED_KEYS:
         assert str(info.value) == f"line 1: unknown key '{key}'"
     else:
         assert str(info.value) == f"{key} must be finite, got {value}"
@@ -156,8 +169,6 @@ def test_bad_type_rejected():
 def test_slip_vector_validation():
     with pytest.raises(ConfigError, match="unit"):
         parse_config("slip.s2 = 2")
-    with pytest.raises(ConfigError, match="orthogonal"):
-        parse_config("slip.m1 = 0\nslip.m2 = 1")
 
 
 @pytest.mark.parametrize("text", ["slip.s2 = 2", "slip.m1 = 0.5",
@@ -165,7 +176,10 @@ def test_slip_vector_validation():
 def test_slip_vector_errors_name_slip(text):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
-    assert str(info.value).startswith("slip: ")
+    if text.startswith("slip.m1"):      # a former normal key, on line 1
+        assert str(info.value) == "line 1: unknown key 'slip.m1'"
+    else:
+        assert str(info.value).startswith("slip: ")
 
 
 def test_platen_through_floor_rejected():
@@ -278,8 +292,6 @@ material.r = 2
 material.delta = 1.0000000000000001e-05
 slip.s1 = 0
 slip.s2 = 1
-slip.m1 = 1
-slip.m2 = 0
 load.speed = 0.17999999999999999
 load.T = 100
 load.K = 76

@@ -19,15 +19,14 @@ from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
                                 reaction_force)
 from seed_kernel import seed_assemble
 
-# axis-aligned slip systems: every product with a component of s or m is
-# exact; the negated frames run both determinant orderings with negative
-# components
+# axis-aligned slip systems, s along each of the four axis directions:
+# every product with a component of s or m is exact, and the negated ones
+# give negative components
 AXIS_SLIPS = {
     "default": SlipSystem.default(),
-    "swapped": SlipSystem(s=np.array([1.0, 0.0]), m=np.array([0.0, 1.0])),
-    "negated_s": SlipSystem(s=np.array([0.0, -1.0]), m=np.array([1.0, 0.0])),
-    "negated_swapped": SlipSystem(s=np.array([-1.0, 0.0]),
-                                  m=np.array([0.0, 1.0])),
+    "swapped": SlipSystem(s=np.array([1.0, 0.0])),
+    "negated_s": SlipSystem(s=np.array([0.0, -1.0])),
+    "negated_swapped": SlipSystem(s=np.array([-1.0, 0.0])),
 }
 BREAKDOWN_FIELDS = ("elastic", "hardening", "slip_gradient", "penalty", "total")
 
@@ -94,8 +93,7 @@ def test_kernel_rotated_slip_matches_seed_to_rounding():
     rng = np.random.default_rng(7)
     tol = 4096 * np.finfo(float).eps
     for theta in (0.3, 1.0, 2.5):
-        slip = SlipSystem(s=np.array([-np.sin(theta), np.cos(theta)]),
-                          m=np.array([np.cos(theta), np.sin(theta)]))
+        slip = SlipSystem(s=np.array([-np.sin(theta), np.cos(theta)]))
         for amp in (0.1, 1.0):
             a1, a2, b, b_prev = _random_inputs(mesh, rng, amp)
             (bd, diss, grads), (bd0, diss0, grads0) = _both(
@@ -106,6 +104,51 @@ def test_kernel_rotated_slip_matches_seed_to_rounding():
             assert diss == pytest.approx(diss0, rel=tol)
             for g, g0 in zip(grads, grads0):
                 assert np.max(np.abs(g - g0)) <= tol * np.max(np.abs(g0))
+
+
+def test_negated_glide_direction_is_the_same_model():
+    # -s turns m into -m, so s (x) m, Fp and Fe do not change, and a, e and
+    # the frame rows of the law change sign exactly: every output is equal
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    params = MaterialParams()
+    rng = np.random.default_rng(13)
+    for s in ([0.0, 1.0], [-0.6, 0.8]):
+        slip, flipped = SlipSystem(s=np.array(s)), SlipSystem(s=-np.array(s))
+        for amp in (0.1, 1.0):
+            a1, a2, b, b_prev = _random_inputs(mesh, rng, amp)
+            gam_prev = _field_at_points(mesh, b_prev)
+            bd, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
+                                        gam_prev=gam_prev, need_grad=True)
+            bd1, diss1, grads1 = _assemble(mesh, a1, a2, b, params, flipped,
+                                           gam_prev=gam_prev, need_grad=True)
+            for field in BREAKDOWN_FIELDS:
+                assert getattr(bd, field) == getattr(bd1, field), field
+            assert diss == diss1
+            for g, g1 in zip(grads, grads1):
+                assert np.array_equal(g, g1)
+
+
+@pytest.mark.parametrize("slip_name", sorted(AXIS_SLIPS))
+def test_opposite_normal_is_the_kernel_at_negated_slip(slip_name):
+    # the frame (s, -m), which SlipSystem no longer builds, at slip -b is
+    # the kernel's frame (s, m) at b: Fp = I + (-b) s (x) (-m) is the same,
+    # so the frozen seed kernel gives the same values and the b gradient
+    # negated
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    slip = AXIS_SLIPS[slip_name]
+    opposite = SimpleNamespace(s=slip.s, m=-slip.m)
+    rng = np.random.default_rng(17)
+    for amp in (0.1, 1.0, 5.0):
+        a1, a2, b, b_prev = _random_inputs(mesh, rng, amp)
+        (bd, diss, grads), _ = _both(mesh, a1, a2, b, slip, b_prev, True)
+        _, (bd0, diss0, grads0) = _both(mesh, a1, a2, -b, opposite, -b_prev,
+                                        True)
+        for field in BREAKDOWN_FIELDS:
+            assert getattr(bd, field) == getattr(bd0, field), field
+        assert diss == diss0
+        assert np.array_equal(grads[0], grads0[0])
+        assert np.array_equal(grads[1], grads0[1])
+        assert np.array_equal(grads[2], -grads0[2])
 
 
 def test_point_and_corner_sums_are_the_rule_matmuls():

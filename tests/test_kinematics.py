@@ -7,11 +7,18 @@ from kinkband.energy import element_grad_y
 
 
 def test_slip_system_validation():
-    SlipSystem(s=[0, 1], m=[1, 0])
+    SlipSystem(s=[0, 1])
     with pytest.raises(ValueError):
-        SlipSystem(s=[0, 2], m=[1, 0])
-    with pytest.raises(ValueError):
-        SlipSystem(s=[0, 1], m=[0, 1])
+        SlipSystem(s=[0, 2])
+    with pytest.raises(TypeError):
+        SlipSystem(s=[0, 1], m=[1, 0])
+
+
+def test_normal_is_the_glide_direction_turned_clockwise():
+    m = SlipSystem.default().m
+    assert m.tolist() == [1.0, 0.0]
+    assert not np.signbit(m).any()
+    assert SlipSystem(s=[-0.6, 0.8]).m.tolist() == [0.8, 0.6]
 
 
 def test_plastic_distortion_examples(slip):

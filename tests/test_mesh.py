@@ -7,7 +7,7 @@ import pytest
 
 from kinkband import GeometryError, build_dofmap, build_structured_mesh
 from kinkband.energy import _WEIGHTS, _at_points
-from kinkband.mesh import (BOTTOM, INTERIOR, LEFT, RIGHT, TOP,
+from kinkband.mesh import (BOTTOM, INTERIOR, LATERAL, TOP,
                            _all_element_geometry)
 
 
@@ -168,8 +168,8 @@ def test_unit_square_corner_precedence():
 def test_lateral_and_top_tags():
     mesh = build_structured_mesh(42, 75, 2, 2)
     coords = {tuple(p): t for p, t in zip(mesh.nodes, mesh.boundary_tags)}
-    assert coords[(0.0, 37.5)] == LEFT
-    assert coords[(42.0, 37.5)] == RIGHT
+    assert coords[(0.0, 37.5)] == LATERAL
+    assert coords[(42.0, 37.5)] == LATERAL
     assert coords[(42.0, 75.0)] == TOP
     assert coords[(21.0, 37.5)] == INTERIOR
 
@@ -180,8 +180,7 @@ def test_tag_counts():
     tags = mesh.boundary_tags
     assert (tags == BOTTOM).sum() == nx + 1
     assert (tags == TOP).sum() == nx + 1
-    assert (tags == LEFT).sum() == ny - 1
-    assert (tags == RIGHT).sum() == ny - 1
+    assert (tags == LATERAL).sum() == 2 * (ny - 1)
     assert (tags == INTERIOR).sum() == (nx - 1) * (ny - 1)
 
 
@@ -285,7 +284,7 @@ def test_dofmap_index_sets(mesh_4x6):
     assert not np.isin(tags[free_a2], (BOTTOM, TOP)).any()
     assert len(free_b) == mesh_4x6.n_nodes
     # lateral nodes move only vertically: they are a2-free but not a1-free
-    lateral = np.flatnonzero((tags == LEFT) | (tags == RIGHT))
+    lateral = np.flatnonzero(tags == LATERAL)
     assert np.isin(lateral, free_a2).all()
     assert not np.isin(lateral, free_a1).any()
 

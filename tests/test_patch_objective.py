@@ -20,8 +20,7 @@ from kinkband.evolution import State, _make_objective
 
 SLIPS = {
     "default": SlipSystem.default(),
-    "rotated": SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)]),
-                          m=np.array([np.cos(0.7), np.sin(0.7)])),
+    "rotated": SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)])),
 }
 BREAKDOWN_FIELDS = ("elastic", "hardening", "slip_gradient", "penalty", "total")
 
