@@ -168,6 +168,7 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
 def parse_config(text: str) -> SimulationConfig:
     """Parse config text; defaults fill omissions."""
     config = SimulationConfig()
+    seen = {}                           # key -> the line that set it
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -178,6 +179,10 @@ def parse_config(text: str) -> SimulationConfig:
         key = key.strip()
         if key not in _TABLE:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {line_no}: key {key!r} is already set "
+                              f"on line {seen[key]}")
+        seen[key] = line_no
         section, attr, kind = _TABLE[key]
         setattr(_owner(config, section), attr, _convert(key, kind, value, line_no))
     return validate_config(config)

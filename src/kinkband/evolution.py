@@ -122,36 +122,29 @@ def lift_state(state: State, mesh: Mesh2D, program: LoadProgram,
 
 
 def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
-    """I + D^delta over the packed free DOFs: ``fun(x)`` is the value alone,
-    ``fun_grad(x)`` the value and analytic gradient from one assembly.
-
-    Both scatter x into one nodal buffer holding the template's fixed
-    entries.  ``fun_grad.last`` is [a copy of x, the ``_assemble`` result]
-    of the latest ``fun_grad`` call, a list updated in place: fun_grad holds
-    no reference to itself, so it is freed without the cycle collector.
-    The previous slip ``b_prev`` is taken to the quadrature points once."""
+    """I + D^delta over the packed free DOFs: ``fun_grad(x)`` is the value
+    and analytic gradient from one assembly into one nodal buffer holding
+    the template's fixed entries.  ``fun_grad.last`` is [a copy of x, the
+    ``_assemble`` result] of the latest assembly, a list updated in place; a
+    call at an equal x (``np.array_equal``) returns it without assembling.
+    fun_grad holds no reference to itself, so it is freed without the cycle
+    collector.  ``b_prev`` is taken to the quadrature points once."""
     q = np.concatenate((template.a1, template.a2, template.b))
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
     nodal = q.reshape(3, -1)
     last = [None, None]
 
-    def fun(x):
-        q[dofmap.free] = x
-        breakdown, diss, _ = _assemble(mesh, *nodal, params, slip,
-                                       gam_prev=gam_prev)
-        return breakdown.total + diss
-
     def fun_grad(x):
-        q[dofmap.free] = x
-        assembly = _assemble(mesh, *nodal, params, slip, gam_prev=gam_prev,
-                             need_grad=True)
-        last[:] = x.copy(), assembly
-        breakdown, diss, grads = assembly
+        if not np.array_equal(x, last[0]):
+            q[dofmap.free] = x
+            last[:] = x.copy(), _assemble(mesh, *nodal, params, slip,
+                                          gam_prev=gam_prev, need_grad=True)
+        breakdown, diss, grads = last[1]
         # the rows of grads are the blocks of the nodal vector [a1, a2, b]
         return breakdown.total + diss, grads.reshape(-1)[dofmap.free]
 
     fun_grad.last = last
-    return fun, fun_grad
+    return fun_grad
 
 
 def _smooth_bumps(mesh, dofmap, rng):
@@ -188,8 +181,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     """
     template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
     template.b = np.zeros_like(template.b)
-    b_prev = prev.b
-    fun, fun_grad = _make_objective(mesh, dofmap, params, slip, template, b_prev)
+    fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     h = curvature_scale(mesh, dofmap, params)
 
@@ -200,23 +192,25 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
             f"step to t={t_next:g} failed to start: {exc}") from exc
     iterations = res.iterations
 
-    # Descend from the lifted previous state (admissible, keeps gamma) if it
-    # is below the found minimizer.  fun(x) is fun_grad(x)[0] bit for bit,
-    # so that descent ends below res.f_min too.
+    # Descend from the lifted previous state (admissible, keeps gamma), from
+    # the probe's assembly, if it is below the found minimizer; if not, put
+    # the minimizer's latest assembly back for the record.
+    latest = fun_grad.last[:]
     lifted = lift_state(prev, mesh, program, prev.time, t_next)
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
-    if fun(x_lift) < res.f_min:
+    if fun_grad(x_lift)[0] < res.f_min:
         res = minimize(fun_grad, x_lift, options, h=h)
         iterations += res.iterations
+    else:
+        fun_grad.last[:] = latest
 
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     # the record from one assembly, the minimizer's latest if it ended there
-    if not np.array_equal(res.x_min, fun_grad.last[0]):
-        fun_grad(res.x_min)
+    fun_grad(res.x_min)
     breakdown, diss, grads = fun_grad.last[1]
     # the smoothed increment is what the step minimized; the cumulative
     # variation uses the raw dissipation distance sigma * int |dgamma|
-    var_inc = dissipation_increment(b_prev, b, mesh, replace(params, delta=0.0))
+    var_inc = dissipation_increment(prev.b, b, mesh, replace(params, delta=0.0))
     record = StepRecord(
         k=k,
         time=t_next,
@@ -263,16 +257,15 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
     bc = apply_boundary_conditions(state, mesh, dofmap, program, t)
     f_state = total_energy(bc, mesh, params, slip).total
     x = dofmap.pack(bc.a1, bc.a2, state.b)
-    competitor_value, _ = _make_objective(mesh, dofmap, params, slip, bc,
-                                          state.b)
-    worst = f_state - competitor_value(x)          # the state itself
+    fun_grad = _make_objective(mesh, dofmap, params, slip, bc, state.b)
+    worst = f_state - fun_grad(x)[0]  # the state itself
     if prev_state is not None:
         lifted = lift_state(prev_state, mesh, program, prev_state.time, t)
         xc = dofmap.pack(lifted.a1, lifted.a2, prev_state.b)
-        worst = max(worst, f_state - competitor_value(xc))
+        worst = max(worst, f_state - fun_grad(xc)[0])
     for _ in range(n_competitors):
         xc = x + _smooth_bumps(mesh, dofmap, rng)
-        worst = max(worst, f_state - competitor_value(xc))
+        worst = max(worst, f_state - fun_grad(xc)[0])
     return float(worst)
 
 
@@ -313,7 +306,7 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
                                       program, 0.0)
     rng = np.random.default_rng(12345)
     b_prev = np.zeros(mesh.n_nodes)
-    _, fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
+    fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
     x = dofmap.pack(probe.a1, probe.a2, probe.b)
     # a visibly strained, slipped probe keeps all gradient blocks well scaled
     x = x + 0.6 * _smooth_bumps(mesh, dofmap, rng) \

@@ -24,8 +24,9 @@ class SlipSystem:
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
-        if abs(np.linalg.norm(self.s) - 1.0) > _UNIT_TOL:
-            raise ValueError(f"glide direction must be a unit vector, got {self.s}")
+        # a NaN norm fails the comparison
+        if self.s.shape != (2,) or not abs(np.linalg.norm(self.s) - 1) <= _UNIT_TOL:
+            raise ValueError(f"glide direction must be a unit 2-vector, got {self.s}")
         # 0.0 - s0 keeps the default m at +0.0, not -0.0
         self.m = np.array([self.s[1], 0.0 - self.s[0]])
 

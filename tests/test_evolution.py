@@ -164,7 +164,7 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
     # oracle: minimize over the elastic blocks only, slip frozen at zero
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 10.0)
     template.b = np.zeros(mesh.n_nodes)
-    _, fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
+    fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     idx_a = np.flatnonzero(dofmap.free < 2 * mesh.n_nodes)
     _, res = _minimize_subset(fun_grad, x0, idx_a, options)
@@ -295,7 +295,7 @@ def test_stability_negative_control(small_problem):
     mesh, dofmap, params, slip, program, _ = small_problem
     prev = initial_state(mesh)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 40.0)
-    _, fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
+    fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     options = MinimizeOptions(max_iters=1)
     res = minimize(fun_grad, x0, options)

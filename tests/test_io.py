@@ -151,6 +151,17 @@ def test_unknown_key_rejected_with_line_number():
         parse_config("load.K = 10\nmaterial.bogus = 1")
 
 
+def test_repeated_key_is_a_config_error(tmp_path, capsys):
+    # the second value does not silently win: exit 1 naming the key and
+    # both of its lines
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("load.K = 10\n# again\nload.K = 20\n")
+    code = cli_main(["validate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "line 3: key 'load.K' is already set on line 1" in captured.err
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("this is not a key value pair")
@@ -575,14 +586,14 @@ def test_cli_check_gradient_fails_on_nan_gradient(tmp_path, monkeypatch,
     make_objective = evolution._make_objective
 
     def nan_objective(*args):
-        fun, fun_grad = make_objective(*args)
+        fun_grad = make_objective(*args)
 
         def nan_fun_grad(x):
             f, g = fun_grad(x)
             g = g.copy()
             g[3] = np.nan
             return f, g
-        return fun, nan_fun_grad
+        return nan_fun_grad
 
     monkeypatch.setattr(evolution, "_make_objective", nan_objective)
     cfg = tmp_path / "sim.cfg"

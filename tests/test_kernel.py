@@ -16,7 +16,7 @@ from kinkband import (MaterialParams, MinimizeOptions, SlipSystem, State,
                       minimize)
 from kinkband.energy import _assemble, _at_points, _field_at_points, _to_corners
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
-                                reaction_force)
+                                lift_state, reaction_force)
 from seed_kernel import seed_assemble
 
 # axis-aligned slip systems, s along each of the four axis directions:
@@ -173,8 +173,8 @@ def test_objective_gradient_is_the_packed_nodal_gradient():
     rng = np.random.default_rng(11)
     a1, a2, b, b_prev = _random_inputs(mesh, rng, 0.3)
     template = State(a1=a1, a2=a2, b=b)
-    _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
-                                            template, b_prev)
+    fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
+                                         template, b_prev)
     x = dofmap.pack(a1, a2, b)
     _, _, nodal = _assemble(mesh, a1, a2, b, params, slip,
                             gam_prev=_field_at_points(mesh, b_prev),
@@ -219,8 +219,8 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
 
     monkeypatch.setattr(evolution, "_assemble", recording)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 20.0)
-    _, fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
-                                            template, prev.b)
+    fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
+                                         template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     res = minimize(fun_grad, x0, MinimizeOptions())
     assert res.iterations > 5
@@ -230,19 +230,70 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     assert len({point for _, point in calls}) == len(calls)
     assert len(calls) >= res.iterations + 1
 
-    # a whole step adds exactly one value-only assembly, the lifted-state
-    # probe; the record's energy, dissipation and reaction come from the
-    # minimizer's assembly with gradient at the accepted point, its latest,
-    # so no point is assembled twice
-    calls.clear()
-    state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
-                                          slip, program, MinimizeOptions())
-    value_only = [point for need_grad, point in calls if not need_grad]
-    assert len(value_only) == 1
-    grad_points = [point for need_grad, point in calls if need_grad]
-    accepted = state.a1.tobytes() + state.a2.tobytes() + state.b.tobytes()
-    assert grad_points[-1] == accepted
-    assert len(set(grad_points)) == len(grad_points)
+    # a whole step assembles every point once, always with its gradient,
+    # whichever way the lifted-state probe goes: here the lifted state wins
+    # without an iteration, so the probe is also the start and the end of
+    # the lifted minimization; made to lose, the probe is its only use.
+    # The record's energy, dissipation and reaction come from the
+    # assembly at the accepted point
+    lifted = lift_state(prev, mesh, program, prev.time, 20.0)
+    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
+    a1, a2, b = dofmap.unpack(x_lift, template.a1, template.a2, template.b)
+    lift_point = a1.tobytes() + a2.tobytes() + b.tobytes()
+    for lift_loses in (False, True):
+        calls.clear()
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            if lift_loses:
+                runs[-1].f_min = -np.inf
+            return runs[-1]
+
+        monkeypatch.setattr(evolution, "minimize", counting)
+        state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
+                                              slip, program, MinimizeOptions())
+        assert all(need_grad for need_grad, _ in calls)
+        points = [point for _, point in calls]
+        assert len(set(points)) == len(points)
+        assert lift_point in points
+        accepted = state.a1.tobytes() + state.a2.tobytes() + state.b.tobytes()
+        assert accepted in points
+        if lift_loses:
+            assert len(runs) == 1 and runs[0].iterations > 0
+            assert accepted != lift_point
+        else:
+            assert [run.iterations for run in runs][1:] == [0]
+            assert accepted == lift_point == points[-1]
+
+
+def test_objective_assembles_again_only_at_a_new_point(monkeypatch):
+    # a copy of the latest point is served from its assembly; a point one
+    # ulp away in one entry is assembled afresh
+    mesh = build_structured_mesh(42.0, 75.0, 4, 6)
+    dofmap = build_dofmap(mesh)
+    state = initial_state(mesh)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["need_grad"])
+        return _assemble(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_assemble", counting)
+    fun_grad = evolution._make_objective(
+        mesh, dofmap, MaterialParams(), SlipSystem.default(), state, state.b)
+    x = dofmap.pack(state.a1, state.a2, state.b) + 0.1
+    f, g = fun_grad(x)
+    f_copy, g_copy = fun_grad(x.copy())
+    assert calls == [True]
+    assert f_copy == f and np.array_equal(g_copy, g)
+    x_ulp = x.copy()
+    x_ulp[7] = np.nextafter(x_ulp[7], np.inf)
+    fun_grad(x_ulp)
+    assert calls == [True, True]
+    assert np.array_equal(fun_grad.last[0], x_ulp)
+    fun_grad(x)
+    assert calls == [True, True, True]
 
 
 @pytest.mark.parametrize("end_on_start", [False, True])
@@ -285,13 +336,13 @@ def test_objective_is_freed_without_the_cycle_collector():
     mesh = build_structured_mesh(42.0, 75.0, 4, 6)
     dofmap = build_dofmap(mesh)
     state = initial_state(mesh)
-    fun, fun_grad = evolution._make_objective(
+    fun_grad = evolution._make_objective(
         mesh, dofmap, MaterialParams(), SlipSystem.default(), state, state.b)
     fun_grad(dofmap.pack(state.a1, state.a2, state.b))
-    refs = [weakref.ref(fun), weakref.ref(fun_grad)]
+    ref = weakref.ref(fun_grad)
     gc.disable()
     try:
-        del fun, fun_grad
-        assert [ref() for ref in refs] == [None, None]
+        del fun_grad
+        assert ref() is None
     finally:
         gc.enable()

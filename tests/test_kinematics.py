@@ -10,6 +10,11 @@ def test_slip_system_validation():
     SlipSystem(s=[0, 1])
     with pytest.raises(ValueError):
         SlipSystem(s=[0, 2])
+    # not a finite 2-vector: a unit-norm test alone accepts the first,
+    # builds m = (1, nan) from the second and raises IndexError on the third
+    for s in ([0, 1, 0], [np.nan, 1.0], [[0, 1]]):
+        with pytest.raises(ValueError, match="unit 2-vector"):
+            SlipSystem(s=s)
     with pytest.raises(TypeError):
         SlipSystem(s=[0, 1], m=[1, 0])
 
