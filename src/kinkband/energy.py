@@ -59,6 +59,11 @@ stacked matmul fused multiply-adds, so the two agree to rounding):
 - the nodal gradient blocks are one element-order ``bincount`` over
   [a1, a2, b], so each node sums its elements in ascending order;
 - the penalty masks are applied only where some point is inadmissible.
+
+The second derivatives come from the same law (``derivatives=2``): the
+Jacobian of the frame rows in (a, grad y m, gamma).  ``hessian_rows``
+assembles from them, with the same quadrature, the stored energy's Hessian
+over the free DOFs, one block per node row, for the stability certificate.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ from .kinematics import SlipSystem
 from .mesh import DofMap, Mesh2D
 
 _WEIGHTS = np.full(3, 1.0 / 3.0)       # summing to 1: times area integrates
+# elements whose Hessians ``hessian_rows`` forms at once
+_HESSIAN_CHUNK = 500
 
 
 @dataclass
@@ -182,6 +189,14 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     and d_gamma (else None).  With S = dW/dFe, zero at penalty points,
     M = S m and P = S s - gamma M, so that dW/d(grad y) = S P^T has the
     entries P_i s_j + M_i m_j, and d_gamma = -a . M plus the hardening slope.
+
+    The five rows are the gradient of the density in the frame variables
+    v = (a0, a1, n0, n1, gamma), n = grad y m, so e = n - gamma a.  With
+    ``derivatives=2`` 25 more rows follow, the Jacobian of those five in v,
+    row-major: the second derivatives K of W in (a, e), chained through e,
+    plus -M in the (a, gamma) entries (e is bilinear in gamma and a) and the
+    hardening curvature in (gamma, gamma); the elastic part is zero at
+    penalty points, as in the first derivatives.
     """
     (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
     a0 = y00 * s0 + y01 * s1                    # a = grad_y s = Fe s
@@ -218,22 +233,75 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     # their last read, for a smaller peak
     coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
     coef_det = -2.0 * params.D * det_m1 + 2.0 * params.C / det_safe
-    del frob2, det, det_m1, det_safe
-    derivs = np.empty((5,) + elastic.shape)     # the rows averaged in one pass
-    p0, p1, sm0, sm1, d_gam = derivs
+    del det, det_m1
+    derivs = np.empty((5 if derivatives < 2 else 30,) + elastic.shape)
+    p0, p1, sm0, sm1, d_gam = derivs[:5]        # the rows averaged in one pass
     np.add(coef_p * a0, coef_det * e1, out=p0)              # S s
     np.subtract(coef_p * a1, coef_det * e0, out=p1)
     np.add(coef_p * e0 - coef_det * a1, 2.0 * params.aniso * e0, out=sm0)
     np.add(coef_p * e1 + coef_det * a0, 2.0 * params.aniso * e1, out=sm1)
-    del e0, e1, coef_p, coef_det
     if not admissible:
         derivs[:4] *= ok
+    if derivatives >= 2:
+        _frame_jacobian(derivs[5:].reshape((5, 5) + elastic.shape), a0, a1,
+                        e0, e1, frob2, det_safe, coef_p, coef_det, sm0, sm1,
+                        gam, two_g2, None if admissible else ok, params)
+    del e0, e1, coef_p, coef_det, frob2, det_safe
 
     p0 -= gam * sm0                             # S s - gam S m
     p1 -= gam * sm1
     np.negative(a0 * sm0 + a1 * sm1, out=d_gam)
     d_gam += params.beta * params.r * two_g2 ** (params.r / 2.0 - 1.0) * gam
     return elastic, hardening, penalty, derivs
+
+
+def _frame_jacobian(jac, a0, a1, e0, e1, frob2, det, coef_p, coef_det, sm0,
+                    sm1, gam, two_g2, ok, params):
+    """Write into ``jac`` (5, 5, ...) the Jacobian of the frame rows in
+    v = (a0, a1, n0, n1, gamma), n = grad y m; ``ok`` masks the penalty
+    points, or is None when there are none.
+
+    In u = (a, e) the Hessian of W is K = coef_p I + c2 u u^T + f'' g g^T +
+    f' Q + 2 aniso on the e diagonal: c2 = C p (p - 2) |Fe|^(p - 4), g =
+    d det/du = (-e1, e0, a1, -a0), Q = d^2 det/du^2 (+1 at (a1, e0), -1 at
+    (a0, e1)), and f' = -coef_det, f'' = 2 D + 2 C / det^2 the slope and
+    curvature of W along det Fe.  As de = dn - gamma da - a dgamma:
+    H_an = K_ae - gamma K_ee, H_aa = K_aa - gamma K_ea - gamma H_an,
+    H_nn = K_ee, H_agamma = -H_an a - M, H_ngamma = -K_ee a and
+    H_gammagamma = a . K_ee a plus the hardening curvature.
+    """
+    c2 = params.C * params.p * (params.p - 2.0) * frob2 ** (params.p / 2 - 2.0)
+    d2 = 2.0 * params.D + 2.0 * params.C / (det * det)
+    u = (a0, a1, e0, e1)
+    g = (-e1, e0, a1, -a0)
+    K = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            kij = c2 * u[i] * u[j] + d2 * g[i] * g[j]
+            if i == j:
+                kij += coef_p if i < 2 else coef_p + 2.0 * params.aniso
+            elif (i, j) == (1, 2):
+                kij -= coef_det
+            elif (i, j) == (0, 3):
+                kij += coef_det
+            if ok is not None:
+                kij *= ok
+            K[i][j] = K[j][i] = kij
+    a, m = (a0, a1), (sm0, sm1)
+    h_an = [[K[i][2 + j] - gam * K[2 + i][2 + j] for j in range(2)]
+            for i in range(2)]
+    for i in range(2):
+        for j in range(i, 2):
+            jac[i, j] = jac[j, i] = K[i][j] - gam * K[2 + i][j] - gam * h_an[i][j]
+            jac[2 + i, 2 + j] = jac[2 + j, 2 + i] = K[2 + i][2 + j]
+        for j in range(2):
+            jac[i, 2 + j] = jac[2 + j, i] = h_an[i][j]
+        jac[i, 4] = jac[4, i] = -(h_an[i][0] * a0 + h_an[i][1] * a1) - m[i]
+        jac[2 + i, 4] = jac[4, 2 + i] = -(K[2 + i][2] * a0 + K[2 + i][3] * a1)
+    jac[4, 4] = sum(a[i] * K[2 + i][2 + j] * a[j]
+                    for i in range(2) for j in range(2))
+    jac[4, 4] += (params.beta * params.r * two_g2 ** (params.r / 2.0 - 2.0)
+                  * (2.0 + (params.r - 1.0) * gam * gam))
 
 
 def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams,
@@ -362,6 +430,89 @@ def _integrate(rows, gam, grads, area, params, slip, gam_prev, need_grad,
         np.add(area * _to_corners(dW_dg * W[:, None]),
                area * (2.0 * params.eps_grad * (g0 * gx + g1 * gy)), out=loc[2].T)
     return breakdown, diss, loc
+
+
+def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
+                      slip: SlipSystem, elems):
+    """(9, 9, k) Hessians of the stored energy (no dissipation) of the
+    elements ``elems`` at the (3, n) nodal values q, local DOF 3 f + c for
+    corner c of field f, the order of ``slots``.  A displacement DOF of
+    field i (a1, a2) moves a_i by its hat gradient along s and n_i along m;
+    a slip DOF moves gamma at the points by the rule's barycentric values,
+    whose transpose is ``_to_corners``; the slip gradient adds
+    2 eps_grad grad phi_c . grad phi_d."""
+    v = q[:, mesh.corners[:, elems]]            # (field, corner, element)
+    grads, area, W = mesh.grads[:, :, elems], mesh.element_area[elems], _WEIGHTS
+    (y00, y01), (y10, y11) = (_p1_gradient(vf, grads) for vf in v[:2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = material_law(y00, y01, y10, y11, _at_points(v[2]), params, slip,
+                           derivatives=2)[3][5:].reshape(5, 5, 3, -1)
+    dd = jac[:4, :4, 0] * W[0] + jac[:4, :4, 1] * W[1] + jac[:4, :4, 2] * W[2]
+    db = _to_corners(jac[:4, 4].swapaxes(0, 1) * W[:, None, None])  # (d, v, e)
+    bary = _at_points(np.eye(3))                # (point, corner)
+    bb = np.einsum("qc,qd,qe->cde", bary, bary, jac[4, 4] * W[:, None])
+    del jac
+    (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
+    gs, gm = grads[0] * s0 + grads[1] * s1, grads[0] * m0 + grads[1] * m1
+    outer = [[gs[:, None] * gs, gs[:, None] * gm],
+             [gm[:, None] * gs, gm[:, None] * gm]]  # (c, d, e) by (s|m, s|m)
+    out = np.empty((3, 3, 3, 3, len(area)))     # (field, corner, field, corner)
+    for i in range(2):
+        for j in range(2):
+            out[i, :, j] = sum(dd[2 * u + i, 2 * w + j] * outer[u][w]
+                               for u in range(2) for w in range(2))
+        out[i, :, 2] = gs[:, None] * db[:, i] + gm[:, None] * db[:, 2 + i]
+        out[2, :, i] = out[i, :, 2].swapaxes(0, 1)
+    out[2, :, 2] = bb + 2.0 * params.eps_grad * np.einsum("ice,ide->cde",
+                                                           grads, grads)
+    out *= area
+    return out.reshape(9, 9, -1)
+
+
+def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
+                 slip: SlipSystem):
+    """The Hessian of the stored energy (no dissipation) over the free DOFs
+    at the (3, n) nodal values q, in ``dofmap.row_blocks`` layout, one node
+    row at a time: yields (D_j, B_j) for j = 0, 1, ..., the diagonal block
+    of row j and its coupling H[row j, row j - 1] (None for j = 0).  Fixed
+    entries carry the identity, so the matrix is positive definite exactly
+    when the Hessian over the free DOFs is.
+
+    The element matrices are scattered band by band, a band being the
+    elements between two node rows, so each element must span at most two
+    adjacent rows.  They are formed for about ``_HESSIAN_CHUNK`` elements
+    at a time, whole bands, and only two rows' blocks are held at once, so
+    the peak of memory stays near that of one gradient assembly."""
+    lay = dofmap.row_blocks
+    m = lay.size
+    band = lay.row[mesh.corners].min(axis=0)    # the lower node row
+    order = np.argsort(band, kind="stable")
+    starts = np.searchsorted(band[order], np.arange(lay.count))
+    per_chunk = max(1, _HESSIAN_CHUNK * (lay.count - 1) // len(order))  # bands
+    fixed = np.zeros((lay.count, m))
+    fixed[lay.row[~lay.free], lay.pos[~lay.free]] = 1.0
+    below, coupling = np.zeros((m, m)), None
+    for c0 in range(0, lay.count - 1, per_chunk):
+        c1 = min(c0 + per_chunk, lay.count - 1)
+        chunk = order[starts[c0]:starts[c1]]
+        hess = _element_hessians(mesh, q, params, slip, chunk)
+        entry = mesh.slots.reshape(3, -1, 3)[:, chunk].transpose(0, 2, 1)
+        entry = entry.reshape(9, -1)            # local DOF 3 f + c, element
+        free = lay.free[entry]
+        hess *= free[:, None] & free[None]
+        local = (lay.row[entry] - band[chunk]) * m + lay.pos[entry]
+        for j in range(c0, c1):
+            part = slice(starts[j] - starts[c0], starts[j + 1] - starts[c0])
+            idx = local[:, None, part] * (2 * m) + local[None, :, part]
+            band_h = np.bincount(idx.ravel(), weights=hess[:, :, part].ravel(),
+                                 minlength=4 * m * m).reshape(2, m, 2, m)
+            diag = below + band_h[0, :, 0]
+            diag.flat[::m + 1] += fixed[j]
+            yield diag, coupling
+            below, coupling = band_h[1, :, 1], band_h[1, :, 0]
+        del hess, entry, free, local             # before the next chunk's
+    below.flat[::m + 1] += fixed[-1]
+    yield below, coupling
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,

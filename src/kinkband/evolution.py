@@ -2,14 +2,19 @@
 
 Each step minimizes H(q) = D_delta(gamma_prev, gamma) + I(t_next, y, gamma)
 over the free coefficients, with the moving Dirichlet data imposed at
-t_next before minimization.  A step takes one path: one minimization from
-the previous elastic coefficients with zero slip, then one from the lifted
-previous state if that is lower.  There is no retry: a step that cannot
-start ends the run with the steps before it.  The diagnostics
-``stability_check`` (the stability inequality probed with random
-competitors) and ``energy_inequality_check`` (the two-sided discrete energy
-estimate against an affinely lifted copy of the previous state) are called
-by the tests; ``run_simulation`` calls neither.
+t_next before minimization.  A step first assembles the lifted previous
+state.  If that state is stationary, has no penalty point and the stored
+energy's Hessian there is positive definite (``_certified``: block
+Cholesky on ``energy.hessian_rows``), it is a strict local minimizer of
+the step, and the step keeps it with 0 iterations: the local solution
+concept.  Otherwise the step compares two starts: one minimization from
+the previous elastic coefficients with zero slip, then one from the
+lifted previous state if that is lower.  There is no retry:
+a step that cannot start ends the run with the steps before it.  The
+diagnostics ``stability_check`` (the stability inequality probed with
+random competitors) and ``energy_inequality_check`` (the two-sided
+discrete energy estimate against an affinely lifted copy of the previous
+state) are called by the tests; ``run_simulation`` calls neither.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from .energy import (EnergyBreakdown, MaterialParams, _assemble,
                      _field_at_points, _patch_oracle, curvature_scale,
-                     dissipation_increment, element_grad_y, total_energy)
+                     dissipation_increment, element_grad_y, hessian_rows,
+                     total_energy)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
@@ -164,45 +170,80 @@ def _smooth_bumps(mesh, dofmap, rng):
                          for f, on in zip((da1, da2, db), active)))
 
 
+def _certified(mesh, dofmap, params, slip, q) -> bool:
+    """Whether the stored energy's Hessian over the free DOFs at the (3, n)
+    nodal values q is positive definite, by block Cholesky on its row blocks
+    (``energy.hessian_rows``); the first block that fails ends it.
+
+    With S the Schur complement of the rows before row j (S = D_0 for
+    j = 1), the Cholesky factor of [[S, B_j^T], [B_j, D_j]] is
+    [[L, 0], [Z, L_j]], and D_j - Z Z^T is the next Schur complement: the
+    factor exists exactly when S and that complement are both positive
+    definite, so the pairs test every row of a mesh with at least two rows
+    (every structured mesh).  The step's functional adds to this
+    Hessian the dissipation's, which is positive semidefinite, so a
+    certified stationary point is a strict local minimizer of the step."""
+    schur = None
+    try:
+        for diag, coupling in hessian_rows(mesh, dofmap, q, params, slip):
+            if schur is not None:
+                m = len(diag)
+                pair = np.empty((2 * m, 2 * m))
+                pair[:m, :m], pair[:m, m:] = schur, coupling.T
+                pair[m:, :m], pair[m:, m:] = coupling, diag
+                z = np.linalg.cholesky(pair)[m:, :m]
+                diag = diag - z @ z.T
+            schur = diag
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
                      params: MaterialParams, slip: SlipSystem,
                      program: LoadProgram, options: MinimizeOptions,
                      prev_cumulative: float = 0.0, k: int = 0):
     """Advance one step: minimize H over free DOFs with boundary data at t_next.
 
-    The initial guess keeps the elastic coefficients from the previous
-    solution (top row re-imposed) and restarts the slip block at zero.  If
-    the affinely lifted previous state, an admissible competitor, is lower
-    than that minimizer, the step minimizes once more from it and keeps the
-    result, which ``minimize`` never leaves above its start.  A start where
-    H is not finite raises StepFailureError.  prev_cumulative is the
-    cumulative dissipation before the step and k the step number, both for
-    the record.
+    The step first assembles the affinely lifted previous state, an
+    admissible competitor that keeps the slip.  If it is stationary (|g|inf
+    at most ``options.grad_tol``, so ``minimize`` returns it unmoved), has
+    no penalty point and ``_certified`` passes, it is a strict local
+    minimizer and the step keeps it: the minimization from it ends at its
+    start.  Otherwise the step minimizes from the previous elastic
+    coefficients (top row re-imposed) with the slip restarted at zero and,
+    if the lifted state is lower than that minimizer, once more from the
+    lifted state, keeping that result, which ``minimize`` never leaves
+    above its start.  A start where H is not finite raises
+    StepFailureError.  prev_cumulative is the cumulative dissipation before
+    the step and k the step number, both for the record.
     """
     template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
     template.b = np.zeros_like(template.b)
     fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     h = curvature_scale(mesh, dofmap, params)
+    lifted = lift_state(prev, mesh, program, prev.time, t_next)
+    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
+    f_lift, g_lift = fun_grad(x_lift)
+    lift_assembly = fun_grad.last[:]
+    stable = (float(np.abs(g_lift).max(initial=0.0)) <= options.grad_tol
+              and lift_assembly[1][0].penalty == 0.0
+              and _certified(mesh, dofmap, params, slip, dofmap.unpack(
+                  x_lift, template.a1, template.a2, template.b)))
 
     try:
-        res = minimize(fun_grad, x0, options, h=h)
+        res = minimize(fun_grad, x_lift if stable else x0, options, h=h)
+        iterations = res.iterations
+        # else descend from the lifted state, from its assembly, if it is
+        # below the found minimizer
+        if not stable and f_lift < res.f_min:
+            fun_grad.last[:] = lift_assembly
+            res = minimize(fun_grad, x_lift, options, h=h)
+            iterations += res.iterations
     except InvalidStartError as exc:
         raise StepFailureError(
             f"step to t={t_next:g} failed to start: {exc}") from exc
-    iterations = res.iterations
-
-    # Descend from the lifted previous state (admissible, keeps gamma), from
-    # the probe's assembly, if it is below the found minimizer; if not, put
-    # the minimizer's latest assembly back for the record.
-    latest = fun_grad.last[:]
-    lifted = lift_state(prev, mesh, program, prev.time, t_next)
-    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
-    if fun_grad(x_lift)[0] < res.f_min:
-        res = minimize(fun_grad, x_lift, options, h=h)
-        iterations += res.iterations
-    else:
-        fun_grad.last[:] = latest
 
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     # the record from one assembly, the minimizer's latest if it ended there

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +127,20 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
                   boundary_tags=tags, element_area=area, grads=grads)
 
 
+class RowBlocks(NamedTuple):
+    """The block-tridiagonal layout of a matrix over the nodal vector
+    [a1, a2, b] (length 3n) of a mesh whose nodes are numbered row by row, w
+    to a row: block j holds node row j, and entry (field f, node v) sits in
+    block v // w at position f w + v % w, so every block has 3 w positions.
+    An element that spans two adjacent rows couples only their blocks."""
+
+    row: np.ndarray         # (3n,) block of each entry
+    pos: np.ndarray         # (3n,) position of each entry in its block
+    free: np.ndarray        # (3n,) bool, the entry is a free DOF
+    count: int              # number of blocks, the node rows
+    size: int               # positions per block, 3 w
+
+
 @dataclass
 class DofMap:
     """The free/fixed split of the nodal vector [a1, a2, b] (length 3n).
@@ -135,13 +150,26 @@ class DofMap:
     of b.  Horizontal displacements are fixed on the whole boundary,
     vertical ones on bottom and top; the slip field is free everywhere.
     Every other entry is fixed and prescribed by the boundary program.
+    ``grid`` is (rows, nodes per row) of the node numbering, row by row.
     """
 
     free: np.ndarray
+    grid: tuple[int, int]
 
     @property
     def n_free(self) -> int:
         return len(self.free)
+
+    @cached_property
+    def row_blocks(self) -> RowBlocks:
+        """The Hessian's layout, one block per node row; built on first use,
+        as only the stability certificate needs it."""
+        rows, width = self.grid
+        field, node = np.divmod(np.arange(3 * rows * width), rows * width)
+        free = np.zeros(len(node), dtype=bool)
+        free[self.free] = True
+        return RowBlocks(row=node // width, pos=field * width + node % width,
+                         free=free, count=rows, size=3 * width)
 
     def pack(self, a1, a2, b) -> np.ndarray:
         return np.concatenate((a1, a2, b))[self.free]
@@ -155,9 +183,11 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh2D) -> DofMap:
-    """Free positions from boundary tags: a1 interior-only, a2 also lateral."""
+    """Free positions from boundary tags: a1 interior-only, a2 also lateral.
+    The bottom row is the nodes tagged BOTTOM (corners included)."""
     tags = mesh.boundary_tags
     free = np.flatnonzero(np.concatenate((
         tags == INTERIOR, (tags != BOTTOM) & (tags != TOP),
         np.ones(mesh.n_nodes, dtype=bool))))
-    return DofMap(free=free)
+    width = int(np.count_nonzero(tags == BOTTOM))
+    return DofMap(free=free, grid=(mesh.n_nodes // width, width))

@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -419,3 +424,81 @@ def test_step_failure_keeps_partial_results(monkeypatch):
         evolution.run_simulation(config)
     assert len(excinfo.value.records) == 2      # two good steps preserved
     assert len(excinfo.value.states) == 3
+
+
+# ---------------------------------------------------------------------------
+# certified steps
+
+
+def test_certified_steps_keep_the_states_of_the_compared_starts(
+        monkeypatch, run_10x18_k20):
+    # a certified step keeps the lifted state without the zero-slip
+    # minimization; that minimization, run when the certificate fails, loses
+    # to the lift in the same steps, so the two runs differ only in the
+    # iteration counts.  On 10x18 the stored energy of the homogeneous state
+    # loses stability at step 9.6, and step 10 is the first that slips
+    config, records, states = run_10x18_k20
+    monkeypatch.setattr(evolution, "_certified", lambda *args: False)
+    compared, compared_states = run_simulation(config)
+    assert len(compared) == len(records) == 20
+    for state, other in zip(states, compared_states):
+        for field in ("a1", "a2", "b"):
+            assert np.array_equal(getattr(state, field), getattr(other, field))
+        assert state.time == other.time
+    for rec, other in zip(records, compared):
+        assert dataclasses.replace(rec, optimizer_iterations=0) \
+            == dataclasses.replace(other, optimizer_iterations=0)
+    iterations = [rec.optimizer_iterations for rec in records]
+    assert iterations[:9] == [0] * 9 and iterations[9] > 0
+    assert all(rec.optimizer_iterations > 0 for rec in compared)
+    assert [rec.max_abs_gamma for rec in records[:9]] == [0.0] * 9
+
+
+def test_a_run_imports_no_scipy():
+    # the certificate is numpy only; a tiny run whose first step is
+    # certified (0 iterations) must not load scipy
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys\n"
+            "from kinkband import SimulationConfig, run_simulation\n"
+            "records, _ = run_simulation(SimulationConfig(nx=3, ny=4, K=2, T=2.0))\n"
+            "assert records[0].optimizer_iterations == 0, records[0]\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
+                                                             small_problem):
+    # the lift at t = 20 s is stationary and certified, so the step keeps it
+    # with one minimization that does not move; reported with a penalty
+    # point (injected into its assembly's breakdown alone), it is only one
+    # of the two compared starts
+    mesh, dofmap, params, slip, program, options = small_problem
+    prev = initial_state(mesh)
+    lifted = lift_state(prev, mesh, program, 0.0, 20.0)
+    template = apply_boundary_conditions(prev, mesh, dofmap, program, 20.0)
+    lift_point = dofmap.unpack(dofmap.pack(lifted.a1, lifted.a2, prev.b),
+                               template.a1, template.a2, template.b)
+    for penalized in (False, True):
+        starts = []
+
+        def assemble(mesh_, a1, a2, b, *args, **kwargs):
+            out = _assemble(mesh_, a1, a2, b, *args, **kwargs)
+            if penalized and np.array_equal(np.array([a1, a2, b]), lift_point):
+                out = (dataclasses.replace(out[0], penalty=1.0),) + out[1:]
+            return out
+
+        def recording(fun_grad, x0, *args, **kwargs):
+            starts.append(x0.copy())
+            return minimize(fun_grad, x0, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "_assemble", assemble)
+        monkeypatch.setattr(evolution, "minimize", recording)
+        state, record = incremental_step(prev, 20.0, mesh, dofmap, params,
+                                         slip, program, options)
+        assert len(starts) == (2 if penalized else 1)
+        assert np.array_equal(np.array([state.a1, state.a2, state.b]),
+                              lift_point)
+        assert (record.optimizer_iterations > 0) == penalized

@@ -1,0 +1,158 @@
+"""The stored energy's second derivatives: pointwise against differences of
+the material law's first-derivative rows, assembled over the free DOFs
+against differences of the assembled gradient, and the block-Cholesky
+certificate against the eigenvalues of the dense matrix."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from kinkband import (MaterialParams, SlipSystem, build_dofmap,
+                      build_structured_mesh, initial_state, material_law)
+from kinkband.energy import hessian_rows
+from kinkband.evolution import (LoadProgram, _certified, _make_objective,
+                                apply_boundary_conditions, lift_state)
+
+SLIPS = {"default": SlipSystem.default(),
+         "rotated": SlipSystem(s=np.array([-0.6, 0.8]))}
+
+
+def _law_in_frame(v, params, slip, derivatives):
+    """``material_law`` at frame variables v = (a0, a1, n0, n1, gamma), rows
+    of points: grad y = a (x) s + n (x) m, so a = grad y s, n = grad y m."""
+    a, n, gam = v[:, :2], v[:, 2:4], v[:, 4]
+    Y = a[:, :, None] * slip.s + n[:, :, None] * slip.m
+    return material_law(Y[:, 0, 0], Y[:, 0, 1], Y[:, 1, 0], Y[:, 1, 1], gam,
+                        params, slip, derivatives=derivatives)
+
+
+@pytest.mark.parametrize("slip_name", sorted(SLIPS))
+def test_pointwise_second_derivatives_match_differences_of_the_rows(params,
+                                                                   slip_name):
+    slip = SLIPS[slip_name]
+    rng = np.random.default_rng(41)
+    # frames near the reference one, a = s and n = m, with slips of both signs
+    v = np.concatenate([np.concatenate([slip.s, slip.m])
+                        + 0.3 * rng.standard_normal((60, 4)),
+                        0.5 * rng.standard_normal((60, 1))], axis=1)
+    elastic, _, penalty, derivs = _law_in_frame(v, params, slip, 2)
+    assert penalty is None
+    rows, jac = derivs[:5], derivs[5:].reshape(5, 5, -1)
+    assert np.array_equal(rows, _law_in_frame(v, params, slip, 1)[3])
+    h = 1e-6
+    for k in range(5):
+        e = np.zeros(5)
+        e[k] = h
+        fd = (_law_in_frame(v + e, params, slip, 1)[3]
+              - _law_in_frame(v - e, params, slip, 1)[3]) / (2.0 * h)
+        assert np.abs(fd - jac[:, k]).max() <= 1e-8 * np.abs(jac).max()
+    assert np.array_equal(jac, jac.transpose(1, 0, 2))
+
+
+def test_pointwise_second_derivatives_at_a_penalty_point(params, slip):
+    # only the hardening curvature is left; the admissible point in the same
+    # call keeps its own values
+    v = np.array([[0.1, 1.1, 0.9, 0.2, 0.3],      # det Fe = 0.97
+                  [1e-9, 0.0, 0.0, 1.0, 0.4]])    # det Fe = -1e-9
+    jac = _law_in_frame(v, params, slip, 2)[3][5:].reshape(5, 5, -1)
+    alone = _law_in_frame(v[:1], params, slip, 2)[3][5:].reshape(5, 5, -1)
+    assert np.array_equal(jac[:, :, 0], alone[:, :, 0])
+    # r = 2: the hardening density is beta (2 + gamma^2)
+    curvature = np.zeros((5, 5))
+    curvature[4, 4] = 2.0 * params.beta
+    assert np.allclose(jac[:, :, 1], curvature, rtol=1e-14, atol=0.0)
+
+
+def dense_hessian(mesh, dofmap, q, params, slip):
+    """The rows of ``hessian_rows`` as one dense matrix over the free DOFs,
+    in the packed order; also the full block matrix."""
+    lay = dofmap.row_blocks
+    m = lay.size
+    full = np.zeros((lay.count * m, lay.count * m))
+    for j, (diag, coupling) in enumerate(hessian_rows(mesh, dofmap, q, params,
+                                                      slip)):
+        rows = slice(j * m, (j + 1) * m)
+        full[rows, rows] = diag
+        if coupling is not None:
+            before = slice((j - 1) * m, j * m)
+            full[rows, before] = coupling
+            full[before, rows] = coupling.T
+    at = lay.row[dofmap.free] * m + lay.pos[dofmap.free]
+    return full[np.ix_(at, at)], full
+
+
+def _strained_slipped(mesh, dofmap, program):
+    """A visibly strained, slipped, admissible state at t = 10 s."""
+    state = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
+                                      program, 10.0)
+    rng = np.random.default_rng(3)
+    x = dofmap.pack(state.a1, state.a2, state.b) \
+        + 0.3 * rng.standard_normal(dofmap.n_free)
+    return state, x
+
+
+def _difference_columns(fun_grad, x, h=1e-6):
+    cols = np.empty((len(x), len(x)))
+    for k in range(len(x)):
+        e = np.zeros(len(x))
+        e[k] = h
+        cols[:, k] = (fun_grad(x + e)[1] - fun_grad(x - e)[1]) / (2.0 * h)
+    return cols
+
+
+@pytest.mark.parametrize("slip_name", sorted(SLIPS))
+def test_assembled_hessian_matches_differences_of_the_gradient(
+        params, mesh_4x6, dofmap_4x6, slip_name):
+    slip = SLIPS[slip_name]
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    state, x = _strained_slipped(mesh_4x6, dofmap_4x6, program)
+    # no dissipation: the Hessian is the stored energy's alone
+    fun_grad = _make_objective(mesh_4x6, dofmap_4x6, params, slip, state, None)
+    assert fun_grad.last[1] is None
+    fun_grad(x)
+    assert fun_grad.last[1][0].penalty == 0.0
+    q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
+    H, full = dense_hessian(mesh_4x6, dofmap_4x6, q, params, slip)
+    scale = np.abs(H).max()
+    assert np.abs(_difference_columns(fun_grad, x) - H).max() <= 1e-7 * scale
+    assert np.abs(H - H.T).max() <= 1e-14 * scale
+    # the fixed entries carry the identity and nothing else
+    lay = dofmap_4x6.row_blocks
+    fixed = lay.row[~lay.free] * lay.size + lay.pos[~lay.free]
+    assert np.array_equal(full[fixed], np.eye(len(full))[fixed])
+
+
+def test_a_hessian_without_the_slip_gradient_fails_the_difference_test(
+        params, slip, mesh_4x6, dofmap_4x6):
+    # negative control: the stored energy's slip-gradient term is
+    # eps_grad int |grad gamma|^2, so eps_grad = 0 drops exactly that term
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    state, x = _strained_slipped(mesh_4x6, dofmap_4x6, program)
+    fun_grad = _make_objective(mesh_4x6, dofmap_4x6, params, slip, state, None)
+    q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
+    H, _ = dense_hessian(mesh_4x6, dofmap_4x6, q, replace(params, eps_grad=0.0),
+                         slip)
+    err = np.abs(_difference_columns(fun_grad, x) - H).max()
+    assert err > 1e-3 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("nx,ny,verdicts", [(4, 6, None), (10, 18, (True, False))])
+def test_block_cholesky_agrees_with_the_eigenvalues(params, slip, nx, ny,
+                                                    verdicts):
+    # the homogeneous lift of steps 9 and 10 of the K = 20 program; on 10x18
+    # the stored energy loses stability between them (at step 9.6)
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    dofmap = build_dofmap(mesh)
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    found = []
+    for k in (9, 10):
+        lifted = lift_state(initial_state(mesh), mesh, program, 0.0, 5.0 * k)
+        q = np.array([lifted.a1, lifted.a2, lifted.b])
+        H, _ = dense_hessian(mesh, dofmap, q, params, slip)
+        lowest = np.linalg.eigvalsh(H)[0]
+        found.append(_certified(mesh, dofmap, params, slip, q))
+        assert found[-1] == (lowest > 0.0)
+        assert abs(lowest) > 1e-9 * np.abs(H).max()     # a clear verdict
+    if verdicts is not None:
+        assert tuple(found) == verdicts

@@ -231,18 +231,21 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     assert len(calls) >= res.iterations + 1
 
     # a whole step assembles every point once, always with its gradient,
-    # whichever way the lifted-state probe goes: here the lifted state wins
-    # without an iteration, so the probe is also the start and the end of
-    # the lifted minimization; made to lose, the probe is its only use.
-    # The record's energy, dissipation and reaction come from the
+    # on each of its paths.  Here the lifted state is stationary and
+    # certified, so it is the only point: the probe, the start and the end
+    # of the one minimization.  With the certificate made to fail, the lift
+    # wins without an iteration after the zero-slip minimization, whose
+    # start is then a second point; made to lose too, the probe is its only
+    # use.  The record's energy, dissipation and reaction come from the
     # assembly at the accepted point
     lifted = lift_state(prev, mesh, program, prev.time, 20.0)
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     a1, a2, b = dofmap.unpack(x_lift, template.a1, template.a2, template.b)
     lift_point = a1.tobytes() + a2.tobytes() + b.tobytes()
-    for lift_loses in (False, True):
+    real_certified = evolution._certified
+    for certified, lift_loses in ((True, False), (False, False), (False, True)):
         calls.clear()
-        runs = []
+        runs, verdicts = [], []
 
         def counting(*args, **kwargs):
             runs.append(minimize(*args, **kwargs))
@@ -250,21 +253,30 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
                 runs[-1].f_min = -np.inf
             return runs[-1]
 
+        def certificate(*args):
+            verdicts.append(real_certified(*args))
+            return verdicts[-1] and certified
+
         monkeypatch.setattr(evolution, "minimize", counting)
+        monkeypatch.setattr(evolution, "_certified", certificate)
         state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
                                               slip, program, MinimizeOptions())
+        assert verdicts == [True]
         assert all(need_grad for need_grad, _ in calls)
         points = [point for _, point in calls]
         assert len(set(points)) == len(points)
-        assert lift_point in points
+        assert points[0] == lift_point
         accepted = state.a1.tobytes() + state.a2.tobytes() + state.b.tobytes()
         assert accepted in points
-        if lift_loses:
+        if certified:
+            assert [run.iterations for run in runs] == [0]
+            assert points == [lift_point] == [accepted]
+        elif lift_loses:
             assert len(runs) == 1 and runs[0].iterations > 0
             assert accepted != lift_point
         else:
             assert [run.iterations for run in runs][1:] == [0]
-            assert accepted == lift_point == points[-1]
+            assert runs[0].iterations > 0 and accepted == lift_point
 
 
 def test_objective_assembles_again_only_at_a_new_point(monkeypatch):
@@ -301,33 +313,51 @@ def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
                                                            end_on_start):
     # the record takes the minimizer's latest assembly only at that point:
     # a result that ends elsewhere, here on the start, is assembled afresh,
-    # and either way the record is bit for bit that of a fresh assembly
+    # and either way the record is bit for bit that of a fresh assembly.
+    # The lifted state here is stationary and certified; with the
+    # certificate made to fail, the step minimizes from zero slip first
     mesh = build_structured_mesh(42.0, 75.0, 4, 6)
     dofmap = build_dofmap(mesh)
     params, slip = MaterialParams(), SlipSystem.default()
     program = LoadProgram(speed=0.18, Ly=75.0)
     prev = initial_state(mesh)
+    lifted = lift_state(prev, mesh, program, prev.time, 20.0)
+    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
+    starts = []
 
     def on_start(fun_grad, x0, *args, **kwargs):
+        starts.append(np.array_equal(x0, x_lift))
         res = minimize(fun_grad, x0, *args, **kwargs)
-        # f_min = -inf also keeps the lifted restart out
-        res.x_min, res.f_min = x0.copy(), -np.inf
+        if end_on_start:
+            # f_min = -inf also keeps the lifted restart out
+            res.x_min, res.f_min = x0.copy(), -np.inf
         return res
 
-    if end_on_start:
-        monkeypatch.setattr(evolution, "minimize", on_start)
-    state, record = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
-                                               slip, program, MinimizeOptions())
-    breakdown, diss, grads = _assemble(
-        mesh, state.a1, state.a2, state.b, params, slip,
-        gam_prev=_field_at_points(mesh, prev.b), need_grad=True)
-    assert record.energy == breakdown
-    assert record.dissipation_increment == diss
-    assert record.reaction_force == reaction_force(grads, mesh)
-    if end_on_start:
-        # the minimizer moved, so its latest point is not the start
-        assert record.optimizer_iterations > 0
-        assert not state.b.any()
+    monkeypatch.setattr(evolution, "minimize", on_start)
+    real_certified = evolution._certified
+    for certified in (True, False):
+        starts.clear()
+        monkeypatch.setattr(evolution, "_certified", real_certified if certified
+                            else (lambda *args: False))
+        state, record = evolution.incremental_step(
+            prev, 20.0, mesh, dofmap, params, slip, program, MinimizeOptions())
+        breakdown, diss, grads = _assemble(
+            mesh, state.a1, state.a2, state.b, params, slip,
+            gam_prev=_field_at_points(mesh, prev.b), need_grad=True)
+        assert record.energy == breakdown
+        assert record.dissipation_increment == diss
+        assert record.reaction_force == reaction_force(grads, mesh)
+        if certified:
+            # one minimization, from the lifted state, which it does not leave
+            assert starts == [True]
+            assert record.optimizer_iterations == 0
+        elif end_on_start:
+            # the minimizer moved, so its latest point is not the start
+            assert starts == [False]
+            assert record.optimizer_iterations > 0
+            assert not state.b.any()
+        else:
+            assert starts == [False, True]
 
 
 def test_objective_is_freed_without_the_cycle_collector():
