@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration error, 2 simulation failure.  A
 config is its file, parsed and validated once; ``run`` also takes the output
-directory, --out if given, else output.directory, and creates it first.
+directory, --out (default ``out``), and creates it before solving.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run the load program and write results")
     run.add_argument("--config", required=True, help="path to config file")
-    run.add_argument("--out", default=None, help="output directory override")
+    run.add_argument("--out", default="out", help="output directory")
 
     check = sub.add_parser("check-gradient",
                            help="compare analytic and FD gradients on a random state")
@@ -69,18 +69,17 @@ def _cmd_run(args):
     config = _load_config(args)
     if args.out == "":
         raise ConfigError("--out must not be empty")
-    out_dir = config.directory if args.out is None else args.out
-    os.makedirs(out_dir, exist_ok=True)     # fail before solving, not after
+    os.makedirs(args.out, exist_ok=True)    # fail before solving, not after
     try:
         records, states = run_simulation(config)
     except StepFailureError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         if exc.records:
-            _write_outputs(config, exc.records, exc.states, out_dir)
-            print(f"partial results saved to {out_dir}", file=sys.stderr)
+            _write_outputs(config, exc.records, exc.states, args.out)
+            print(f"partial results saved to {args.out}", file=sys.stderr)
         return 2
-    _write_outputs(config, records, states, out_dir)
-    print(f"completed {len(records)} steps; results in {out_dir}")
+    _write_outputs(config, records, states, args.out)
+    print(f"completed {len(records)} steps; results in {args.out}")
     return 0
 
 

@@ -3,10 +3,11 @@
 The format is plain text, one ``section.key = value`` per line, ``#``
 comments, unknown keys rejected.  Every key has a default, so an empty file
 yields the reference compression setup: a 42 x 75 mm specimen compressed at
-0.18 mm/s for 100 s in 76 steps.  The ``material.*`` and ``optimizer.*``
-keys are the fields of ``MaterialParams`` and ``MinimizeOptions``, which
-declare their defaults and check their own values.  ``parse_config`` takes
-the text; the CLI reads the file.
+0.18 mm/s for 100 s in 76 steps.  The ``material.*`` keys are the fields
+of ``MaterialParams``, which declares their defaults and checks its own
+values.  The solver's tolerances and the output directory are not keys:
+the optimizer runs at its defaults and ``run`` takes ``--out``.
+``parse_config`` takes the text; the CLI reads the file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from .energy import MaterialParams
 from .evolution import GRADIENT_CHECK_STEP
 from .kinematics import SlipSystem
-from .optimizer import MinimizeOptions
 
 
 # The geometry the start-up gradient check works on [mm].  Its probe state
@@ -63,16 +63,14 @@ class SimulationConfig:
     speed: float = 0.18
     T: float = 100.0
     K: int = 76
-    optimizer: MinimizeOptions = field(default_factory=MinimizeOptions)
     # output
-    directory: str = "out"
     snapshot_stride: int = 1
     formats: str = "csv,vtk"
 
 
 # the SimulationConfig fields that are objects of the solver's own, each
 # setting its ``<section>.<field>`` keys and validating itself
-_SECTIONS = ("material", "optimizer")
+_SECTIONS = ("material",)
 
 # key -> (attribute, constraint, description of the constraint) of the other
 # fields; the glide direction (s1, s2) is checked as a whole by SlipSystem
@@ -86,7 +84,6 @@ _KEYS = {
     "load.speed": ("speed", _nonnegative, "must be nonnegative"),
     "load.T": ("T", _positive, "must be positive"),
     "load.K": ("K", _at_least_one, "must be at least 1"),
-    "output.directory": ("directory", bool, "must not be empty"),
     "output.snapshot_stride": ("snapshot_stride", _at_least_one,
                                "must be at least 1"),
     "output.formats": ("formats",

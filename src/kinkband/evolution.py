@@ -201,16 +201,16 @@ def _certified(mesh, dofmap, params, slip, q) -> bool:
 
 def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
                      params: MaterialParams, slip: SlipSystem,
-                     program: LoadProgram, options: MinimizeOptions,
-                     prev_cumulative: float = 0.0, k: int = 0):
+                     program: LoadProgram, prev_cumulative: float = 0.0,
+                     k: int = 0):
     """Advance one step: minimize H over free DOFs with boundary data at t_next.
 
     The step first assembles the affinely lifted previous state, an
     admissible competitor that keeps the slip.  If it is stationary (|g|inf
-    at most ``options.grad_tol``, so ``minimize`` returns it unmoved), has
-    no penalty point and ``_certified`` passes, it is a strict local
-    minimizer and the step keeps it: the minimization from it ends at its
-    start.  Otherwise the step minimizes from the previous elastic
+    at most ``minimize``'s fixed ``grad_tol``, its test for returning its
+    start unmoved), has no penalty point and ``_certified`` passes, it is a
+    strict local minimizer and the step keeps it: the minimization from it
+    ends at its start.  Otherwise the step minimizes from the previous elastic
     coefficients (top row re-imposed) with the slip restarted at zero and,
     if the lifted state is lower than that minimizer, once more from the
     lifted state, keeping that result, which ``minimize`` never leaves
@@ -227,19 +227,19 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     f_lift, g_lift = fun_grad(x_lift)
     lift_assembly = fun_grad.last[:]
-    stable = (float(np.abs(g_lift).max(initial=0.0)) <= options.grad_tol
+    stable = (float(np.abs(g_lift).max(initial=0.0)) <= MinimizeOptions().grad_tol
               and lift_assembly[1][0].penalty == 0.0
               and _certified(mesh, dofmap, params, slip, dofmap.unpack(
                   x_lift, template.a1, template.a2, template.b)))
 
     try:
-        res = minimize(fun_grad, x_lift if stable else x0, options, h=h)
+        res = minimize(fun_grad, x_lift if stable else x0, h=h)
         iterations = res.iterations
         # else descend from the lifted state, from its assembly, if it is
         # below the found minimizer
         if not stable and f_lift < res.f_min:
             fun_grad.last[:] = lift_assembly
-            res = minimize(fun_grad, x_lift, options, h=h)
+            res = minimize(fun_grad, x_lift, h=h)
             iterations += res.iterations
     except InvalidStartError as exc:
         raise StepFailureError(
@@ -291,8 +291,8 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
 
     Competitors are random smooth admissible bumps of the free blocks plus
     the lifted previous state (when given) and the state itself.  A
-    converged step should report at most roughly the optimizer's function
-    tolerance; negative means strictly stable against the sample.
+    converged step should report at most about 1e-4, the optimizer's fixed
+    function tolerance; negative means strictly stable against the sample.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     bc = apply_boundary_conditions(state, mesh, dofmap, program, t)
@@ -396,8 +396,7 @@ def run_simulation(config):
         try:
             state, rec = incremental_step(
                 state, t_next, mesh=mesh, dofmap=dofmap, params=params,
-                slip=slip, program=program, options=config.optimizer,
-                prev_cumulative=cumulative, k=k)
+                slip=slip, program=program, prev_cumulative=cumulative, k=k)
         except StepFailureError as exc:
             raise StepFailureError(f"step {k} to t={t_next:g} failed: {exc}",
                                    records=records, states=states) from exc

@@ -26,8 +26,7 @@ def small_problem():
     params = MaterialParams()
     slip = SlipSystem.default()
     program = LoadProgram(speed=0.18, Ly=75.0)
-    options = MinimizeOptions()
-    return mesh, dofmap, params, slip, program, options
+    return mesh, dofmap, params, slip, program
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +55,7 @@ def _assert_prescribed(out, mesh, dofmap, program, t):
 
 
 def test_apply_bc_identity_at_t0(small_problem):
-    mesh, dofmap, _, _, program, _ = small_problem
+    mesh, dofmap, _, _, program = small_problem
     st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                    program, 0.0)
     np.testing.assert_allclose(st.a1, mesh.nodes[:, 0])
@@ -65,7 +64,7 @@ def test_apply_bc_identity_at_t0(small_problem):
 
 
 def test_apply_bc_platen_schedule(small_problem):
-    mesh, dofmap, _, _, program, _ = small_problem
+    mesh, dofmap, _, _, program = small_problem
     st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                    program, 100.0)
     top = mesh.boundary_tags == TOP
@@ -79,7 +78,7 @@ def test_apply_bc_platen_schedule(small_problem):
 
 
 def test_apply_bc_leaves_free_entries(small_problem):
-    mesh, dofmap, _, _, program, _ = small_problem
+    mesh, dofmap, _, _, program = small_problem
     # random fixed entries too, so each one must be overwritten
     rng = np.random.default_rng(50)
     st = evolution.State(*rng.standard_normal((3, mesh.n_nodes)))
@@ -102,7 +101,7 @@ def test_load_program_starts_at_ly():
 
 
 def test_lift_state_admissible(small_problem):
-    mesh, dofmap, _, _, program, _ = small_problem
+    mesh, dofmap, _, _, program = small_problem
     st = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                    program, 10.0)
     lifted = lift_state(st, mesh, program, 10.0, 25.0)
@@ -119,11 +118,11 @@ def test_lift_state_admissible(small_problem):
 
 
 def test_zero_load_step_is_trivial(small_problem):
-    mesh, dofmap, params, slip, _, options = small_problem
+    mesh, dofmap, params, slip, _ = small_problem
     program = LoadProgram(speed=0.0, Ly=75.0)
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 1.0, mesh, dofmap, params, slip,
-                                  program, options)
+                                  program)
     np.testing.assert_allclose(state.a1, prev.a1, atol=1e-10)
     np.testing.assert_allclose(state.a2, prev.a2, atol=1e-10)
     assert np.max(np.abs(state.b)) < 1e-10
@@ -132,10 +131,10 @@ def test_zero_load_step_is_trivial(small_problem):
 
 
 def test_step_satisfies_boundary_program(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     state, _ = incremental_step(prev, 20.0, mesh, dofmap, params, slip,
-                                program, options)
+                                program)
     top = mesh.boundary_tags == TOP
     bottom = mesh.boundary_tags == BOTTOM
     np.testing.assert_allclose(state.a2[top], program.top_displacement(20.0))
@@ -143,7 +142,7 @@ def test_step_satisfies_boundary_program(small_problem):
     assert state.time == 20.0
 
 
-def _minimize_subset(fun_grad, x_full, idx, options):
+def _minimize_subset(fun_grad, x_full, idx):
     """Minimize over a subset of coordinates, complement held fixed."""
     base = x_full.copy()
 
@@ -152,18 +151,18 @@ def _minimize_subset(fun_grad, x_full, idx, options):
         f, g = fun_grad(base)
         return f, g[idx]
 
-    res = minimize(fgs, x_full[idx], options)
+    res = minimize(fgs, x_full[idx])
     out = x_full.copy()
     out[idx] = res.x_min
     return out, res
 
 
 def test_slip_suppressed_matches_elastic_minimization(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     stiff = MaterialParams(sigma=params.sigma * 1e6)
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 10.0, mesh, dofmap, stiff, slip,
-                                  program, options)
+                                  program)
     assert np.max(np.abs(state.b)) < 1e-6
 
     # oracle: minimize over the elastic blocks only, slip frozen at zero
@@ -172,9 +171,9 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
     fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
     idx_a = np.flatnonzero(dofmap.free < 2 * mesh.n_nodes)
-    _, res = _minimize_subset(fun_grad, x0, idx_a, options)
+    _, res = _minimize_subset(fun_grad, x0, idx_a)
     assert rec.energy.total + rec.dissipation_increment \
-        <= res.f_min + options.tol_fun
+        <= res.f_min + MinimizeOptions().tol_fun
     # the curvature scale on the slip DOFs: 1,344 iterations without it
     assert rec.optimizer_iterations < 1344 / 10
 
@@ -195,7 +194,7 @@ def test_reaction_force_at_identity(small_problem):
     # configuration, so the platen reaction at identity is the closed-form
     # prestress pull C (p 2^{(p-2)/2} - 2) Lx, not zero; the anisotropy term
     # contributes no vertical gradient there.
-    mesh, _, params, slip, _, _ = small_problem
+    mesh, _, params, slip, _ = small_problem
     st = initial_state(mesh)
     force = _platen_force(st, mesh, params, slip)
     prestress = params.C * (params.p * 2.0 ** (params.p / 2.0 - 1.0) - 2.0)
@@ -222,7 +221,7 @@ def _fd_platen_force(state, mesh, params, slip, h=1e-6):
 
 
 def test_reaction_force_matches_fd_small_compression(small_problem):
-    mesh, _, params, slip, _, _ = small_problem
+    mesh, _, params, slip, _ = small_problem
     st = initial_state(mesh)
     st.a2 = 0.999 * st.a2          # 0.1% uniform compression
     force = _platen_force(st, mesh, params, slip)
@@ -233,10 +232,10 @@ def test_reaction_force_matches_fd_small_compression(small_problem):
 def test_reaction_force_positive_beyond_natural_stretch(small_problem):
     # the growth exponent leaves a tensile bias at identity, so compression
     # reads positive only past the self-equilibrated stretch
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 50.0, mesh, dofmap, params, slip,
-                                  program, options)
+                                  program)
     assert rec.reaction_force > 0
     fd = _fd_platen_force(state, mesh, params, slip)
     assert rec.reaction_force == pytest.approx(fd, rel=1e-3)
@@ -273,10 +272,10 @@ def test_record_is_the_accepted_state(run_10x18_k76):
 
 
 def test_stability_state_itself(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     state, _ = incremental_step(prev, 10.0, mesh, dofmap, params, slip,
-                                program, options)
+                                program)
     v = stability_check(state, 10.0, mesh, dofmap, params, slip, program,
                         n_competitors=0)
     floor = params.sigma * params.delta * mesh.total_area
@@ -284,20 +283,20 @@ def test_stability_state_itself(small_problem):
 
 
 def test_stability_after_converged_step(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     state, _ = incremental_step(prev, 40.0, mesh, dofmap, params, slip,
-                                program, options)
+                                program)
     v = stability_check(state, 40.0, mesh, dofmap, params, slip, program,
                         n_competitors=100, prev_state=prev,
                         rng=np.random.default_rng(51))
-    assert v <= options.tol_fun
+    assert v <= MinimizeOptions().tol_fun
 
 
 def test_stability_negative_control(small_problem):
     # one optimizer iteration from the raw boundary-updated start leaves a
     # visibly unstable state; the check must flag it
-    mesh, dofmap, params, slip, program, _ = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 40.0)
     fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
@@ -313,11 +312,11 @@ def test_stability_negative_control(small_problem):
 
 
 def test_energy_inequality_zero_load(small_problem):
-    mesh, dofmap, params, slip, _, options = small_problem
+    mesh, dofmap, params, slip, _ = small_problem
     program = LoadProgram(speed=0.0, Ly=75.0)
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 1.0, mesh, dofmap, params, slip,
-                                  program, options)
+                                  program)
     lifted = lift_state(prev, mesh, program, 0.0, 1.0)
     le = total_energy(lifted, mesh, params, slip).total
     lower_ok, upper_ok = energy_inequality_check(rec, None, le, params,
@@ -330,10 +329,10 @@ def test_energy_inequality_zero_load(small_problem):
 
 
 def test_energy_inequality_negative_control(small_problem):
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     state, rec = incremental_step(prev, 10.0, mesh, dofmap, params, slip,
-                                  program, options)
+                                  program)
     lifted = lift_state(prev, mesh, program, 0.0, 10.0)
     le = total_energy(lifted, mesh, params, slip).total
     corrupted = evolution.StepRecord(
@@ -454,6 +453,36 @@ def test_certified_steps_keep_the_states_of_the_compared_starts(
     assert [rec.max_abs_gamma for rec in records[:9]] == [0.0] * 9
 
 
+def test_certified_prefix_does_not_depend_on_delta():
+    # the certificate tests the stored energy alone, which has no delta: on
+    # the 10x18 K=20 program steps 1 to 9 keep the lifted state, bit for
+    # bit the same for every delta, and step 10 minimizes.  The times are
+    # those of the full program, not of a load.K prefix, which can differ
+    # from them in the last bit
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    dofmap = build_dofmap(mesh)
+    slip = SlipSystem.default()
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    kept = None
+    for delta in (1e-4, 1e-5, 1e-6):
+        params = MaterialParams(delta=delta)
+        state, states, iterations = initial_state(mesh), [], []
+        for t in np.linspace(0.0, 100.0, 21)[1:11]:
+            lifted = lift_state(state, mesh, program, state.time, float(t))
+            state, rec = incremental_step(state, float(t), mesh, dofmap,
+                                          params, slip, program)
+            iterations.append(rec.optimizer_iterations)
+            states.append(b"".join(getattr(state, f).tobytes()
+                                   for f in ("a1", "a2", "b")))
+            if len(states) < 10:
+                assert states[-1] == b"".join(getattr(lifted, f).tobytes()
+                                              for f in ("a1", "a2", "b"))
+                assert rec.max_abs_gamma == 0.0
+        assert iterations[:9] == [0] * 9 and iterations[9] > 0, delta
+        kept = kept or states[:9]
+        assert states[:9] == kept, delta
+
+
 def test_a_run_imports_no_scipy():
     # the certificate is numpy only; a tiny run whose first step is
     # certified (0 iterations) must not load scipy
@@ -475,7 +504,7 @@ def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
     # with one minimization that does not move; reported with a penalty
     # point (injected into its assembly's breakdown alone), it is only one
     # of the two compared starts
-    mesh, dofmap, params, slip, program, options = small_problem
+    mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     lifted = lift_state(prev, mesh, program, 0.0, 20.0)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 20.0)
@@ -497,7 +526,7 @@ def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
         monkeypatch.setattr(evolution, "_assemble", assemble)
         monkeypatch.setattr(evolution, "minimize", recording)
         state, record = incremental_step(prev, 20.0, mesh, dofmap, params,
-                                         slip, program, options)
+                                         slip, program)
         assert len(starts) == (2 if penalized else 1)
         assert np.array_equal(np.array([state.a1, state.a2, state.b]),
                               lift_point)

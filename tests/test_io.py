@@ -9,8 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kinkband import (ConfigError, MaterialParams, MinimizeOptions,
-                      SimulationConfig, build_structured_mesh, initial_state,
+from kinkband import (ConfigError, MaterialParams, SimulationConfig, build_structured_mesh, initial_state,
                       StepFailureError, parse_config, read_history_csv,
                       run_simulation, serialize_config, write_history_csv,
                       write_snapshot_vtk)
@@ -37,7 +36,7 @@ def test_empty_config_gives_reference_defaults():
     assert config.K == 76
     assert config.Lx == 42.0 and config.Ly == 75.0
     assert (config.s1, config.s2) == (0.0, 1.0)
-    assert config.optimizer.tol_step == 1e-10 and config.optimizer.tol_fun == 1e-4
+    assert (config.snapshot_stride, config.formats) == (1, "csv,vtk")
 
 
 def test_penalty_guards_are_constants():
@@ -50,10 +49,14 @@ def test_penalty_guards_are_constants():
 # the penalty guards were material keys; they are MaterialParams constants
 # now.  The slip-plane normal was set by slip.m1 and slip.m2; it is s turned
 # clockwise now, as the opposite normal is the same model with gamma negated.
-# A config that sets one of these keys, to any value, names it as unknown
+# The optimizer's tolerances were keys; the solver runs at MinimizeOptions'
+# defaults now, and the output directory is run's --out alone.  A config
+# that sets one of these keys, to any value, names it as unknown
 _GUARD_KEYS = ["material.det_penalty", "material.det_floor"]
 _NORMAL_KEYS = ["slip.m1", "slip.m2"]
-_REMOVED_KEYS = _GUARD_KEYS + _NORMAL_KEYS
+_OPTION_KEYS = ["optimizer.tol_step", "optimizer.tol_fun",
+                "optimizer.max_iters", "output.directory"]
+_REMOVED_KEYS = _GUARD_KEYS + _NORMAL_KEYS + _OPTION_KEYS
 
 
 def _assert_unknown_key(tmp_path, capsys, key):
@@ -75,37 +78,40 @@ def test_slip_normal_keys_are_unknown(tmp_path, capsys, key):
     _assert_unknown_key(tmp_path, capsys, key)
 
 
+@pytest.mark.parametrize("key", _OPTION_KEYS)
+def test_optimizer_and_output_directory_keys_are_unknown(tmp_path, capsys, key):
+    _assert_unknown_key(tmp_path, capsys, key)
+
+
 def test_invalid_value_names_key():
     with pytest.raises(ConfigError, match="material.C"):
         parse_config("material.C = -1")
 
 
-# out-of-range values, at least one for every key that MaterialParams or
-# MinimizeOptions declares
+# out-of-range values, at least one for every key that MaterialParams
+# declares
 _BAD_SECTION_VALUES = [
     ("material.C", "-1"), ("material.D", "0"), ("material.aniso", "-100"),
     ("material.beta", "-0.1"), ("material.beta", "nan"),
     ("material.eps_grad", "0"), ("material.sigma", "-1"), ("material.p", "2"),
     ("material.r", "0.5"), ("material.delta", "0"),
-    ("optimizer.tol_step", "0"), ("optimizer.tol_fun", "-1e-4"),
-    ("optimizer.max_iters", "0"),
 ]
 
 
 def test_bad_section_values_cover_every_section_key():
-    keys = {f"{section}.{f.name}"
-            for section, cls in (("material", MaterialParams),
-                                 ("optimizer", MinimizeOptions))
-            for f in fields(cls)}
+    keys = {f"material.{f.name}" for f in fields(MaterialParams)}
     assert {key for key, _ in _BAD_SECTION_VALUES} == keys
 
 
+# a value out of a former key's range names the key as unknown
 @pytest.mark.parametrize("key, value", _BAD_SECTION_VALUES + [
-    ("material.det_penalty", "-1"), ("material.det_floor", "0")])
+    ("material.det_penalty", "-1"), ("material.det_floor", "0"),
+    ("optimizer.tol_step", "0"), ("optimizer.tol_fun", "-1e-4"),
+    ("optimizer.max_iters", "0")])
 def test_out_of_range_section_value_names_full_key(key, value):
     with pytest.raises(ConfigError) as info:
         parse_config(f"{key} = {value}")
-    if key in _GUARD_KEYS:
+    if key in _REMOVED_KEYS:
         assert str(info.value) == f"line 1: unknown key '{key}'"
     else:
         assert str(info.value).startswith(f"{key} must ")
@@ -116,7 +122,7 @@ _FLOAT_KEYS = [key for key, (_, _, kind) in _TABLE.items() if kind is float]
 
 def test_float_keys_cover_every_section():
     assert {key.split(".")[0] for key in _FLOAT_KEYS} == {
-        "geometry", "slip", "load", "material", "optimizer"}
+        "geometry", "slip", "load", "material"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -306,10 +312,6 @@ slip.s2 = 1
 load.speed = 0.17999999999999999
 load.T = 100
 load.K = 76
-optimizer.tol_step = 1e-10
-optimizer.tol_fun = 0.0001
-optimizer.max_iters = 5000
-output.directory = out
 output.snapshot_stride = 1
 output.formats = csv,vtk
 """
@@ -326,14 +328,18 @@ def test_parse_from_file(tmp_path, capsys):
     assert (config.nx, config.ny) == (3, 4)
 
 
-def test_empty_output_directory_rejected(tmp_path, capsys):
+def test_empty_output_directory_rejected(tmp_path, monkeypatch, capsys):
     # it used to pass, solve every step and then fail in os.makedirs('')
-    with pytest.raises(ConfigError, match="output.directory must not be empty"):
-        parse_config("output.directory =")
+    import kinkband.evolution as evolution
+
+    calls = []
+    monkeypatch.setattr(evolution, "run_simulation",
+                        lambda *args: calls.append(args) or ([], []))
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\noutput.directory =\n")
-    assert cli_main(["run", "--config", str(cfg)]) == 1
-    assert "output.directory" in capsys.readouterr().err
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", ""]) == 1
+    assert "--out must not be empty" in capsys.readouterr().err
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -693,30 +699,30 @@ def test_cli_run_claims_output_directory_before_solving(tmp_path, monkeypatch,
 
 
 def test_cli_run_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys):
-    # "" is not "absent": it must not fall back to output.directory
+    # "" is not "absent": it must not fall back to the default, out
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n"
-                   "output.directory = from_config\n")
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n")
     code = cli_main(["run", "--config", str(cfg), "--out", ""])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: ")
     assert "--out" in err
-    assert not (tmp_path / "from_config").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_output_dir_ignores_environment(tmp_path, monkeypatch):
-    # a run's inputs are its command line and its config file only
-    config_dir = tmp_path / "from_config"
+    # a run's inputs are its command line and its config file only: without
+    # --out it writes to out under the working directory
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("mesh.nx = 2\nmesh.ny = 2\nload.K = 1\n"
-                   f"output.formats = csv\noutput.directory = {config_dir}\n")
+                   "output.formats = csv\n")
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("KINKBAND_OUT_DIR", str(env_dir))
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 0
-    assert (config_dir / "history.csv").exists()
+    assert (tmp_path / "out" / "history.csv").exists()
     assert not env_dir.exists()
 
 

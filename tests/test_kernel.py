@@ -260,7 +260,7 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
         monkeypatch.setattr(evolution, "minimize", counting)
         monkeypatch.setattr(evolution, "_certified", certificate)
         state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
-                                              slip, program, MinimizeOptions())
+                                              slip, program)
         assert verdicts == [True]
         assert all(need_grad for need_grad, _ in calls)
         points = [point for _, point in calls]
@@ -340,7 +340,7 @@ def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
         monkeypatch.setattr(evolution, "_certified", real_certified if certified
                             else (lambda *args: False))
         state, record = evolution.incremental_step(
-            prev, 20.0, mesh, dofmap, params, slip, program, MinimizeOptions())
+            prev, 20.0, mesh, dofmap, params, slip, program)
         breakdown, diss, grads = _assemble(
             mesh, state.a1, state.a2, state.b, params, slip,
             gam_prev=_field_at_points(mesh, prev.b), need_grad=True)

@@ -117,11 +117,13 @@ def test_zero_gradient_start_exits_immediately():
     assert res.converged_by == "gradient"
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        MinimizeOptions(tol_fun=0.0).validate()
-    with pytest.raises(ValueError):
-        MinimizeOptions(max_iters=0).validate()
+@pytest.mark.parametrize("field, value", [
+    ("tol_step", 0.0), ("tol_fun", -1e-4), ("tol_fun", float("nan")),
+    ("max_iters", 0)])
+def test_options_validation(field, value):
+    # the message starts with the bad field's name
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        MinimizeOptions(**{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------
