@@ -61,9 +61,17 @@ stacked matmul fused multiply-adds, so the two agree to rounding):
 - the penalty masks are applied only where some point is inadmissible.
 
 The second derivatives come from the same law (``derivatives=2``): the
-Jacobian of the frame rows in (a, grad y m, gamma).  ``hessian_rows``
-assembles from them, with the same quadrature, the stored energy's Hessian
-over the free DOFs, one block per node row, for the stability certificate.
+Jacobian of the frame rows in (a, grad y m, gamma), formed on whole arrays
+(``_frame_jacobian``: the 4x4 Hessian in (a, e) as one contraction of its
+two rank-one terms, then its blocks), exactly symmetric.
+``_element_hessians`` turns them, with the same quadrature, into 9x9
+element matrices by one contraction with each element's frame gradients
+(its hat gradients along s and m) and broadcast products, adding the slip
+gradient's geometry-only term ``Mesh2D.hat_dots``.  ``hessian_rows``
+assembles the stored energy's Hessian over the free DOFs, one block per
+node row, for the stability certificate: one ``bincount`` per chunk of
+bands scatters that chunk's element matrices straight into its row blocks,
+at bins computed once per problem (``DofMap.hessian_bins``).
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ from .kinematics import SlipSystem
 from .mesh import DofMap, Mesh2D
 
 _WEIGHTS = np.full(3, 1.0 / 3.0)       # summing to 1: times area integrates
-# elements whose Hessians ``hessian_rows`` forms at once
+# elements whose Hessians ``hessian_rows`` forms and scatters at once
 _HESSIAN_CHUNK = 500
 
 
@@ -266,40 +274,49 @@ def _frame_jacobian(jac, a0, a1, e0, e1, frob2, det, coef_p, coef_det, sm0,
     d det/du = (-e1, e0, a1, -a0), Q = d^2 det/du^2 (+1 at (a1, e0), -1 at
     (a0, e1)), and f' = -coef_det, f'' = 2 D + 2 C / det^2 the slope and
     curvature of W along det Fe.  As de = dn - gamma da - a dgamma:
-    H_an = K_ae - gamma K_ee, H_aa = K_aa - gamma K_ea - gamma H_an,
+    H_an = K_ae - gamma K_ee, H_aa = K_aa - gamma (K_ea + K_ae - gamma K_ee),
     H_nn = K_ee, H_agamma = -H_an a - M, H_ngamma = -K_ee a and
-    H_gammagamma = a . K_ee a plus the hardening curvature.
+    H_gammagamma = a . K_ee a plus the hardening curvature.  Every product
+    and sum is formed so that ``jac`` is exactly symmetric.
     """
-    c2 = params.C * params.p * (params.p - 2.0) * frob2 ** (params.p / 2 - 2.0)
-    d2 = 2.0 * params.D + 2.0 * params.C / (det * det)
-    u = (a0, a1, e0, e1)
-    g = (-e1, e0, a1, -a0)
-    K = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            kij = c2 * u[i] * u[j] + d2 * g[i] * g[j]
-            if i == j:
-                kij += coef_p if i < 2 else coef_p + 2.0 * params.aniso
-            elif (i, j) == (1, 2):
-                kij -= coef_det
-            elif (i, j) == (0, 3):
-                kij += coef_det
-            if ok is not None:
-                kij *= ok
-            K[i][j] = K[j][i] = kij
-    a, m = (a0, a1), (sm0, sm1)
-    h_an = [[K[i][2 + j] - gam * K[2 + i][2 + j] for j in range(2)]
-            for i in range(2)]
-    for i in range(2):
-        for j in range(i, 2):
-            jac[i, j] = jac[j, i] = K[i][j] - gam * K[2 + i][j] - gam * h_an[i][j]
-            jac[2 + i, 2 + j] = jac[2 + j, 2 + i] = K[2 + i][2 + j]
-        for j in range(2):
-            jac[i, 2 + j] = jac[2 + j, i] = h_an[i][j]
-        jac[i, 4] = jac[4, i] = -(h_an[i][0] * a0 + h_an[i][1] * a1) - m[i]
-        jac[2 + i, 4] = jac[4, 2 + i] = -(K[2 + i][2] * a0 + K[2 + i][3] * a1)
-    jac[4, 4] = sum(a[i] * K[2 + i][2 + j] * a[j]
-                    for i in range(2) for j in range(2))
+    # c2 u u^T + f'' g g^T as one contraction over the two terms, each
+    # vector scaled by the root of its coefficient (both are positive), so
+    # that K is exactly symmetric
+    root_c2 = (np.sqrt(params.C * params.p * (params.p - 2.0))
+               * frob2 ** (params.p / 4.0 - 1.0))
+    root_d2 = np.sqrt(2.0 * params.D + 2.0 * params.C / (det * det))
+    scaled = np.empty((2, 4) + e0.shape)        # (term, entry, ...)
+    for i, (u_i, g_i) in enumerate(((a0, -e1), (a1, e0), (e0, a1), (e1, -a0))):
+        np.multiply(u_i, root_c2, out=scaled[0, i])
+        np.multiply(g_i, root_d2, out=scaled[1, i])
+    K = np.einsum("ai...,aj...->ij...", scaled, scaled)     # (4, 4, ...)
+    del scaled
+    a = np.empty((2,) + e0.shape)
+    a[0], a[1] = a0, a1
+    diag = K.reshape((16,) + K.shape[2:])[::5]  # a view of K's diagonal
+    diag += coef_p
+    diag[2:] += 2.0 * params.aniso
+    K[1, 2] -= coef_det
+    K[2, 1] -= coef_det
+    K[0, 3] += coef_det
+    K[3, 0] += coef_det
+    if ok is not None:
+        K *= ok
+    k_aa, k_ae, k_ea, k_ee = K[:2, :2], K[:2, 2:], K[2:, :2], K[2:, 2:]
+    h_an = k_ae - gam * k_ee
+    h_aa = jac[:2, :2]
+    np.add(k_ea, k_ae, out=h_aa)
+    h_aa -= gam * k_ee
+    h_aa *= gam
+    np.subtract(k_aa, h_aa, out=h_aa)
+    jac[:2, 2:4] = h_an
+    jac[2:4, :2] = h_an.swapaxes(0, 1)
+    jac[2:4, 2:4] = k_ee
+    k_ee_a = (k_ee * a).sum(axis=1)
+    np.subtract(-(h_an * a).sum(axis=1), (sm0, sm1), out=jac[:2, 4])
+    np.negative(k_ee_a, out=jac[2:4, 4])
+    jac[4, :4] = jac[:4, 4]
+    jac[4, 4] = (a * k_ee_a).sum(axis=0)
     jac[4, 4] += (params.beta * params.r * two_g2 ** (params.r / 2.0 - 2.0)
                   * (2.0 + (params.r - 1.0) * gam * gam))
 
@@ -436,35 +453,33 @@ def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
                       slip: SlipSystem, elems):
     """(9, 9, k) Hessians of the stored energy (no dissipation) of the
     elements ``elems`` at the (3, n) nodal values q, local DOF 3 f + c for
-    corner c of field f, the order of ``slots``.  A displacement DOF of
-    field i (a1, a2) moves a_i by its hat gradient along s and n_i along m;
-    a slip DOF moves gamma at the points by the rule's barycentric values,
-    whose transpose is ``_to_corners``; the slip gradient adds
-    2 eps_grad grad phi_c . grad phi_d."""
+    corner c of field f, the order of ``slots``.  A displacement DOF (i, c)
+    of field i (a1, a2) moves the frame variables a_i and n_i by the frame
+    gradients G = (gs, gm), its hat gradient along s and along m; a slip DOF
+    moves gamma at the points by the rule's barycentric values, whose
+    transpose is ``_to_corners``; the slip gradient adds
+    2 eps_grad grad phi_c . grad phi_d (``Mesh2D.hat_dots``)."""
     v = q[:, mesh.corners[:, elems]]            # (field, corner, element)
-    grads, area, W = mesh.grads[:, :, elems], mesh.element_area[elems], _WEIGHTS
+    grads, area = mesh.grads[:, :, elems], mesh.element_area[elems]
     (y00, y01), (y10, y11) = (_p1_gradient(vf, grads) for vf in v[:2])
     with np.errstate(over="ignore", invalid="ignore"):
         jac = material_law(y00, y01, y10, y11, _at_points(v[2]), params, slip,
                            derivatives=2)[3][5:].reshape(5, 5, 3, -1)
-    dd = jac[:4, :4, 0] * W[0] + jac[:4, :4, 1] * W[1] + jac[:4, :4, 2] * W[2]
-    db = _to_corners(jac[:4, 4].swapaxes(0, 1) * W[:, None, None])  # (d, v, e)
+    jac *= _WEIGHTS[:, None]                    # each point's weight
+    dd = jac[:4, :4].sum(axis=2)                # frame rows (u, i) x (w, j)
+    db = _to_corners(jac[:4, 4].swapaxes(0, 1))     # (corner, frame row, e)
     bary = _at_points(np.eye(3))                # (point, corner)
-    bb = np.einsum("qc,qd,qe->cde", bary, bary, jac[4, 4] * W[:, None])
+    bb = np.einsum("qc,qd,qe->cde", bary, bary, jac[4, 4])
     del jac
     (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
-    gs, gm = grads[0] * s0 + grads[1] * s1, grads[0] * m0 + grads[1] * m1
-    outer = [[gs[:, None] * gs, gs[:, None] * gm],
-             [gm[:, None] * gs, gm[:, None] * gm]]  # (c, d, e) by (s|m, s|m)
+    G = np.array((grads[0] * s0 + grads[1] * s1, grads[0] * m0 + grads[1] * m1))
     out = np.empty((3, 3, 3, 3, len(area)))     # (field, corner, field, corner)
-    for i in range(2):
-        for j in range(2):
-            out[i, :, j] = sum(dd[2 * u + i, 2 * w + j] * outer[u][w]
-                               for u in range(2) for w in range(2))
-        out[i, :, 2] = gs[:, None] * db[:, i] + gm[:, None] * db[:, 2 + i]
-        out[2, :, i] = out[i, :, 2].swapaxes(0, 1)
-    out[2, :, 2] = bb + 2.0 * params.eps_grad * np.einsum("ice,ide->cde",
-                                                           grads, grads)
+    out[:2, :, :2] = np.einsum("uiwje,uce,wde->icjde",
+                               dd.reshape(2, 2, 2, 2, -1), G, G)
+    out[:2, :, 2] = np.einsum("uce,duie->icde", G, db.reshape(3, 2, 2, -1))
+    out[2, :, :2] = out[:2, :, 2].transpose(2, 0, 1, 3)
+    np.add(bb, 2.0 * params.eps_grad * mesh.hat_dots[:, :, elems],
+           out=out[2, :, 2])
     out *= area
     return out.reshape(9, 9, -1)
 
@@ -476,43 +491,48 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     row at a time: yields (D_j, B_j) for j = 0, 1, ..., the diagonal block
     of row j and its coupling H[row j, row j - 1] (None for j = 0).  Fixed
     entries carry the identity, so the matrix is positive definite exactly
-    when the Hessian over the free DOFs is.
+    when the Hessian over the free DOFs is.  A yielded block is valid until
+    the next one is asked for.
 
-    The element matrices are scattered band by band, a band being the
-    elements between two node rows, so each element must span at most two
-    adjacent rows.  They are formed for about ``_HESSIAN_CHUNK`` elements
-    at a time, whole bands, and only two rows' blocks are held at once, so
-    the peak of memory stays near that of one gradient assembly."""
-    lay = dofmap.row_blocks
+    The element matrices are formed about ``_HESSIAN_CHUNK`` elements at a
+    time, whole bands (``DofMap.hessian_bins``), and each chunk's are
+    scattered by one ``bincount`` straight into its blocks, the bands'
+    stretches laid end to end; the upper couplings and the fixed entries
+    land in bins that are dropped, and the fixed diagonal gets its ones in
+    one indexed add.  Only one chunk's blocks are held at a time, 0.8 MB
+    at 20x36, where a certificate's traced memory peaks at 1.9 MB, the
+    first one's included (an (f, g) assembly: 0.7 MB)."""
+    lay, bins = dofmap.row_blocks, dofmap.hessian_bins
     m = lay.size
-    band = lay.row[mesh.corners].min(axis=0)    # the lower node row
-    order = np.argsort(band, kind="stable")
-    starts = np.searchsorted(band[order], np.arange(lay.count))
-    per_chunk = max(1, _HESSIAN_CHUNK * (lay.count - 1) // len(order))  # bands
-    fixed = np.zeros((lay.count, m))
-    fixed[lay.row[~lay.free], lay.pos[~lay.free]] = 1.0
-    below, coupling = np.zeros((m, m)), None
-    for c0 in range(0, lay.count - 1, per_chunk):
-        c1 = min(c0 + per_chunk, lay.count - 1)
-        chunk = order[starts[c0]:starts[c1]]
-        hess = _element_hessians(mesh, q, params, slip, chunk)
-        entry = mesh.slots.reshape(3, -1, 3)[:, chunk].transpose(0, 2, 1)
-        entry = entry.reshape(9, -1)            # local DOF 3 f + c, element
-        free = lay.free[entry]
-        hess *= free[:, None] & free[None]
-        local = (lay.row[entry] - band[chunk]) * m + lay.pos[entry]
-        for j in range(c0, c1):
-            part = slice(starts[j] - starts[c0], starts[j + 1] - starts[c0])
-            idx = local[:, None, part] * (2 * m) + local[None, :, part]
-            band_h = np.bincount(idx.ravel(), weights=hess[:, :, part].ravel(),
-                                 minlength=4 * m * m).reshape(2, m, 2, m)
-            diag = below + band_h[0, :, 0]
-            diag.flat[::m + 1] += fixed[j]
-            yield diag, coupling
-            below, coupling = band_h[1, :, 1], band_h[1, :, 0]
-        del hess, entry, free, local             # before the next chunk's
-    below.flat[::m + 1] += fixed[-1]
-    yield below, coupling
+    stretch = 2 * m * m + 1
+    # at least two chunks: one chunk's scatter of a whole small mesh (10x18)
+    # outgrows the heap a run has freed by then, and its peak RSS by 1.5%
+    chunks = max(2, -(-len(bins.order) // _HESSIAN_CHUNK))
+    per_chunk = -(-(lay.count - 1) // chunks)  # bands, as even as they go
+    fixed_row = lay.row[~lay.free]
+    fixed_at = lay.pos[~lay.free] * (m + 1)     # on the diagonal of a block
+    diag = coupling = None              # from the chunk before: its last row
+    for first in range(0, lay.count - 1, per_chunk):
+        last = min(first + per_chunk, lay.count - 1)
+        part = slice(bins.start[first], bins.start[last])
+        hess = _element_hessians(mesh, q, params, slip, bins.order[part])
+        at = np.add(bins.pattern[bins.kind[part]].T,
+                    (bins.band[part] - first) * stretch, order="C")
+        flat = np.bincount(at.ravel(), weights=hess.ravel(),
+                           minlength=(last - first) * stretch + m * m)
+        del hess, at
+        # row ``last``'s diagonal block is completed by the next chunk, if any
+        row = fixed_row - first
+        done = (row >= 0) & (row < last - first + (last == lay.count - 1))
+        flat[row[done] * stretch + fixed_at[done]] += 1.0
+        if diag is not None:
+            flat[:m * m] += diag.ravel()
+        for j in range(last - first):
+            yield flat[j * stretch:][:m * m].reshape(m, m), coupling
+            coupling = flat[j * stretch + m * m:][:m * m].reshape(m, m)
+        diag, coupling = flat[-m * m:].reshape(m, m).copy(), coupling.copy()
+        del flat
+    yield diag, coupling
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,

@@ -182,18 +182,21 @@ def _certified(mesh, dofmap, params, slip, q) -> bool:
     definite, so the pairs test every row of a mesh with at least two rows
     (every structured mesh).  The step's functional adds to this
     Hessian the dissipation's, which is positive semidefinite, so a
-    certified stationary point is a strict local minimizer of the step."""
-    schur = None
+    certified stationary point is a strict local minimizer of the step.
+
+    Every pair is factored in one (2m, 2m) buffer, whose top-left block
+    takes each Schur complement in place.  ``np.linalg.cholesky`` reads only
+    the lower triangle, so the buffer's B_j^T block is never written."""
+    m = dofmap.row_blocks.size
+    pair = np.zeros((2 * m, 2 * m))
+    rows = hessian_rows(mesh, dofmap, q, params, slip)
+    pair[:m, :m] = next(rows)[0]
     try:
-        for diag, coupling in hessian_rows(mesh, dofmap, q, params, slip):
-            if schur is not None:
-                m = len(diag)
-                pair = np.empty((2 * m, 2 * m))
-                pair[:m, :m], pair[:m, m:] = schur, coupling.T
-                pair[m:, :m], pair[m:, m:] = coupling, diag
-                z = np.linalg.cholesky(pair)[m:, :m]
-                diag = diag - z @ z.T
-            schur = diag
+        for diag, coupling in rows:
+            pair[m:, :m], pair[m:, m:] = coupling, diag
+            del diag, coupling          # a chunk's blocks go before the next's
+            z = np.linalg.cholesky(pair)[m:, :m]
+            np.subtract(pair[m:, m:], z @ z.T, out=pair[:m, :m])
     except np.linalg.LinAlgError:
         return False
     return True
@@ -222,7 +225,6 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     template.b = np.zeros_like(template.b)
     fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    h = curvature_scale(mesh, dofmap, params)
     lifted = lift_state(prev, mesh, program, prev.time, t_next)
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     f_lift, g_lift = fun_grad(x_lift)
@@ -233,7 +235,11 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
                   x_lift, template.a1, template.a2, template.b)))
 
     try:
-        res = minimize(fun_grad, x_lift if stable else x0, h=h)
+        if stable:                      # ends at its start, reading no h
+            res = minimize(fun_grad, x_lift)
+        else:
+            h = curvature_scale(mesh, dofmap, params)
+            res = minimize(fun_grad, x0, h=h)
         iterations = res.iterations
         # else descend from the lifted state, from its assembly, if it is
         # below the found minimizer

@@ -66,6 +66,15 @@ class Mesh2D:
         return slots
 
     @cached_property
+    def hat_dots(self) -> np.ndarray:
+        """(3, 3, n_tri) grad phi_c . grad phi_d of each element's corner
+        hats, the geometry of the slip gradient's Hessian; built on first
+        use, as only the stability certificate needs it."""
+        dots = np.einsum("ice,ide->cde", self.grads, self.grads)
+        dots.flags.writeable = False
+        return dots
+
+    @cached_property
     def vtk_cells(self) -> str:
         """The CELLS and CELL_TYPES blocks of this mesh's VTK snapshots."""
         nt = self.n_triangles
@@ -141,6 +150,32 @@ class RowBlocks(NamedTuple):
     size: int               # positions per block, 3 w
 
 
+class HessianBins(NamedTuple):
+    """Where the entries of the element Hessians land in the ``RowBlocks``
+    layout, band by band, a band being the elements between node rows j and
+    j + 1.  With m positions per block, band j fills a stretch of
+    2 m^2 + 1 bins, each block row-major: D_j, the diagonal block of row j;
+    B_j+1, the coupling H[row j + 1, row j]; one bin that is discarded; and
+    the next band's stretch begins with D_j+1.  An entry at positions p and
+    r, on local rows u and w of its band (0 for row j, 1 for row j + 1),
+    lands (u + w) m^2 + p m + r bins into the stretch, plus 1 when u = w = 1,
+    except that the upper coupling (u = 0, w = 1), which mirrors B, and
+    every entry at a fixed DOF land in the discarded bin, 2 m^2.
+
+    Those 81 bins depend on the element only through its columns and its
+    fixed DOFs, so most elements share them with elements of other bands:
+    each element keeps the index of its row of ``pattern``, and the table
+    lives as long as the problem at 19 kB at 20x36 (81 bins per element
+    would take 0.23 MB)."""
+
+    order: np.ndarray       # (n_tri,) the elements, by band
+    band: np.ndarray        # (n_tri,) the band of each, ascending
+    start: np.ndarray       # (count,) where band j begins in ``order``
+    kind: np.ndarray        # (n_tri,) the pattern of each element in ``order``
+    pattern: np.ndarray     # (kinds, 81) bins of entry (local DOF, local
+    # DOF) in the band's stretch, unsigned, as narrow as 3 m^2 allows
+
+
 @dataclass
 class DofMap:
     """The free/fixed split of the nodal vector [a1, a2, b] (length 3n).
@@ -150,11 +185,13 @@ class DofMap:
     of b.  Horizontal displacements are fixed on the whole boundary,
     vertical ones on bottom and top; the slip field is free everywhere.
     Every other entry is fixed and prescribed by the boundary program.
-    ``grid`` is (rows, nodes per row) of the node numbering, row by row.
+    ``grid`` is (rows, nodes per row) of the node numbering, row by row,
+    and ``corners`` the mesh's (3, n_tri) element corners, as in ``Mesh2D``.
     """
 
     free: np.ndarray
     grid: tuple[int, int]
+    corners: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -170,6 +207,41 @@ class DofMap:
         free[self.free] = True
         return RowBlocks(row=node // width, pos=field * width + node % width,
                          free=free, count=rows, size=3 * width)
+
+    @cached_property
+    def hessian_bins(self) -> HessianBins:
+        """The bin of every element Hessian entry in ``row_blocks``; built
+        on first use, as only the stability certificate needs it.  Local DOF
+        3 f + c is corner c of field f, the order of ``Mesh2D.slots``.  Each
+        element must span at most two adjacent node rows."""
+        lay = self.row_blocks
+        m, width = lay.size, self.grid[1]
+        band = (self.corners // width).min(axis=0)
+        order = np.argsort(band, kind="stable")
+        band, corners = band[order], self.corners[:, order]
+        # an element's bins follow from each corner's row in the band, its
+        # column and its fixed fields: one key per corner, one per element
+        fixed = (~lay.free).reshape(3, -1)
+        nodes = fixed.shape[1]
+        node_key = (np.arange(nodes) % width * 8
+                    + fixed[0] + 2 * fixed[1] + 4 * fixed[2])
+        corner_key = node_key[corners] + 8 * width * (corners // width - band)
+        key = (corner_key[0] * 16 * width + corner_key[1]) * 16 * width \
+            + corner_key[2]
+        _, first, kind = np.unique(key, return_index=True, return_inverse=True)
+        at = (corners[:, first][None]
+              + nodes * np.arange(3)[:, None, None]).reshape(9, -1)
+        up = lay.row[at] - band[first]          # (9, kinds), 0 or 1
+        pos, free = lay.pos[at], lay.free[at]
+        pattern = ((up[:, None] + up) * m + pos[:, None]) * m + pos \
+            + (up[:, None] & up)
+        pattern[(up[:, None] < up) | ~(free[:, None] & free)] = 2 * m * m
+        pattern = pattern.reshape(81, -1).T.astype(
+            np.min_scalar_type(3 * m * m))
+        start = np.searchsorted(band, np.arange(lay.count))
+        for a in (order, band, start, kind, pattern):
+            a.flags.writeable = False
+        return HessianBins(order, band, start, kind, pattern)
 
     def pack(self, a1, a2, b) -> np.ndarray:
         return np.concatenate((a1, a2, b))[self.free]
@@ -190,4 +262,5 @@ def build_dofmap(mesh: Mesh2D) -> DofMap:
         tags == INTERIOR, (tags != BOTTOM) & (tags != TOP),
         np.ones(mesh.n_nodes, dtype=bool))))
     width = int(np.count_nonzero(tags == BOTTOM))
-    return DofMap(free=free, grid=(mesh.n_nodes // width, width))
+    return DofMap(free=free, grid=(mesh.n_nodes // width, width),
+                  corners=mesh.corners)

@@ -1,12 +1,15 @@
 """The stored energy's second derivatives: pointwise against differences of
 the material law's first-derivative rows, assembled over the free DOFs
-against differences of the assembled gradient, and the block-Cholesky
-certificate against the eigenvalues of the dense matrix."""
+against differences of the assembled gradient and against the frozen first
+version (tests/seed_hessian.py), and the block-Cholesky certificate against
+the eigenvalues of the dense matrix and against that version's verdicts."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from seed_hessian import seed_certified, seed_hessian_rows
 
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, initial_state, material_law)
@@ -137,11 +140,16 @@ def test_a_hessian_without_the_slip_gradient_fails_the_difference_test(
     assert err > 1e-3 * np.abs(H).max()
 
 
-@pytest.mark.parametrize("nx,ny,verdicts", [(4, 6, None), (10, 18, (True, False))])
-def test_block_cholesky_agrees_with_the_eigenvalues(params, slip, nx, ny,
+@pytest.mark.parametrize("nx,ny,slip_name,verdicts", [
+    pytest.param(4, 6, "default", None, id="4-6-None"),
+    pytest.param(10, 18, "default", (True, False), id="10-18-verdicts1"),
+    pytest.param(10, 18, "rotated", (True, False), id="10-18-rotated")])
+def test_block_cholesky_agrees_with_the_eigenvalues(params, nx, ny, slip_name,
                                                     verdicts):
     # the homogeneous lift of steps 9 and 10 of the K = 20 program; on 10x18
-    # the stored energy loses stability between them (at step 9.6)
+    # the stored energy loses stability between them (at step 9.6 for the
+    # default slip system)
+    slip = SLIPS[slip_name]
     mesh = build_structured_mesh(42.0, 75.0, nx, ny)
     dofmap = build_dofmap(mesh)
     program = LoadProgram(speed=0.18, Ly=75.0)
@@ -156,3 +164,121 @@ def test_block_cholesky_agrees_with_the_eigenvalues(params, slip, nx, ny,
         assert abs(lowest) > 1e-9 * np.abs(H).max()     # a clear verdict
     if verdicts is not None:
         assert tuple(found) == verdicts
+
+
+def _copied(rows):
+    """The blocks of a ``hessian_rows`` generator, each copied as it comes
+    (a yielded block is valid only until the next is asked for)."""
+    return [(d.copy(), None if b is None else b.copy()) for d, b in rows]
+
+
+def _rows_agree(rows, reference, rel=1e-13):
+    """Whether every D_j and B_j of ``rows`` is within ``rel`` of the largest
+    entry of ``reference`` of its counterpart there."""
+    scale = max(np.abs(d).max() for d, _ in reference)
+    return len(rows) == len(reference) and all(
+        (b is None) == (b_ref is None)
+        and np.abs(d - d_ref).max() <= rel * scale
+        and (b is None or np.abs(b - b_ref).max() <= rel * scale)
+        for (d, b), (d_ref, b_ref) in zip(rows, reference))
+
+
+def _assert_matches_the_seed(mesh, dofmap, q, params, slip):
+    """Row blocks within 1e-13 of the largest entry, and equal verdicts;
+    returns the verdict."""
+    rows = _copied(hessian_rows(mesh, dofmap, q, params, slip))
+    assert _rows_agree(rows, list(seed_hessian_rows(mesh, dofmap, q, params,
+                                                    slip)))
+    verdict = _certified(mesh, dofmap, params, slip, q)
+    assert verdict == seed_certified(mesh, dofmap, params, slip, q)
+    return verdict
+
+
+@pytest.mark.parametrize("nx,ny,K,steps,verdicts", [
+    (4, 6, 20, (9, 10), None), (10, 18, 20, (9, 10), (True, False)),
+    # certified at step 16, not at 17, where the lowest eigenvalue of the
+    # Hessian over the free DOFs is -0.255
+    (20, 36, 76, (16, 17), (True, False))])
+def test_rows_and_verdicts_match_the_seed_at_homogeneous_lifts(
+        params, slip, nx, ny, K, steps, verdicts):
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    dofmap = build_dofmap(mesh)
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    times = np.linspace(0.0, 100.0, K + 1)
+    found = []
+    for k in steps:
+        lifted = lift_state(initial_state(mesh), mesh, program, 0.0,
+                            float(times[k]))
+        q = np.array([lifted.a1, lifted.a2, lifted.b])
+        found.append(_assert_matches_the_seed(mesh, dofmap, q, params, slip))
+    if verdicts is not None:
+        assert tuple(found) == verdicts
+
+
+@pytest.mark.parametrize("slip_name", sorted(SLIPS))
+@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18), (20, 36)])
+def test_rows_and_verdicts_match_the_seed_at_strained_slipped_states(
+        params, nx, ny, slip_name):
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    dofmap = build_dofmap(mesh)
+    state, x = _strained_slipped(mesh, dofmap, LoadProgram(speed=0.18,
+                                                            Ly=75.0))
+    q = dofmap.unpack(x, state.a1, state.a2, state.b)
+    _assert_matches_the_seed(mesh, dofmap, q, params, SLIPS[slip_name])
+
+
+def _with_one_discarded_entry_kept(mesh, dofmap, upper):
+    """A copy of ``dofmap`` whose ``hessian_bins`` keep one entry of one
+    element that belongs in the discarded bin: an upper coupling between
+    free DOFs (``upper``), else an entry of a fixed row.  It is sent where
+    the layout's formula puts it when nothing is discarded."""
+    lay, bins = dofmap.row_blocks, dofmap.hessian_bins
+    m = lay.size
+    at = (mesh.corners[:, bins.order][None]
+          + mesh.n_nodes * np.arange(3)[:, None, None]).reshape(9, -1)
+    up, pos, free = lay.row[at] - bins.band, lay.pos[at], lay.free[at]
+    if upper:
+        pick = (up[:, None] == 0) & (up == 1) & free[:, None] & free
+    else:
+        pick = (up[:, None] == up) & ~free[:, None] & free
+    a, b, e = (int(i[0]) for i in np.nonzero(pick))
+    pattern = bins.pattern[bins.kind].copy()    # one row per element
+    assert pattern[e, 9 * a + b] == 2 * m * m   # discarded so far
+    pattern[e, 9 * a + b] = (((up[a, e] + up[b, e]) * m + pos[a, e]) * m
+                             + pos[b, e] + (up[a, e] & up[b, e]))
+    tampered = replace(dofmap)
+    tampered.__dict__["hessian_bins"] = bins._replace(
+        kind=np.arange(len(pattern)), pattern=pattern)
+    return tampered
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_a_kept_upper_coupling_or_fixed_entry_fails_the_seed_comparison(
+        params, slip, mesh_4x6, dofmap_4x6, upper):
+    # negative control: the comparison catches one misrouted element entry
+    state, x = _strained_slipped(mesh_4x6, dofmap_4x6,
+                                 LoadProgram(speed=0.18, Ly=75.0))
+    q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
+    reference = list(seed_hessian_rows(mesh_4x6, dofmap_4x6, q, params, slip))
+    assert _rows_agree(_copied(hessian_rows(mesh_4x6, dofmap_4x6, q, params,
+                                            slip)), reference)
+    tampered = _with_one_discarded_entry_kept(mesh_4x6, dofmap_4x6, upper)
+    assert not _rows_agree(_copied(hessian_rows(mesh_4x6, tampered, q,
+                                                params, slip)), reference)
+
+
+def test_a_certificate_at_20x36_peaks_under_2_mb(params, slip):
+    # the first call on a fresh problem, so the peak includes the row
+    # layout, the element bins and the slip-gradient geometry it builds
+    mesh = build_structured_mesh(42.0, 75.0, 20, 36)
+    dofmap = build_dofmap(mesh)
+    lifted = lift_state(initial_state(mesh), mesh,
+                        LoadProgram(speed=0.18, Ly=75.0), 0.0, 100.0 * 16 / 76)
+    q = np.array([lifted.a1, lifted.a2, lifted.b])
+    tracemalloc.start()
+    try:
+        assert _certified(mesh, dofmap, params, slip, q)    # every row factored
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2 ** 20
