@@ -12,8 +12,8 @@ from .kinematics import (SlipSystem, elastic_strain, inverse_plastic,
                          plastic_distortion)
 from .mesh import (DofMap, GeometryError, Mesh2D, build_dofmap,
                    build_structured_mesh)
-from .optimizer import (InvalidStartError, MinimizeOptions, MinimizeResult,
-                        gradient_check, minimize)
+from .optimizer import (InvalidStartError, MinimizeResult, gradient_check,
+                        minimize)
 from .output import read_history_csv, write_history_csv, write_snapshot_vtk
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "SlipSystem", "elastic_strain", "inverse_plastic", "plastic_distortion",
     "DofMap", "GeometryError", "Mesh2D", "build_dofmap",
     "build_structured_mesh",
-    "InvalidStartError", "MinimizeOptions", "MinimizeResult", "gradient_check",
-    "minimize",
+    "InvalidStartError", "MinimizeResult", "gradient_check", "minimize",
     "read_history_csv", "write_history_csv", "write_snapshot_vtk",
 ]

@@ -28,7 +28,8 @@ def _build_parser():
     run.add_argument("--out", default="out", help="output directory")
 
     check = sub.add_parser("check-gradient",
-                           help="compare analytic and FD gradients on a random state")
+                           help="compare analytic and FD gradients on the "
+                                "start-up check's fixed strained state")
     check.add_argument("--config", required=True)
 
     val = sub.add_parser("validate", help="parse a config and echo the result")

@@ -20,13 +20,13 @@ from .evolution import GRADIENT_CHECK_STEP
 from .kinematics import SlipSystem
 
 
-# The geometry the start-up gradient check works on [mm].  Its probe state
-# adds smooth bumps of up to about 0.5 mm, which fold a specimen of 0.2 mm
-# sides (the check then reads 1.0), and its central differences take a step
-# of GRADIENT_CHECK_STEP = 1e-6 mm, whose rounding error grows with the
-# side: the worst error over twelve meshes is 6e-5 at 200 mm and 2e-3 (a
-# failed check) at 1,000 mm.  A spacing of 1e3 steps keeps the step a small
-# move of a node.
+# The geometry the solver's fixed lengths suit [mm].  The start-up check's
+# probe bumps of up to 0.025 mm fold a specimen of 0.2 mm sides (the check
+# then reads 1.0); its central-difference step, GRADIENT_CHECK_STEP = 1e-6
+# mm, has a rounding error that grows with the side: the worst error over
+# twelve meshes is 8e-5 at 200 mm, 2.3e-3 (a failed check) at 1,000 mm.  A
+# spacing of 1e3 steps keeps the step a small move of a node.  The window
+# also keeps the optimizer's absolute stopping tests (``optimizer``) sound.
 SIDE_RANGE = (1.0, 200.0)
 MIN_SPACING = 1e3 * GRADIENT_CHECK_STEP
 

@@ -204,7 +204,8 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     row-major: the second derivatives K of W in (a, e), chained through e,
     plus -M in the (a, gamma) entries (e is bilinear in gamma and a) and the
     hardening curvature in (gamma, gamma); the elastic part is zero at
-    penalty points, as in the first derivatives.
+    penalty points, as in the first derivatives.  The values are then not
+    formed: elastic, hardening and penalty are None.
     """
     (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
     a0 = y00 * s0 + y01 * s1                    # a = grad_y s = Fe s
@@ -221,17 +222,19 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
         del e0, e1
 
     det_m1 = det - 1.0
-    elastic = ((params.C * (frob2 ** (params.p / 2.0) - 2.0 ** (params.p / 2.0)
-                            - 2.0 * np.log(det_safe))
-                + params.D * det_m1 ** 2)
-               + params.aniso * fe2)
-    del fe2
     two_g2 = 2.0 + gam * gam
-    hardening = params.beta * two_g2 ** (params.r / 2.0)
-    penalty = None
-    if not admissible:
-        elastic[~ok] = 0.0
-        penalty = np.where(ok, 0.0, params.det_penalty)
+    elastic = hardening = penalty = None
+    if derivatives < 2:                 # the Hessian reads no value
+        elastic = ((params.C * (frob2 ** (params.p / 2.0)
+                                - 2.0 ** (params.p / 2.0)
+                                - 2.0 * np.log(det_safe))
+                    + params.D * det_m1 ** 2)
+                   + params.aniso * fe2)
+        hardening = params.beta * two_g2 ** (params.r / 2.0)
+        if not admissible:
+            elastic[~ok] = 0.0
+            penalty = np.where(ok, 0.0, params.det_penalty)
+    del fe2
     if not derivatives:
         return elastic, hardening, penalty, None
 
@@ -241,8 +244,8 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     # their last read, for a smaller peak
     coef_p = params.C * params.p * frob2 ** (params.p / 2.0 - 1.0)
     coef_det = -2.0 * params.D * det_m1 + 2.0 * params.C / det_safe
+    derivs = np.empty((5 if derivatives < 2 else 30,) + det.shape)
     del det, det_m1
-    derivs = np.empty((5 if derivatives < 2 else 30,) + elastic.shape)
     p0, p1, sm0, sm1, d_gam = derivs[:5]        # the rows averaged in one pass
     np.add(coef_p * a0, coef_det * e1, out=p0)              # S s
     np.subtract(coef_p * a1, coef_det * e0, out=p1)
@@ -251,7 +254,7 @@ def material_law(y00, y01, y10, y11, gam, params: MaterialParams,
     if not admissible:
         derivs[:4] *= ok
     if derivatives >= 2:
-        _frame_jacobian(derivs[5:].reshape((5, 5) + elastic.shape), a0, a1,
+        _frame_jacobian(derivs[5:].reshape((5, 5) + det_safe.shape), a0, a1,
                         e0, e1, frob2, det_safe, coef_p, coef_det, sm0, sm1,
                         gam, two_g2, None if admissible else ok, params)
     del e0, e1, coef_p, coef_det, frob2, det_safe

@@ -30,7 +30,7 @@ from .energy import (EnergyBreakdown, MaterialParams, _assemble,
                      total_energy)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
-from .optimizer import InvalidStartError, MinimizeOptions, gradient_check, minimize
+from .optimizer import GRAD_TOL, InvalidStartError, gradient_check, minimize
 
 log = logging.getLogger("kinkband")
 
@@ -210,8 +210,8 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
 
     The step first assembles the affinely lifted previous state, an
     admissible competitor that keeps the slip.  If it is stationary (|g|inf
-    at most ``minimize``'s fixed ``grad_tol``, its test for returning its
-    start unmoved), has no penalty point and ``_certified`` passes, it is a
+    at most ``GRAD_TOL``, ``minimize``'s test for returning its start
+    unmoved), has no penalty point and ``_certified`` passes, it is a
     strict local minimizer and the step keeps it: the minimization from it
     ends at its start.  Otherwise the step minimizes from the previous elastic
     coefficients (top row re-imposed) with the slip restarted at zero and,
@@ -229,7 +229,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
     f_lift, g_lift = fun_grad(x_lift)
     lift_assembly = fun_grad.last[:]
-    stable = (float(np.abs(g_lift).max(initial=0.0)) <= MinimizeOptions().grad_tol
+    stable = (float(np.abs(g_lift).max(initial=0.0)) <= GRAD_TOL
               and lift_assembly[1][0].penalty == 0.0
               and _certified(mesh, dofmap, params, slip, dofmap.unpack(
                   x_lift, template.a1, template.a2, template.b)))
@@ -336,10 +336,22 @@ def energy_inequality_check(record_k: StepRecord, record_km1: StepRecord | None,
     return lower_ok, upper_ok
 
 
+def _startup_probe(mesh, dofmap, program) -> State:
+    """The start-up check's state: mode-(3, 1) bumps of 0.025 mm in a1 and
+    0.002 mm in a2, slip 0.2 plus a bump of 0.002, and the Dirichlet data at
+    t = 0; strained and slipped, so every gradient block is well scaled."""
+    x, y = mesh.nodes.T
+    u, v = 3.0 * np.pi * x / mesh.Lx, np.pi * y / mesh.Ly
+    bumped = State(a1=x - 0.025 * np.sin(u) * np.sin(v),
+                   a2=y + 0.002 * np.cos(u) * np.sin(v),
+                   b=0.2 + 0.002 * np.cos(u) * np.cos(v))
+    return apply_boundary_conditions(bumped, mesh, dofmap, program, 0.0)
+
+
 def _startup_gradient_check(mesh, dofmap, params, slip, program):
     """Verify the analytic gradient against central differences once per run.
 
-    Uses a perturbed admissible state and the step ``GRADIENT_CHECK_STEP``
+    Uses the state ``_startup_probe`` and the step ``GRADIENT_CHECK_STEP``
     = 1e-6: central differences at a step of 1e-8 are dominated by
     summation roundoff on energies of this magnitude.  Each difference
     point moves one DOF, and its value is the energy of that DOF's element
@@ -349,18 +361,11 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
     field, corner and sign, each recomputing only the moved field's
     gradient rows (and for b the point slip).
     """
-    probe = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
-                                      program, 0.0)
-    rng = np.random.default_rng(12345)
+    probe = _startup_probe(mesh, dofmap, program)
     b_prev = np.zeros(mesh.n_nodes)
     fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
     x = dofmap.pack(probe.a1, probe.a2, probe.b)
-    # a visibly strained, slipped probe keeps all gradient blocks well scaled
-    x = x + 0.6 * _smooth_bumps(mesh, dofmap, rng) \
-        + 0.6 * _smooth_bumps(mesh, dofmap, rng)
-    zero = np.zeros(mesh.n_nodes)
-    x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
-    oracle = _patch_oracle(mesh, dofmap.unpack(x, probe.a1, probe.a2, probe.b),
+    oracle = _patch_oracle(mesh, np.array([probe.a1, probe.a2, probe.b]),
                            params, slip, _field_at_points(mesh, b_prev))
     return gradient_check(lambda t: oracle(t)[dofmap.free],
                           lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)

@@ -10,15 +10,39 @@ the live optimizer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from kinkband.optimizer import InvalidStartError, MinimizeOptions, MinimizeResult
+from kinkband.optimizer import InvalidStartError, MinimizeResult
 
 _LBFGS_MEMORY = 10
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _MAX_LS_EVALS = 25
 _MAX_ZOOM = 30
+
+
+@dataclass
+class MinimizeOptions:
+    """The stopping tests the live optimizer took as options when this copy
+    was frozen, with their defaults; it now reads them as module constants."""
+    tol_step: float = 1e-10        # step-norm tolerance (TolX)
+    tol_fun: float = 1e-4          # function-decrease tolerance (TolFun)
+    max_iters: int = 5000
+
+    def validate(self) -> None:
+        """Raise ValueError whose message starts with the bad field's name."""
+        for name in ("tol_step", "tol_fun"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+
+    @property
+    def grad_tol(self) -> float:
+        """Gradient infinity-norm threshold derived from tol_fun."""
+        return 1e-2 * self.tol_fun
 
 
 def seed_line_search(fun_grad, x, f0, g0, d, t0):

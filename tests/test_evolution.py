@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import kinkband.evolution as evolution
-from kinkband import (MaterialParams, MinimizeOptions, SimulationConfig,
-                      SlipSystem, StepFailureError, build_dofmap,
-                      build_structured_mesh, dissipation_increment,
-                      energy_inequality_check, incremental_step, initial_state,
-                      lift_state, minimize, reaction_force, run_simulation,
+from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
+                      StepFailureError, build_dofmap, build_structured_mesh,
+                      dissipation_increment, energy_inequality_check,
+                      incremental_step, initial_state, lift_state, minimize,
+                      optimizer, reaction_force, run_simulation,
                       stability_check, total_energy)
 from kinkband.energy import _assemble, _field_at_points
 from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
@@ -173,7 +173,7 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
     idx_a = np.flatnonzero(dofmap.free < 2 * mesh.n_nodes)
     _, res = _minimize_subset(fun_grad, x0, idx_a)
     assert rec.energy.total + rec.dissipation_increment \
-        <= res.f_min + MinimizeOptions().tol_fun
+        <= res.f_min + optimizer.TOL_FUN
     # the curvature scale on the slip DOFs: 1,344 iterations without it
     assert rec.optimizer_iterations < 1344 / 10
 
@@ -290,10 +290,10 @@ def test_stability_after_converged_step(small_problem):
     v = stability_check(state, 40.0, mesh, dofmap, params, slip, program,
                         n_competitors=100, prev_state=prev,
                         rng=np.random.default_rng(51))
-    assert v <= MinimizeOptions().tol_fun
+    assert v <= optimizer.TOL_FUN
 
 
-def test_stability_negative_control(small_problem):
+def test_stability_negative_control(monkeypatch, small_problem):
     # one optimizer iteration from the raw boundary-updated start leaves a
     # visibly unstable state; the check must flag it
     mesh, dofmap, params, slip, program = small_problem
@@ -301,8 +301,8 @@ def test_stability_negative_control(small_problem):
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 40.0)
     fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    options = MinimizeOptions(max_iters=1)
-    res = minimize(fun_grad, x0, options)
+    monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
+    res = minimize(fun_grad, x0)
     a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
     state = evolution.State(a1=a1, a2=a2, b=b, time=40.0)
     v = stability_check(state, 40.0, mesh, dofmap, params, slip, program,
@@ -484,14 +484,17 @@ def test_certified_prefix_does_not_depend_on_delta():
 
 
 def test_a_run_imports_no_scipy():
-    # the certificate is numpy only; a tiny run whose first step is
-    # certified (0 iterations) must not load scipy
+    # the certificate is numpy only and the start-up check's probe is a
+    # fixed formula: a tiny run whose first step is certified (0 iterations)
+    # must load neither scipy nor numpy.random
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     code = ("import sys\n"
             "from kinkband import SimulationConfig, run_simulation\n"
             "records, _ = run_simulation(SimulationConfig(nx=3, ny=4, K=2, T=2.0))\n"
             "assert records[0].optimizer_iterations == 0, records[0]\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+            "assert not loaded, loaded\n")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

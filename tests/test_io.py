@@ -49,9 +49,9 @@ def test_penalty_guards_are_constants():
 # the penalty guards were material keys; they are MaterialParams constants
 # now.  The slip-plane normal was set by slip.m1 and slip.m2; it is s turned
 # clockwise now, as the opposite normal is the same model with gamma negated.
-# The optimizer's tolerances were keys; the solver runs at MinimizeOptions'
-# defaults now, and the output directory is run's --out alone.  A config
-# that sets one of these keys, to any value, names it as unknown
+# The optimizer's tolerances were keys; the solver runs at the optimizer's
+# module constants now, and the output directory is run's --out alone.  A
+# config that sets one of these keys, to any value, names it as unknown
 _GUARD_KEYS = ["material.det_penalty", "material.det_floor"]
 _NORMAL_KEYS = ["slip.m1", "slip.m2"]
 _OPTION_KEYS = ["optimizer.tol_step", "optimizer.tol_fun",

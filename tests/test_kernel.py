@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import kinkband.evolution as evolution
-from kinkband import (MaterialParams, MinimizeOptions, SlipSystem, State,
-                      build_dofmap, build_structured_mesh, initial_state,
-                      minimize)
+from kinkband import (MaterialParams, SlipSystem, State, build_dofmap,
+                      build_structured_mesh, initial_state, minimize)
 from kinkband.energy import _assemble, _at_points, _field_at_points, _to_corners
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
                                 lift_state, reaction_force)
@@ -222,7 +221,7 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
                                          template, prev.b)
     x0 = dofmap.pack(template.a1, template.a2, template.b)
-    res = minimize(fun_grad, x0, MinimizeOptions())
+    res = minimize(fun_grad, x0)
     assert res.iterations > 5
     # every point the minimizer looked at was assembled once, value and
     # gradient together: the start plus at least one trial per iteration

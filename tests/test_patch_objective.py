@@ -60,20 +60,13 @@ def _element_integrals(mesh, a1, a2, b, params, slip, gam_prev=None):
 
 
 def _startup_probe(problem):
-    """The start-up check's probe of ``problem``, built as
-    ``_startup_gradient_check`` builds it: the packed x, the (3, n) nodal
-    values there, the zero previous slip at the points and the packed
-    analytic gradient."""
+    """The start-up check's probe of ``problem``, from the function the check
+    takes it from: the packed x, the (3, n) nodal values there, the zero
+    previous slip at the points and the packed analytic gradient."""
     mesh, dofmap, params, slip, program = problem
-    probe = evolution.apply_boundary_conditions(
-        evolution.initial_state(mesh), mesh, dofmap, program, 0.0)
-    rng = np.random.default_rng(12345)
+    probe = evolution._startup_probe(mesh, dofmap, program)
     x = dofmap.pack(probe.a1, probe.a2, probe.b)
-    x = x + 0.6 * evolution._smooth_bumps(mesh, dofmap, rng) \
-        + 0.6 * evolution._smooth_bumps(mesh, dofmap, rng)
-    zero = np.zeros(mesh.n_nodes)
-    x = x + dofmap.pack(zero, zero, np.full(mesh.n_nodes, 0.2))
-    q = dofmap.unpack(x, probe.a1, probe.a2, probe.b)
+    q = np.array([probe.a1, probe.a2, probe.b])
     gam_prev = np.zeros((3, mesh.n_triangles))
     _, _, grads = _assemble(mesh, *q, params, slip, gam_prev=gam_prev,
                             need_grad=True)
