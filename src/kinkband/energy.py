@@ -67,11 +67,14 @@ two rank-one terms, then its blocks), exactly symmetric.
 ``_element_hessians`` turns them, with the same quadrature, into 9x9
 element matrices by one contraction with each element's frame gradients
 (its hat gradients along s and m) and broadcast products, adding the slip
-gradient's geometry-only term ``Mesh2D.hat_dots``.  ``hessian_rows``
-assembles the stored energy's Hessian over the free DOFs, one block per
-node row, for the stability certificate: one ``bincount`` per chunk of
-bands scatters that chunk's element matrices straight into its row blocks,
-at bins computed once per problem (``DofMap.hessian_bins``).
+gradient's geometry-only term ``Mesh2D.hat_dots``; the rule's weights are
+equal, so the point values are summed and weighted once, with the area.
+``hessian_rows`` assembles the stored energy's Hessian over the free DOFs,
+one block per node row, for the stability certificate: the elements come
+band by band, so a chunk of bands is an element slice, and one
+``bincount`` per chunk (one at 10x18, three at 20x36) scatters its element
+matrices straight into its row blocks, at bins computed once per problem
+(``DofMap.hessian_bins``).
 """
 
 from __future__ import annotations
@@ -178,6 +181,12 @@ def _to_corners(vq):
     np.add(half[0], half[2], out=out[0])
     np.add(half[:2], half[1:], out=out[1:])
     return out
+
+
+# the rule's barycentric values (point, corner) and their products at each
+# point (point, corner, corner), which take the slip's curvature to corners
+_BARY = _at_points(np.eye(3))
+_BARY_PAIRS = _BARY[:, :, None] * _BARY[:, None]
 
 
 def _field_at_points(mesh: Mesh2D, v):
@@ -453,26 +462,26 @@ def _integrate(rows, gam, grads, area, params, slip, gam_prev, need_grad,
 
 
 def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
-                      slip: SlipSystem, elems):
+                      slip: SlipSystem, part: slice):
     """(9, 9, k) Hessians of the stored energy (no dissipation) of the
-    elements ``elems`` at the (3, n) nodal values q, local DOF 3 f + c for
-    corner c of field f, the order of ``slots``.  A displacement DOF (i, c)
-    of field i (a1, a2) moves the frame variables a_i and n_i by the frame
-    gradients G = (gs, gm), its hat gradient along s and along m; a slip DOF
-    moves gamma at the points by the rule's barycentric values, whose
-    transpose is ``_to_corners``; the slip gradient adds
-    2 eps_grad grad phi_c . grad phi_d (``Mesh2D.hat_dots``)."""
-    v = q[:, mesh.corners[:, elems]]            # (field, corner, element)
-    grads, area = mesh.grads[:, :, elems], mesh.element_area[elems]
+    elements ``part``, a slice, at the (3, n) nodal values q, local DOF
+    3 f + c for corner c of field f, the order of ``slots``.  A displacement
+    DOF (i, c) of field i (a1, a2) moves the frame variables a_i and n_i by
+    the frame gradients G = (gs, gm), its hat gradient along s and along m;
+    a slip DOF moves gamma at the points by the rule's barycentric values,
+    whose transpose is ``_to_corners``; the slip gradient adds
+    2 eps_grad grad phi_c . grad phi_d (``Mesh2D.hat_dots``).  The rule's
+    weights are equal, so every entry is formed as a sum over the three
+    points and weighted once, together with the area."""
+    grads, area = mesh.grads[:, :, part], mesh.element_area[part]
+    v = q[:, mesh.corners[:, part]]             # (field, corner, element)
     (y00, y01), (y10, y11) = (_p1_gradient(vf, grads) for vf in v[:2])
     with np.errstate(over="ignore", invalid="ignore"):
         jac = material_law(y00, y01, y10, y11, _at_points(v[2]), params, slip,
                            derivatives=2)[3][5:].reshape(5, 5, 3, -1)
-    jac *= _WEIGHTS[:, None]                    # each point's weight
     dd = jac[:4, :4].sum(axis=2)                # frame rows (u, i) x (w, j)
     db = _to_corners(jac[:4, 4].swapaxes(0, 1))     # (corner, frame row, e)
-    bary = _at_points(np.eye(3))                # (point, corner)
-    bb = np.einsum("qc,qd,qe->cde", bary, bary, jac[4, 4])
+    bb = np.einsum("qcd,qe->cde", _BARY_PAIRS, jac[4, 4])
     del jac
     (s0, s1), (m0, m1) = slip.s.tolist(), slip.m.tolist()
     G = np.array((grads[0] * s0 + grads[1] * s1, grads[0] * m0 + grads[1] * m1))
@@ -481,9 +490,10 @@ def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
                                dd.reshape(2, 2, 2, 2, -1), G, G)
     out[:2, :, 2] = np.einsum("uce,duie->icde", G, db.reshape(3, 2, 2, -1))
     out[2, :, :2] = out[:2, :, 2].transpose(2, 0, 1, 3)
-    np.add(bb, 2.0 * params.eps_grad * mesh.hat_dots[:, :, elems],
+    # the slip gradient's element constant, summed over the three points
+    np.add(bb, (6.0 * params.eps_grad) * mesh.hat_dots[:, :, part],
            out=out[2, :, 2])
-    out *= area
+    out *= area * _WEIGHTS[0]
     return out.reshape(9, 9, -1)
 
 
@@ -497,20 +507,19 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     when the Hessian over the free DOFs is.  A yielded block is valid until
     the next one is asked for.
 
-    The element matrices are formed about ``_HESSIAN_CHUNK`` elements at a
-    time, whole bands (``DofMap.hessian_bins``), and each chunk's are
-    scattered by one ``bincount`` straight into its blocks, the bands'
-    stretches laid end to end; the upper couplings and the fixed entries
-    land in bins that are dropped, and the fixed diagonal gets its ones in
-    one indexed add.  Only one chunk's blocks are held at a time, 0.8 MB
-    at 20x36, where a certificate's traced memory peaks at 1.9 MB, the
-    first one's included (an (f, g) assembly: 0.7 MB)."""
+    The element matrices are formed in ceil(n_tri / ``_HESSIAN_CHUNK``)
+    chunks of whole bands, each an element slice (``DofMap.hessian_bins``),
+    so a mesh of up to that many elements (10x18: 360) takes one pass; each
+    chunk's are scattered by one ``bincount`` straight into its blocks, the
+    bands' stretches laid end to end; the upper couplings and the fixed
+    entries land in bins that are dropped, and the fixed diagonal gets its
+    ones in one indexed add.  Only one chunk's blocks are held at a time,
+    0.8 MB at 20x36 (3 chunks), where a certificate's traced memory peaks
+    at 1.9 MB, the first one's included (an (f, g) assembly: 0.7 MB)."""
     lay, bins = dofmap.row_blocks, dofmap.hessian_bins
     m = lay.size
     stretch = 2 * m * m + 1
-    # at least two chunks: one chunk's scatter of a whole small mesh (10x18)
-    # outgrows the heap a run has freed by then, and its peak RSS by 1.5%
-    chunks = max(2, -(-len(bins.order) // _HESSIAN_CHUNK))
+    chunks = -(-mesh.n_triangles // _HESSIAN_CHUNK)
     per_chunk = -(-(lay.count - 1) // chunks)  # bands, as even as they go
     fixed_row = lay.row[~lay.free]
     fixed_at = lay.pos[~lay.free] * (m + 1)     # on the diagonal of a block
@@ -518,7 +527,7 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     for first in range(0, lay.count - 1, per_chunk):
         last = min(first + per_chunk, lay.count - 1)
         part = slice(bins.start[first], bins.start[last])
-        hess = _element_hessians(mesh, q, params, slip, bins.order[part])
+        hess = _element_hessians(mesh, q, params, slip, part)
         at = np.add(bins.pattern[bins.kind[part]].T,
                     (bins.band[part] - first) * stretch, order="C")
         flat = np.bincount(at.ravel(), weights=hess.ravel(),

@@ -153,14 +153,16 @@ class RowBlocks(NamedTuple):
 class HessianBins(NamedTuple):
     """Where the entries of the element Hessians land in the ``RowBlocks``
     layout, band by band, a band being the elements between node rows j and
-    j + 1.  With m positions per block, band j fills a stretch of
-    2 m^2 + 1 bins, each block row-major: D_j, the diagonal block of row j;
-    B_j+1, the coupling H[row j + 1, row j]; one bin that is discarded; and
-    the next band's stretch begins with D_j+1.  An entry at positions p and
-    r, on local rows u and w of its band (0 for row j, 1 for row j + 1),
-    lands (u + w) m^2 + p m + r bins into the stretch, plus 1 when u = w = 1,
-    except that the upper coupling (u = 0, w = 1), which mirrors B, and
-    every entry at a fixed DOF land in the discarded bin, 2 m^2.
+    j + 1.  The elements come band by band, so the bands from j to k - 1
+    are the element slice ``start[j]:start[k]``.  With m positions per
+    block, band j fills a stretch of 2 m^2 + 1 bins, each block row-major:
+    D_j, the diagonal block of row j; B_j+1, the coupling H[row j + 1,
+    row j]; one bin that is discarded; and the next band's stretch begins
+    with D_j+1.  An entry at positions p and r, on local rows u and w of
+    its band (0 for row j, 1 for row j + 1), lands (u + w) m^2 + p m + r
+    bins into the stretch, plus 1 when u = w = 1, except that the upper
+    coupling (u = 0, w = 1), which mirrors B, and every entry at a fixed
+    DOF land in the discarded bin, 2 m^2.
 
     Those 81 bins depend on the element only through its columns and its
     fixed DOFs, so most elements share them with elements of other bands:
@@ -168,10 +170,9 @@ class HessianBins(NamedTuple):
     lives as long as the problem at 19 kB at 20x36 (81 bins per element
     would take 0.23 MB)."""
 
-    order: np.ndarray       # (n_tri,) the elements, by band
-    band: np.ndarray        # (n_tri,) the band of each, ascending
-    start: np.ndarray       # (count,) where band j begins in ``order``
-    kind: np.ndarray        # (n_tri,) the pattern of each element in ``order``
+    band: np.ndarray        # (n_tri,) the band of each element, ascending
+    start: np.ndarray       # (count,) the first element of band j
+    kind: np.ndarray        # (n_tri,) the pattern of each element
     pattern: np.ndarray     # (kinds, 81) bins of entry (local DOF, local
     # DOF) in the band's stretch, unsigned, as narrow as 3 m^2 allows
 
@@ -213,12 +214,16 @@ class DofMap:
         """The bin of every element Hessian entry in ``row_blocks``; built
         on first use, as only the stability certificate needs it.  Local DOF
         3 f + c is corner c of field f, the order of ``Mesh2D.slots``.  Each
-        element must span at most two adjacent node rows."""
+        element must span at most two adjacent node rows, and the elements
+        must be numbered band by band, as ``build_structured_mesh`` numbers
+        them; a ValueError says so when the bands ever decrease."""
         lay = self.row_blocks
         m, width = lay.size, self.grid[1]
-        band = (self.corners // width).min(axis=0)
-        order = np.argsort(band, kind="stable")
-        band, corners = band[order], self.corners[:, order]
+        corners = self.corners
+        band = (corners // width).min(axis=0)
+        if np.any(band[1:] < band[:-1]):
+            raise ValueError("the certificate's Hessian needs the elements "
+                             "numbered band by band, the bands ascending")
         # an element's bins follow from each corner's row in the band, its
         # column and its fixed fields: one key per corner, one per element
         fixed = (~lay.free).reshape(3, -1)
@@ -239,9 +244,9 @@ class DofMap:
         pattern = pattern.reshape(81, -1).T.astype(
             np.min_scalar_type(3 * m * m))
         start = np.searchsorted(band, np.arange(lay.count))
-        for a in (order, band, start, kind, pattern):
+        for a in (band, start, kind, pattern):
             a.flags.writeable = False
-        return HessianBins(order, band, start, kind, pattern)
+        return HessianBins(band, start, kind, pattern)
 
     def pack(self, a1, a2, b) -> np.ndarray:
         return np.concatenate((a1, a2, b))[self.free]

@@ -13,6 +13,7 @@ from seed_hessian import seed_certified, seed_hessian_rows
 
 from kinkband import (MaterialParams, SlipSystem, build_dofmap,
                       build_structured_mesh, initial_state, material_law)
+from kinkband import energy
 from kinkband.energy import hessian_rows
 from kinkband.evolution import (LoadProgram, _certified, _make_objective,
                                 apply_boundary_conditions, lift_state)
@@ -216,15 +217,36 @@ def test_rows_and_verdicts_match_the_seed_at_homogeneous_lifts(
 
 
 @pytest.mark.parametrize("slip_name", sorted(SLIPS))
-@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18), (20, 36)])
+@pytest.mark.parametrize("nx,ny,chunk", [
+    pytest.param(nx, ny, chunk,
+                 id=f"{nx}-{ny}" + ("" if chunk == "default" else f"-{chunk}"))
+    for nx, ny in ((4, 6), (10, 18), (20, 36))
+    for chunk in ("chunk_per_band", "default", "one_chunk")])
 def test_rows_and_verdicts_match_the_seed_at_strained_slipped_states(
-        params, nx, ny, slip_name):
+        params, monkeypatch, nx, ny, chunk, slip_name):
+    # chunks of one band each, the default (4x6 and 10x18 in one chunk, 20x36
+    # in three, whose last rows' diagonal blocks span two chunks), and the
+    # whole mesh in one chunk
     mesh = build_structured_mesh(42.0, 75.0, nx, ny)
     dofmap = build_dofmap(mesh)
+    size = {"chunk_per_band": 2 * nx, "default": energy._HESSIAN_CHUNK,
+            "one_chunk": mesh.n_triangles}[chunk]
+    monkeypatch.setattr(energy, "_HESSIAN_CHUNK", size)
+    formed, element_hessians = [], energy._element_hessians
+
+    def recorded(mesh, q, params, slip, part):
+        formed.append(part)
+        return element_hessians(mesh, q, params, slip, part)
+
+    monkeypatch.setattr(energy, "_element_hessians", recorded)
     state, x = _strained_slipped(mesh, dofmap, LoadProgram(speed=0.18,
                                                             Ly=75.0))
     q = dofmap.unpack(x, state.a1, state.a2, state.b)
     _assert_matches_the_seed(mesh, dofmap, q, params, SLIPS[slip_name])
+    # the rows' first pass took the elements in ceil(n_tri / size) slices
+    first = formed[:-(-mesh.n_triangles // size)]
+    assert [p.start for p in first] == [0] + [p.stop for p in first[:-1]]
+    assert first[-1].stop == mesh.n_triangles
 
 
 def _with_one_discarded_entry_kept(mesh, dofmap, upper):
@@ -234,7 +256,7 @@ def _with_one_discarded_entry_kept(mesh, dofmap, upper):
     the layout's formula puts it when nothing is discarded."""
     lay, bins = dofmap.row_blocks, dofmap.hessian_bins
     m = lay.size
-    at = (mesh.corners[:, bins.order][None]
+    at = (mesh.corners[None]
           + mesh.n_nodes * np.arange(3)[:, None, None]).reshape(9, -1)
     up, pos, free = lay.row[at] - bins.band, lay.pos[at], lay.free[at]
     if upper:
@@ -254,31 +276,61 @@ def _with_one_discarded_entry_kept(mesh, dofmap, upper):
 
 @pytest.mark.parametrize("upper", [True, False])
 def test_a_kept_upper_coupling_or_fixed_entry_fails_the_seed_comparison(
-        params, slip, mesh_4x6, dofmap_4x6, upper):
-    # negative control: the comparison catches one misrouted element entry
+        params, slip, mesh_4x6, dofmap_4x6, monkeypatch, upper):
+    # negative control: the comparison catches one misrouted element entry,
+    # with the mesh in one chunk (the default at 4x6) and in one per band
     state, x = _strained_slipped(mesh_4x6, dofmap_4x6,
                                  LoadProgram(speed=0.18, Ly=75.0))
     q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
     reference = list(seed_hessian_rows(mesh_4x6, dofmap_4x6, q, params, slip))
-    assert _rows_agree(_copied(hessian_rows(mesh_4x6, dofmap_4x6, q, params,
-                                            slip)), reference)
     tampered = _with_one_discarded_entry_kept(mesh_4x6, dofmap_4x6, upper)
-    assert not _rows_agree(_copied(hessian_rows(mesh_4x6, tampered, q,
+    for size in (energy._HESSIAN_CHUNK, 8):
+        monkeypatch.setattr(energy, "_HESSIAN_CHUNK", size)
+        assert _rows_agree(_copied(hessian_rows(mesh_4x6, dofmap_4x6, q,
                                                 params, slip)), reference)
+        assert not _rows_agree(_copied(hessian_rows(mesh_4x6, tampered, q,
+                                                    params, slip)), reference)
 
 
-def test_a_certificate_at_20x36_peaks_under_2_mb(params, slip):
-    # the first call on a fresh problem, so the peak includes the row
-    # layout, the element bins and the slip-gradient geometry it builds
-    mesh = build_structured_mesh(42.0, 75.0, 20, 36)
+def test_a_mesh_not_numbered_band_by_band_is_refused(params, slip, mesh_4x6):
+    # the chunks are element slices: an element out of band order could
+    # fall in another chunk than its band's and be misplaced, so such a
+    # mesh is refused
+    perm = np.random.default_rng(7).permutation(mesh_4x6.n_triangles)
+    shuffled = replace(mesh_4x6, corners=mesh_4x6.corners[:, perm],
+                       element_area=mesh_4x6.element_area[perm],
+                       grads=mesh_4x6.grads[:, :, perm])
+    dofmap = build_dofmap(shuffled)
+    lifted = lift_state(initial_state(shuffled), shuffled,
+                        LoadProgram(speed=0.18, Ly=75.0), 0.0, 45.0)
+    q = np.array([lifted.a1, lifted.a2, lifted.b])
+    with pytest.raises(ValueError, match="band by band"):
+        _certified(shuffled, dofmap, params, slip, q)
+
+
+def _first_certificate_peak(params, slip, nx, ny, t):
+    """The traced memory peak of the first certificate on a fresh problem,
+    at the homogeneous lift to time t, so it includes the row layout, the
+    element bins and the slip-gradient geometry that the call builds."""
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
     dofmap = build_dofmap(mesh)
     lifted = lift_state(initial_state(mesh), mesh,
-                        LoadProgram(speed=0.18, Ly=75.0), 0.0, 100.0 * 16 / 76)
+                        LoadProgram(speed=0.18, Ly=75.0), 0.0, t)
     q = np.array([lifted.a1, lifted.a2, lifted.b])
     tracemalloc.start()
     try:
         assert _certified(mesh, dofmap, params, slip, q)    # every row factored
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * 2 ** 20
+
+
+def test_a_certificate_at_20x36_peaks_under_2_mb(params, slip):
+    # three chunks, step 16 of the K = 76 program
+    assert _first_certificate_peak(params, slip, 20, 36,
+                                   100.0 * 16 / 76) <= 2.0 * 2 ** 20
+
+
+def test_a_certificate_at_10x18_peaks_under_1_mb(params, slip):
+    # one chunk, step 9 of the K = 20 program
+    assert _first_certificate_peak(params, slip, 10, 18, 45.0) <= 2 ** 20
