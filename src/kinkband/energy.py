@@ -67,14 +67,15 @@ two rank-one terms, then its blocks), exactly symmetric.
 ``_element_hessians`` turns them, with the same quadrature, into 9x9
 element matrices by one contraction with each element's frame gradients
 (its hat gradients along s and m) and broadcast products, adding the slip
-gradient's geometry-only term ``Mesh2D.hat_dots``; the rule's weights are
+gradient's term grad phi_c . grad phi_d, per chunk; the rule's weights are
 equal, so the point values are summed and weighted once, with the area.
 ``hessian_rows`` assembles the stored energy's Hessian over the free DOFs,
 one block per node row, for the stability certificate: the elements come
 band by band, so a chunk of bands is an element slice, and one
 ``bincount`` per chunk (one at 10x18, three at 20x36) scatters its element
 matrices straight into its row blocks, at bins computed once per problem
-(``DofMap.hessian_bins``).
+(``DofMap.hessian_bins``).  Only ``mesh``, which lays out the rows, and
+``hessian_rows``, which fills them, know that layout.
 """
 
 from __future__ import annotations
@@ -470,7 +471,7 @@ def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
     the frame gradients G = (gs, gm), its hat gradient along s and along m;
     a slip DOF moves gamma at the points by the rule's barycentric values,
     whose transpose is ``_to_corners``; the slip gradient adds
-    2 eps_grad grad phi_c . grad phi_d (``Mesh2D.hat_dots``).  The rule's
+    2 eps_grad grad phi_c . grad phi_d of the slice's elements.  The rule's
     weights are equal, so every entry is formed as a sum over the three
     points and weighted once, together with the area."""
     grads, area = mesh.grads[:, :, part], mesh.element_area[part]
@@ -491,8 +492,8 @@ def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
     out[:2, :, 2] = np.einsum("uce,duie->icde", G, db.reshape(3, 2, 2, -1))
     out[2, :, :2] = out[:2, :, 2].transpose(2, 0, 1, 3)
     # the slip gradient's element constant, summed over the three points
-    np.add(bb, (6.0 * params.eps_grad) * mesh.hat_dots[:, :, part],
-           out=out[2, :, 2])
+    hat_dots = np.einsum("ice,ide->cde", grads, grads)
+    np.add(bb, (6.0 * params.eps_grad) * hat_dots, out=out[2, :, 2])
     out *= area * _WEIGHTS[0]
     return out.reshape(9, 9, -1)
 

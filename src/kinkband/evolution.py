@@ -9,12 +9,14 @@ Cholesky on ``energy.hessian_rows``), it is a strict local minimizer of
 the step, and the step keeps it with 0 iterations: the local solution
 concept.  Otherwise the step compares two starts: one minimization from
 the previous elastic coefficients with zero slip, then one from the
-lifted previous state if that is lower.  There is no retry:
-a step that cannot start ends the run with the steps before it.  The
-diagnostics ``stability_check`` (the stability inequality probed with
-random competitors) and ``energy_inequality_check`` (the two-sided
-discrete energy estimate against an affinely lifted copy of the previous
-state) are called by the tests; ``run_simulation`` calls neither.
+lifted previous state if that is lower.  There is no retry: a step ends
+the run with the steps before it when it cannot start, when its accepted
+state has penalty energy, or when that state breaks the upper half of
+``energy_inequality_check`` (the two-sided discrete energy estimate
+against the lifted previous state, whose stored energy the step assembled
+first).  The stop test is not checked yet, and ``stability_check`` (the
+stability inequality probed with random competitors) is called by the
+tests only.
 """
 
 from __future__ import annotations
@@ -184,13 +186,15 @@ def _certified(mesh, dofmap, params, slip, q) -> bool:
     Hessian the dissipation's, which is positive semidefinite, so a
     certified stationary point is a strict local minimizer of the step.
 
-    Every pair is factored in one (2m, 2m) buffer, whose top-left block
-    takes each Schur complement in place.  ``np.linalg.cholesky`` reads only
-    the lower triangle, so the buffer's B_j^T block is never written."""
-    m = dofmap.row_blocks.size
-    pair = np.zeros((2 * m, 2 * m))
+    Every pair is factored in one (2m, 2m) buffer, m the size of the first
+    block, whose top-left block takes each Schur complement in place.
+    ``np.linalg.cholesky`` reads only the lower triangle, so the buffer's
+    B_j^T block is never written."""
     rows = hessian_rows(mesh, dofmap, q, params, slip)
-    pair[:m, :m] = next(rows)[0]
+    diag = next(rows)[0]
+    m = len(diag)
+    pair = np.zeros((2 * m, 2 * m))
+    pair[:m, :m] = diag
     try:
         for diag, coupling in rows:
             pair[m:, :m], pair[m:, m:] = coupling, diag
@@ -217,9 +221,12 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     coefficients (top row re-imposed) with the slip restarted at zero and,
     if the lifted state is lower than that minimizer, once more from the
     lifted state, keeping that result, which ``minimize`` never leaves
-    above its start.  A start where H is not finite raises
-    StepFailureError.  prev_cumulative is the cumulative dissipation before
-    the step and k the step number, both for the record.
+    above its start.  StepFailureError is raised for a start where H is
+    not finite, and for an accepted state with penalty energy or one that
+    breaks the upper energy estimate against the lift (by more than
+    ``energy_inequality_check``'s tolerance).  prev_cumulative is the
+    cumulative dissipation before the step and k the step number, both for
+    the record.
     """
     template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
     template.b = np.zeros_like(template.b)
@@ -270,6 +277,18 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         min_det_Fe=_min_det(mesh, a1, a2),
         optimizer_iterations=iterations,
     )
+    # the north star's acceptance tests that need no further assembly
+    if breakdown.penalty > 0.0:
+        raise StepFailureError(
+            f"the accepted state has penalty energy {breakdown.penalty:.6g} "
+            f"N mm (det Fe at or below {params.det_floor:g})")
+    lifted_energy = lift_assembly[1][0].total
+    if not energy_inequality_check(record, None, lifted_energy, params,
+                                   mesh.total_area)[1]:
+        raise StepFailureError(
+            "the accepted state breaks the energy upper estimate: I + D = "
+            f"{breakdown.total + diss:.10g} N mm against the lifted state's "
+            f"I = {lifted_energy:.10g} N mm")
     return State(a1=a1, a2=a2, b=b, time=t_next), record
 
 

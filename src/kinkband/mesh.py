@@ -26,8 +26,8 @@ class Mesh2D:
     the corner index c first, as the assembly kernel reads it.
 
     Immutable: the fields cannot be rebound and the arrays are read-only, so
-    the cached ``slots`` and ``vtk_cells`` always match; safe for
-    concurrent reads.
+    the cached ``slots`` and ``vtk_cells``, the only products it keeps,
+    always match; safe for concurrent reads.
     """
 
     Lx: float
@@ -64,15 +64,6 @@ class Mesh2D:
                  + self.n_nodes * np.arange(3)[:, None]).ravel()
         slots.flags.writeable = False
         return slots
-
-    @cached_property
-    def hat_dots(self) -> np.ndarray:
-        """(3, 3, n_tri) grad phi_c . grad phi_d of each element's corner
-        hats, the geometry of the slip gradient's Hessian; built on first
-        use, as only the stability certificate needs it."""
-        dots = np.einsum("ice,ide->cde", self.grads, self.grads)
-        dots.flags.writeable = False
-        return dots
 
     @cached_property
     def vtk_cells(self) -> str:

@@ -506,7 +506,8 @@ def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
     # the lift at t = 20 s is stationary and certified, so the step keeps it
     # with one minimization that does not move; reported with a penalty
     # point (injected into its assembly's breakdown alone), it is only one
-    # of the two compared starts
+    # of the two compared starts, and as the step ends there, the accepted
+    # state has penalty energy and the step is rejected
     mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     lifted = lift_state(prev, mesh, program, 0.0, 20.0)
@@ -528,9 +529,57 @@ def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
 
         monkeypatch.setattr(evolution, "_assemble", assemble)
         monkeypatch.setattr(evolution, "minimize", recording)
+        if penalized:
+            with pytest.raises(StepFailureError, match="penalty energy"):
+                incremental_step(prev, 20.0, mesh, dofmap, params, slip,
+                                 program)
+            assert len(starts) == 2
+            assert np.array_equal(starts[1], dofmap.pack(lifted.a1, lifted.a2,
+                                                         prev.b))
+            continue
         state, record = incremental_step(prev, 20.0, mesh, dofmap, params,
                                          slip, program)
-        assert len(starts) == (2 if penalized else 1)
+        assert len(starts) == 1
         assert np.array_equal(np.array([state.a1, state.a2, state.b]),
                               lift_point)
-        assert (record.optimizer_iterations > 0) == penalized
+        assert record.optimizer_iterations == 0
+
+
+def test_every_step_minimizes_and_a_certified_step_once_unmoved(monkeypatch):
+    # the benchmark's step table reads each step's first minimization: every
+    # step makes one, and a certified step exactly one, of 0 iterations, from
+    # the lifted state.  Steps 1 to 9 of the 10x18 K=20 program are
+    # certified, step 10 is not
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    dofmap = build_dofmap(mesh)
+    params, slip = MaterialParams(), SlipSystem.default()
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    calls, verdicts = [], []
+    real_certified = evolution._certified
+
+    def recording(fun_grad, x0, *args, **kwargs):
+        res = minimize(fun_grad, x0, *args, **kwargs)
+        calls[-1].append((x0.copy(), res.iterations))
+        return res
+
+    def certified(*args):
+        verdicts[-1] = real_certified(*args)
+        return verdicts[-1]
+
+    monkeypatch.setattr(evolution, "minimize", recording)
+    monkeypatch.setattr(evolution, "_certified", certified)
+    state = initial_state(mesh)
+    for k, t in enumerate(np.linspace(0.0, 100.0, 21)[1:11], start=1):
+        lifted = lift_state(state, mesh, program, state.time, float(t))
+        calls.append([])
+        verdicts.append(False)
+        state, rec = incremental_step(state, float(t), mesh, dofmap, params,
+                                      slip, program, k=k)
+        assert len(calls[-1]) >= 1, k
+        assert rec.optimizer_iterations == sum(n for _, n in calls[-1])
+        if verdicts[-1]:
+            (x0, iterations), = calls[-1]
+            assert iterations == 0, k
+            assert np.array_equal(x0, dofmap.pack(lifted.a1, lifted.a2,
+                                                  lifted.b))
+    assert verdicts == [True] * 9 + [False]

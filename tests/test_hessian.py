@@ -199,7 +199,9 @@ def _assert_matches_the_seed(mesh, dofmap, q, params, slip):
     (4, 6, 20, (9, 10), None), (10, 18, 20, (9, 10), (True, False)),
     # certified at step 16, not at 17, where the lowest eigenvalue of the
     # Hessian over the free DOFs is -0.255
-    (20, 36, 76, (16, 17), (True, False))])
+    (20, 36, 76, (16, 17), (True, False)),
+    # the default mesh, nine chunks: its onset is at step 11.2
+    (34, 61, 76, (11, 12), (True, False))])
 def test_rows_and_verdicts_match_the_seed_at_homogeneous_lifts(
         params, slip, nx, ny, K, steps, verdicts):
     mesh = build_structured_mesh(42.0, 75.0, nx, ny)
@@ -310,8 +312,8 @@ def test_a_mesh_not_numbered_band_by_band_is_refused(params, slip, mesh_4x6):
 
 def _first_certificate_peak(params, slip, nx, ny, t):
     """The traced memory peak of the first certificate on a fresh problem,
-    at the homogeneous lift to time t, so it includes the row layout, the
-    element bins and the slip-gradient geometry that the call builds."""
+    at the homogeneous lift to time t, so it includes the row layout and
+    the element bins that the call builds."""
     mesh = build_structured_mesh(42.0, 75.0, nx, ny)
     dofmap = build_dofmap(mesh)
     lifted = lift_state(initial_state(mesh), mesh,

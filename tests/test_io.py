@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from kinkband import (ConfigError, MaterialParams, SimulationConfig, build_structured_mesh, initial_state,
-                      StepFailureError, parse_config, read_history_csv,
-                      run_simulation, serialize_config, write_history_csv,
-                      write_snapshot_vtk)
+                      StepFailureError, build_dofmap, parse_config,
+                      read_history_csv, run_simulation, serialize_config,
+                      write_history_csv, write_snapshot_vtk)
 from kinkband.cli import cli_main
 from kinkband.config import _TABLE
+from kinkband.mesh import INTERIOR
 from kinkband.output import CSV_HEADER
 
 
@@ -775,6 +776,73 @@ def test_cli_run_saves_partial_results_on_step_failure(tmp_path, monkeypatch,
     assert len(read_history_csv(out_dir / "history.csv")) == 2
     assert sorted(p.name for p in out_dir.glob("snapshot_*.vtk")) == [
         "snapshot_0000.vtk", "snapshot_0001.vtk", "snapshot_0002.vtk"]
+
+
+def _run_with_a_spoiled_step_3(tmp_path, monkeypatch, capsys, spoil):
+    """``kinkband run`` on 2x3 K=4 with every minimizer result of step 3
+    moved by ``spoil(mesh, dofmap, x)``; returns the exit code, stderr and
+    the output directory."""
+    import kinkband.evolution as evolution
+
+    real_step, real_minimize = evolution.incremental_step, evolution.minimize
+    mesh = build_structured_mesh(42.0, 75.0, 2, 3)
+    dofmap = build_dofmap(mesh)
+    steps = []
+
+    def tracking(*args, **kwargs):
+        steps.append(kwargs["k"])
+        return real_step(*args, **kwargs)
+
+    def spoiling(fun_grad, x0, *args, **kwargs):
+        res = real_minimize(fun_grad, x0, *args, **kwargs)
+        if steps[-1] == 3:
+            res = replace(res, x_min=spoil(mesh, dofmap, res.x_min.copy()))
+        return res
+
+    monkeypatch.setattr(evolution, "incremental_step", tracking)
+    monkeypatch.setattr(evolution, "minimize", spoiling)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 3\nload.K = 4\n")
+    out_dir = tmp_path / "o"
+    code = cli_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    return code, capsys.readouterr().err, out_dir
+
+
+def _assert_partial_results_of_two_steps(code, err, out_dir):
+    assert code == 2
+    assert "step 3 to t=" in err and "partial results saved" in err
+    assert len(read_history_csv(out_dir / "history.csv")) == 2
+    assert len(list(out_dir.glob("snapshot_*.vtk"))) == 3
+
+
+def test_cli_run_rejects_an_accepted_state_with_penalty_energy(
+        tmp_path, monkeypatch, capsys):
+    # the minimizer hands back a state whose middle node is pushed past the
+    # right side, which folds the elements around it
+    def fold(mesh, dofmap, x):
+        node = int(np.flatnonzero(mesh.boundary_tags == INTERIOR)[0])
+        x[np.searchsorted(dofmap.free, node)] += 2.0 * mesh.Lx
+        return x
+
+    code, err, out_dir = _run_with_a_spoiled_step_3(tmp_path, monkeypatch,
+                                                    capsys, fold)
+    _assert_partial_results_of_two_steps(code, err, out_dir)
+    assert "the accepted state has penalty energy" in err
+
+
+def test_cli_run_rejects_an_accepted_state_above_the_energy_estimate(
+        tmp_path, monkeypatch, capsys):
+    # the minimizer hands back an admissible state with 0.5 more slip
+    # everywhere (det P = 1, so no penalty point), far above the lift
+    def slipped(mesh, dofmap, x):
+        x[-mesh.n_nodes:] += 0.5            # the slip is free everywhere
+        return x
+
+    code, err, out_dir = _run_with_a_spoiled_step_3(tmp_path, monkeypatch,
+                                                    capsys, slipped)
+    _assert_partial_results_of_two_steps(code, err, out_dir)
+    assert "penalty" not in err
+    assert "the accepted state breaks the energy upper estimate" in err
 
 
 def test_cli_run_fails_on_bad_startup_gradient_check(tmp_path, monkeypatch,
