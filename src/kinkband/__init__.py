@@ -5,16 +5,15 @@ from .config import ConfigError, SimulationConfig, parse_config, serialize_confi
 from .energy import (EnergyBreakdown, MaterialParams, dissipation_increment,
                      material_law, total_energy)
 from .evolution import (LoadProgram, State, StepFailureError, StepRecord,
-                        apply_boundary_conditions, energy_inequality_check,
-                        incremental_step, initial_state, lift_state,
-                        reaction_force, run_simulation, stability_check)
-from .kinematics import (SlipSystem, elastic_strain, inverse_plastic,
-                         plastic_distortion)
+                        apply_boundary_conditions, incremental_step,
+                        initial_state, lift_state, reaction_force,
+                        run_simulation)
+from .kinematics import SlipSystem
 from .mesh import (DofMap, GeometryError, Mesh2D, build_dofmap,
                    build_structured_mesh)
 from .optimizer import (InvalidStartError, MinimizeResult, gradient_check,
                         minimize)
-from .output import read_history_csv, write_history_csv, write_snapshot_vtk
+from .output import write_history_csv, write_snapshot_vtk
 
 __version__ = "0.1.0"
 
@@ -23,12 +22,11 @@ __all__ = [
     "EnergyBreakdown", "MaterialParams", "dissipation_increment",
     "material_law", "total_energy",
     "LoadProgram", "State", "StepFailureError", "StepRecord",
-    "apply_boundary_conditions", "energy_inequality_check", "incremental_step",
-    "initial_state", "lift_state", "reaction_force", "run_simulation",
-    "stability_check",
-    "SlipSystem", "elastic_strain", "inverse_plastic", "plastic_distortion",
+    "apply_boundary_conditions", "incremental_step", "initial_state",
+    "lift_state", "reaction_force", "run_simulation",
+    "SlipSystem",
     "DofMap", "GeometryError", "Mesh2D", "build_dofmap",
     "build_structured_mesh",
     "InvalidStartError", "MinimizeResult", "gradient_check", "minimize",
-    "read_history_csv", "write_history_csv", "write_snapshot_vtk",
+    "write_history_csv", "write_snapshot_vtk",
 ]

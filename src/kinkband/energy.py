@@ -582,7 +582,10 @@ def curvature_scale(mesh: Mesh2D, dofmap: DofMap,
 
 def total_energy(state, mesh: Mesh2D, params: MaterialParams,
                  slip: SlipSystem) -> EnergyBreakdown:
-    """Quadrature-assembled stored energy of a state (dissipation excluded)."""
+    """Quadrature-assembled stored energy of a state (dissipation excluded).
+
+    A run does not call it: the benchmark's energy-estimate check reads the
+    lifted states' energies through it (``perfbench/worker.py``)."""
     _check_lengths(mesh, state.a1, state.a2, state.b)
     breakdown, _, _ = _assemble(mesh, state.a1, state.a2, state.b, params, slip)
     return breakdown

@@ -1,4 +1,4 @@
-"""Multiplicative elastic/plastic split for a single slip system.
+"""The slip system of the multiplicative elastic/plastic split.
 
 The plastic distortion is rank-one: Fp(gamma) = I + gamma * s (x) m with s
 the unit glide direction and m the slip-plane normal, s turned clockwise,
@@ -34,18 +34,3 @@ class SlipSystem:
     def default(cls) -> "SlipSystem":
         """Vertical glide on vertical layer planes: s = (0,1), m = (1,0)."""
         return cls(s=np.array([0.0, 1.0]))
-
-
-def plastic_distortion(gamma: float, slip: SlipSystem) -> np.ndarray:
-    """Fp = I + gamma * s (x) m; unimodular for every gamma."""
-    return np.eye(2) + gamma * np.outer(slip.s, slip.m)
-
-
-def inverse_plastic(gamma: float, slip: SlipSystem) -> np.ndarray:
-    """P = Fp^-1 = I - gamma * s (x) m (s (x) m is nilpotent)."""
-    return np.eye(2) - gamma * np.outer(slip.s, slip.m)
-
-
-def elastic_strain(grad_y: np.ndarray, gamma: float, slip: SlipSystem) -> np.ndarray:
-    """Fe = grad_y (I - gamma * s (x) m); det Fe = det grad_y."""
-    return np.asarray(grad_y) @ inverse_plastic(gamma, slip)

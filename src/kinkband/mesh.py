@@ -185,10 +185,6 @@ class DofMap:
     grid: tuple[int, int]
     corners: np.ndarray
 
-    @property
-    def n_free(self) -> int:
-        return len(self.free)
-
     @cached_property
     def row_blocks(self) -> RowBlocks:
         """The Hessian's layout, one block per node row; built on first use,

@@ -6,12 +6,9 @@ the in-memory values exactly.  Column names carry explicit unit suffixes.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .energy import EnergyBreakdown, element_grad_y
-from .evolution import StepRecord
+from .energy import element_grad_y
 
 CSV_HEADER = ("k,time_s,top_displacement_mm,engineering_strain,"
               "reaction_force_N,nominal_stress_MPa,total_energy_Nmm,"
@@ -50,36 +47,6 @@ def write_history_csv(records, path, Lx: float, Ly: float, speed: float) -> None
                 str(r.optimizer_iterations),
             ]
             fh.write(",".join(row) + "\n")
-
-
-def read_history_csv(path):
-    """Parse a history CSV back into StepRecord objects (round-trip exact)."""
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected header in {path}")
-        for row in reader:
-            energy = EnergyBreakdown(
-                elastic=float(row["elastic_Nmm"]),
-                hardening=float(row["hardening_Nmm"]),
-                slip_gradient=float(row["slip_gradient_Nmm"]),
-                penalty=float(row["penalty_Nmm"]),
-                total=float(row["total_energy_Nmm"]),
-            )
-            records.append(StepRecord(
-                k=int(row["k"]),
-                time=float(row["time_s"]),
-                energy=energy,
-                dissipation_increment=float(row["dissipation_increment_Nmm"]),
-                cumulative_dissipation=float(row["cumulative_dissipation_Nmm"]),
-                reaction_force=float(row["reaction_force_N"]),
-                top_displacement=float(row["top_displacement_mm"]),
-                max_abs_gamma=float(row["max_abs_gamma"]),
-                min_det_Fe=float(row["min_det_Fe"]),
-                optimizer_iterations=int(row["optimizer_iterations"]),
-            ))
-    return records
 
 
 def _cell_fields(state, mesh):

@@ -11,14 +11,14 @@ import pytest
 
 from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
                       build_dofmap, build_structured_mesh,
-                      dissipation_increment, elastic_strain,
-                      energy_inequality_check, initial_state,
-                      inverse_plastic, lift_state, parse_config,
-                      plastic_distortion, run_simulation, serialize_config,
-                      stability_check, total_energy, write_history_csv,
-                      write_snapshot_vtk)
+                      dissipation_increment, initial_state, lift_state,
+                      parse_config, run_simulation, serialize_config,
+                      total_energy, write_history_csv, write_snapshot_vtk)
 from kinkband.evolution import LoadProgram, _make_objective
 from kinkband.output import CSV_HEADER
+from oracles import (elastic_strain, energy_inequality_check,
+                     inverse_plastic, plastic_distortion, read_history_csv,
+                     stability_check)
 from rotations import law_at, random_rotation
 from test_io import read_vtk_ascii
 
@@ -239,7 +239,6 @@ def test_criterion_9_serialization(tmp_path):
     write_history_csv(records, csv_path, Lx=run_cfg.Lx, Ly=run_cfg.Ly,
                       speed=run_cfg.speed)
     header_ok = csv_path.read_text().splitlines()[0] == CSV_HEADER
-    from kinkband import read_history_csv
     parsed = read_history_csv(csv_path)
     csv_ok = all(a.energy.total == b.energy.total and a.time == b.time
                  and a.reaction_force == b.reaction_force

@@ -431,7 +431,7 @@ def test_curvature_scale_slip_suppressed():
     dofmap = build_dofmap(mesh)
     h = curvature_scale(mesh, dofmap, MaterialParams(sigma=1000.0))
     slip_dofs = dofmap.free >= 2 * mesh.n_nodes
-    assert len(h) == dofmap.n_free
+    assert len(h) == len(dofmap.free)
     assert (h[~slip_dofs] == 1.0).all()
     assert h[slip_dofs].min() > 4e4
 

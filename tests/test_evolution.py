@@ -9,14 +9,14 @@ import pytest
 import kinkband.evolution as evolution
 from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
                       StepFailureError, build_dofmap, build_structured_mesh,
-                      dissipation_increment, energy_inequality_check,
-                      incremental_step, initial_state, lift_state, minimize,
-                      optimizer, reaction_force, run_simulation,
-                      stability_check, total_energy)
+                      dissipation_increment, incremental_step,
+                      initial_state, lift_state, minimize, optimizer,
+                      reaction_force, run_simulation, total_energy)
 from kinkband.energy import _assemble, _field_at_points
 from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
                                 apply_boundary_conditions)
 from kinkband.mesh import BOTTOM, INTERIOR, LATERAL, TOP
+from oracles import energy_inequality_check, stability_check
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +350,31 @@ def test_energy_inequality_negative_control(small_problem):
     _, upper_ok = energy_inequality_check(corrupted, None, le, params,
                                           mesh.total_area)
     assert not upper_ok
+
+
+def test_step_energy_estimate_boundary(monkeypatch, small_problem):
+    # a minimizing step from a bumped state, whose slack s = I(lift) +
+    # sigma delta |Omega| - (I + D) is far from 0: the step's own estimate
+    # rejects it with a tolerance just below -s and accepts it just above
+    mesh, dofmap, params, slip, program = small_problem
+    prev = initial_state(mesh)
+    x, y = mesh.nodes.T
+    prev.a1 = prev.a1 + 0.5 * np.sin(np.pi * x / mesh.Lx) * np.sin(
+        np.pi * y / mesh.Ly)
+    _, rec = incremental_step(prev, 10.0, mesh, dofmap, params, slip, program)
+    assert rec.optimizer_iterations > 0
+    lifted = lift_state(prev, mesh, program, 0.0, 10.0)
+    le = total_energy(lifted, mesh, params, slip).total
+    floor = params.sigma * params.delta * mesh.total_area
+    slack = le + floor - (rec.energy.total + rec.dissipation_increment)
+    assert slack > 1.0
+    monkeypatch.setattr(evolution, "ENERGY_ESTIMATE_TOL", -slack - 1e-9)
+    with pytest.raises(StepFailureError, match="energy upper estimate"):
+        incremental_step(prev, 10.0, mesh, dofmap, params, slip, program)
+    monkeypatch.setattr(evolution, "ENERGY_ESTIMATE_TOL", -slack + 1e-9)
+    _, accepted = incremental_step(prev, 10.0, mesh, dofmap, params, slip,
+                                   program)
+    assert accepted == rec
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _strained_slipped(mesh, dofmap, program):
                                       program, 10.0)
     rng = np.random.default_rng(3)
     x = dofmap.pack(state.a1, state.a2, state.b) \
-        + 0.3 * rng.standard_normal(dofmap.n_free)
+        + 0.3 * rng.standard_normal(len(dofmap.free))
     return state, x
 
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ import pytest
 
 from kinkband import (ConfigError, MaterialParams, SimulationConfig, build_structured_mesh, initial_state,
                       StepFailureError, build_dofmap, parse_config,
-                      read_history_csv, run_simulation, serialize_config,
-                      write_history_csv, write_snapshot_vtk)
+                      run_simulation, serialize_config, write_history_csv,
+                      write_snapshot_vtk)
 from kinkband.cli import cli_main
 from kinkband.config import _TABLE
 from kinkband.mesh import INTERIOR
 from kinkband.output import CSV_HEADER
+from oracles import read_history_csv
 
 
 # ---------------------------------------------------------------------------
@@ -860,3 +862,100 @@ def test_cli_run_fails_on_bad_startup_gradient_check(tmp_path, monkeypatch,
     assert code == 2
     assert "gradient check failed" in err
     assert not (out_dir / "history.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# agreement across BLAS and SIMD code paths
+
+# The largest |difference| from the default run that each history.csv column
+# of the 10x18 K=20 program may show under another code path.  Measured on an
+# AVX-512 Xeon (numpy 2.4.6, scipy-openblas 0.3.31 DYNAMIC_ARCH), the worst
+# over the three settings below is given with each; the tolerances are five
+# times that, and 100 iterations against 42 (a step takes 79 to 200).  The
+# columns the config alone sets, and the penalty energy (0 on every path),
+# must agree exactly.  The minimizer's stop on a small decrease does not
+# bound its distance from the minimizer, so these are that spread, pinned.
+CODE_PATH_TOLERANCES = {
+    "reaction_force_N": 10.0,            # 1.9 N; the largest |F| is 20,033 N
+    "nominal_stress_MPa": 0.25,          # the force over Lx = 42 mm
+    "total_energy_Nmm": 1e-2,            # 1.8e-3 N mm
+    "elastic_Nmm": 4.0,                  # 0.68 N mm, offset by the next
+    "slip_gradient_Nmm": 4.0,            # 0.68 N mm
+    "hardening_Nmm": 2e-3,               # 4.1e-4 N mm
+    "dissipation_increment_Nmm": 1e-2,   # 1.7e-3 N mm
+    "cumulative_dissipation_Nmm": 1e-2,  # 1.7e-3 N mm
+    "max_abs_gamma": 1e-3,               # 2.0e-4
+    "min_det_Fe": 5e-4,                  # 8.5e-5
+    "optimizer_iterations": 100,         # 42
+}
+CODE_PATH_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+def _code_path_skip(setting):
+    """The reason to skip a code path here, or None to run it."""
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:                   # numpy before 1.26 has no mode
+        return "numpy does not report its build as a dict"
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return ("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                "OPENBLAS_CORETYPE selects no kernel")
+    found = build.get("SIMD Extensions", {}).get("found") or []
+    if "NPY_DISABLE_CPU_FEATURES" in setting and "X86_V4" not in found:
+        return "the CPU or numpy build has no X86_V4 (AVX-512) to disable"
+    return None
+
+
+def _history_under(setting, out_dir):
+    """history.csv rows of the 10x18 K=20 CSV program, run by ``python -m
+    kinkband`` in ``out_dir`` by a child whose environment adds
+    ``setting``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items()
+           if k not in CODE_PATH_VARIABLES}
+    env.update(setting, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
+    cfg = out_dir / "k20.cfg"
+    cfg.write_text("mesh.nx = 10\nmesh.ny = 18\nload.K = 20\n"
+                   "output.formats = csv\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kinkband", "run", "--config", str(cfg),
+         "--out", str(out_dir / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(out_dir / "out" / "history.csv", encoding="utf-8",
+              newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def default_path_history(tmp_path_factory):
+    return _history_under({}, tmp_path_factory.mktemp("default_path"))
+
+
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["haswell", "sandybridge", "no_avx512"])
+def test_history_agrees_across_code_paths(request, tmp_path, setting):
+    # the bytes are the same only on one code path; across paths each column
+    # agrees to its tolerance, and slip starts at step 10 on every path
+    reason = _code_path_skip(setting)
+    if reason is not None:
+        pytest.skip(reason)
+    default = request.getfixturevalue("default_path_history")
+    rows = _history_under(setting, tmp_path)
+    assert len(rows) == len(default) == 20
+    assert list(rows[0]) == CSV_HEADER.split(",")
+    for column in CSV_HEADER.split(","):
+        tol = CODE_PATH_TOLERANCES.get(column, 0.0)
+        worst = max(abs(float(a[column]) - float(b[column]))
+                    for a, b in zip(default, rows))
+        assert worst <= tol, (column, worst, tol)
+    for history in (default, rows):
+        onset = next(int(r["k"]) for r in history
+                     if float(r["max_abs_gamma"]) > 0.0)
+        assert onset == 10

@@ -261,9 +261,9 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
         if lift_loses:
             # the kept zero-slip result is 2e-4 N mm above the lift, which
             # the step's energy estimate rejects (tested in test_io); here
-            # the estimate is stubbed to reach the record of that path
-            monkeypatch.setattr(evolution, "energy_inequality_check",
-                                lambda *args: (True, True))
+            # the estimate's slack is unbounded to reach the record of that
+            # path
+            monkeypatch.setattr(evolution, "ENERGY_ESTIMATE_TOL", np.inf)
         state, _ = evolution.incremental_step(prev, 20.0, mesh, dofmap, params,
                                               slip, program)
         assert verdicts == [True]
@@ -342,9 +342,9 @@ def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
     if end_on_start:
         # the zero-slip start, kept when the certificate fails, is far above
         # the lift, which the step's energy estimate rejects (tested in
-        # test_io); here the estimate is stubbed to reach its record
-        monkeypatch.setattr(evolution, "energy_inequality_check",
-                            lambda *args: (True, True))
+        # test_io); here the estimate's slack is unbounded to reach its
+        # record
+        monkeypatch.setattr(evolution, "ENERGY_ESTIMATE_TOL", np.inf)
     real_certified = evolution._certified
     for certified in (True, False):
         starts.clear()

@@ -296,10 +296,10 @@ def test_pack_unpack_roundtrip(mesh_4x6):
     a2 = rng.standard_normal(mesh_4x6.n_nodes)
     b = rng.standard_normal(mesh_4x6.n_nodes)
     for _ in range(10):
-        v = rng.standard_normal(dm.n_free)
+        v = rng.standard_normal(len(dm.free))
         assert (dm.pack(*dm.unpack(v, a1, a2, b)) == v).all()
     # unpack keeps fixed entries
-    v = rng.standard_normal(dm.n_free)
+    v = rng.standard_normal(len(dm.free))
     before = [a.copy() for a in (a1, a2, b)]
     na1, na2, nb = dm.unpack(v, a1, a2, b)
     fixed_a1 = np.setdiff1d(np.arange(mesh_4x6.n_nodes),

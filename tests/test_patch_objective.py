@@ -36,7 +36,7 @@ def _problem(slip_name, amp, with_prev, seed=3):
                      b=0.3 * rng.standard_normal(n))
     b_prev = template.b - 0.1 * rng.standard_normal(n) if with_prev else None
     x = dofmap.pack(template.a1, template.a2, template.b)
-    x = x + 0.5 * amp * rng.standard_normal(dofmap.n_free)
+    x = x + 0.5 * amp * rng.standard_normal(len(dofmap.free))
     args = (mesh, dofmap, MaterialParams(), SLIPS[slip_name], template, b_prev)
     return args, x
 
@@ -162,7 +162,7 @@ def test_sweep_is_18_kernel_passes_over_every_element(monkeypatch):
     # sign, each over the mesh's elements: no more memory than one assembly
     problem = evolution.build_problem(parse_config(""))
     mesh, dofmap = problem[:2]
-    assert (mesh.n_triangles, dofmap.n_free) == (4148, 6250)
+    assert (mesh.n_triangles, len(dofmap.free)) == (4148, 6250)
     probe = _startup_probe(problem)
     sizes = []
 
