@@ -36,14 +36,19 @@ its corners to the 3 points, ``_to_corners`` is its transpose and
 ``_WEIGHTS`` holds the weights.  The one kernel, ``_integrate``, takes
 what it reads: the gradient rows of a1, a2 and b, (k,) arrays, and gamma
 at the points, (3, k), row q for point q, so element constants broadcast.
-Its two callers gather corner values by ``Mesh2D.corners`` and scatter by
-``Mesh2D.slots``: ``_assemble`` forms both inputs from the corners and
-scatters element vectors; the gradient check's sweep (``_patch_oracle``)
-scatters element integrals, and per pass recomputes only the moved field's
-rows, and gamma only for b.  Every sum keeps the order of the original
-einsum kernel (frozen in tests/seed_kernel.py), so for axis-aligned slip
-systems the results are bit-identical to it (for rotated ones the seed's
-stacked matmul fused multiply-adds, so the two agree to rounding):
+A configuration is one (3, n) array q of nodal values, rows a1, a2 and b.
+Every reader of q gathers its corners in one ``np.take(q, Mesh2D.corners,
+axis=1)``, a (field, corner, element) array (the equal ``q[:, corners]``
+takes numpy's mixed slice-and-index path, 3.5 to 4 times slower at
+20x36), and forms the gradient rows from it with ``_gradient_rows``.  The
+kernel's two callers scatter by ``Mesh2D.slots``: ``_assemble`` forms both
+inputs from the corners and scatters element vectors; the gradient check's
+sweep (``_patch_oracle``) scatters element integrals, and per pass
+recomputes only the moved field's rows, and gamma only for b.  Every sum
+keeps the order of the original einsum kernel (frozen in
+tests/seed_kernel.py), so for axis-aligned slip systems the results are
+bit-identical to it (for rotated ones the seed's stacked matmul fused
+multiply-adds, so the two agree to rounding):
 
 - |Fe|^2 is (F00^2 + F10^2) + (F01^2 + F11^2), other contractions sum left
   to right; the frame law drops only products by 0 or +-1 and sums with a
@@ -155,11 +160,18 @@ def _p1_gradient(vt, grads):
             vt[0] * gy[0] + vt[1] * gy[1] + vt[2] * gy[2])
 
 
-def element_grad_y(mesh: Mesh2D, a1, a2):
+def _gradient_rows(v, grads):
+    """One ``_p1_gradient`` pair per field of the (field, corner, element)
+    corner values v, as ``np.take(q, corners, axis=1)`` gathers them."""
+    return [_p1_gradient(vf, grads) for vf in v]
+
+
+def element_grad_y(mesh: Mesh2D, q):
     """Element-constant grad y as components (Y00, Y01, Y10, Y11) and its
-    determinant, which equals det Fe at every point (det P = 1)."""
-    y00, y01 = _p1_gradient(a1[mesh.corners], mesh.grads)
-    y10, y11 = _p1_gradient(a2[mesh.corners], mesh.grads)
+    determinant, which equals det Fe at every point (det P = 1), from the
+    (3, n) nodal values q."""
+    (y00, y01), (y10, y11) = _gradient_rows(
+        np.take(q[:2], mesh.corners, axis=1), mesh.grads)
     return y00, y01, y10, y11, y00 * y11 - y01 * y10
 
 
@@ -334,21 +346,19 @@ def _frame_jacobian(jac, a0, a1, e0, e1, frob2, det, coef_p, coef_det, sm0,
                   * (2.0 + (params.r - 1.0) * gam * gam))
 
 
-def _assemble(mesh: Mesh2D, a1, a2, b, params: MaterialParams,
-              slip: SlipSystem, gam_prev=None, need_grad=False):
-    """Quadrature assembly over a mesh from nodal a1, a2, b: (breakdown,
-    dissipation, grads), grads None or the (3, n) nodal gradients ga1, ga2,
-    gb of I + D^delta.  ``gam_prev`` is the previous slip at the quadrature
-    points, (3, nt) as ``_field_at_points`` gives it, or None for no
-    dissipation.  Each call forms every kernel input afresh from the
-    gathered corners."""
-    tri, grads = mesh.corners, mesh.grads
-    bt = b[tri]
-    rows = (_p1_gradient(a1[tri], grads), _p1_gradient(a2[tri], grads),
-            _p1_gradient(bt, grads))
+def _assemble(mesh: Mesh2D, q, params: MaterialParams, slip: SlipSystem,
+              gam_prev=None, need_grad=False):
+    """Quadrature assembly over a mesh from the (3, n) nodal values q, rows
+    a1, a2, b: (breakdown, dissipation, grads), grads None or the (3, n)
+    nodal gradients ga1, ga2, gb of I + D^delta.  ``gam_prev`` is the
+    previous slip at the quadrature points, (3, nt) as ``_field_at_points``
+    gives it, or None for no dissipation.  Each call forms every kernel
+    input afresh from the gathered corners."""
+    v = np.take(q, mesh.corners, axis=1)        # (field, corner, element)
     breakdown, diss, loc = _integrate(
-        rows, _at_points(bt), grads, mesh.element_area, params, slip,
-        gam_prev, need_grad, per_element=False)
+        _gradient_rows(v, mesh.grads), _at_points(v[2]), mesh.grads,
+        mesh.element_area, params, slip, gam_prev, need_grad,
+        per_element=False)
     if loc is not None:
         loc = np.bincount(mesh.slots, weights=loc.ravel(),
                           minlength=3 * mesh.n_nodes).reshape(3, -1)
@@ -372,8 +382,8 @@ def _patch_oracle(mesh: Mesh2D, q, params: MaterialParams, slip: SlipSystem,
     (field, element, corner) slot, and the gradient's own ``slots``
     scatter sums it, in element order, into the entry at that corner.
     """
-    v = q[:, mesh.corners]                      # (field, corner, element)
-    base_rows = [_p1_gradient(vf, mesh.grads) for vf in v]
+    v = np.take(q, mesh.corners, axis=1)        # (field, corner, element)
+    base_rows = _gradient_rows(v, mesh.grads)
     base_gam = _at_points(v[2])
 
     def oracle(t):
@@ -475,8 +485,8 @@ def _element_hessians(mesh: Mesh2D, q, params: MaterialParams,
     weights are equal, so every entry is formed as a sum over the three
     points and weighted once, together with the area."""
     grads, area = mesh.grads[:, :, part], mesh.element_area[part]
-    v = q[:, mesh.corners[:, part]]             # (field, corner, element)
-    (y00, y01), (y10, y11) = (_p1_gradient(vf, grads) for vf in v[:2])
+    v = np.take(q, mesh.corners[:, part], axis=1)   # (field, corner, element)
+    (y00, y01), (y10, y11) = _gradient_rows(v[:2], grads)
     with np.errstate(over="ignore", invalid="ignore"):
         jac = material_law(y00, y01, y10, y11, _at_points(v[2]), params, slip,
                            derivatives=2)[3][5:].reshape(5, 5, 3, -1)
@@ -576,8 +586,9 @@ def curvature_scale(mesh: Mesh2D, dofmap: DofMap,
          + params.beta * params.r * 2.0 ** ((params.r - 2.0) / 2.0))
     h_b = np.maximum(1.0, (params.sigma / params.delta) * mass
                      / (k * mass + 2.0 * params.eps_grad * lap))
-    ones = np.ones(mesh.n_nodes)
-    return dofmap.pack(ones, ones, h_b)
+    h = np.ones((3, mesh.n_nodes))
+    h[2] = h_b
+    return dofmap.pack(h)
 
 
 def total_energy(state, mesh: Mesh2D, params: MaterialParams,
@@ -586,8 +597,8 @@ def total_energy(state, mesh: Mesh2D, params: MaterialParams,
 
     A run does not call it: the benchmark's energy-estimate check reads the
     lifted states' energies through it (``perfbench/worker.py``)."""
-    _check_lengths(mesh, state.a1, state.a2, state.b)
-    breakdown, _, _ = _assemble(mesh, state.a1, state.a2, state.b, params, slip)
+    _check_lengths(mesh, *state.q)
+    breakdown, _, _ = _assemble(mesh, state.q, params, slip)
     return breakdown
 
 

@@ -57,16 +57,20 @@ class StepFailureError(RuntimeError):
 
 @dataclass
 class State:
-    """Packed nodal coefficients: deformation (a1, a2) and slip b, at a time."""
+    """The (3, n) nodal values q at a time: rows a1 and a2, the deformation,
+    and b, the slip; ``a1``, ``a2`` and ``b`` are read-only views of them."""
 
-    a1: np.ndarray
-    a2: np.ndarray
-    b: np.ndarray
+    q: np.ndarray
     time: float = 0.0
 
-    def copy(self) -> "State":
-        return State(a1=self.a1.copy(), a2=self.a2.copy(), b=self.b.copy(),
-                     time=self.time)
+    def _row(self, i):
+        row = self.q[i]
+        row.flags.writeable = False
+        return row
+
+    a1 = property(lambda self: self._row(0))
+    a2 = property(lambda self: self._row(1))
+    b = property(lambda self: self._row(2))
 
 
 @dataclass
@@ -96,8 +100,9 @@ class StepRecord:
 
 def initial_state(mesh: Mesh2D) -> State:
     """Undeformed configuration: nodes at reference coordinates, zero slip."""
-    return State(a1=mesh.nodes[:, 0].copy(), a2=mesh.nodes[:, 1].copy(),
-                 b=np.zeros(mesh.n_nodes), time=0.0)
+    q = np.zeros((3, mesh.n_nodes))
+    q[:2] = mesh.nodes.T
+    return State(q)
 
 
 def apply_boundary_conditions(state: State, mesh: Mesh2D, dofmap: DofMap,
@@ -110,10 +115,10 @@ def apply_boundary_conditions(state: State, mesh: Mesh2D, dofmap: DofMap,
     platen height on the top (y_ref / Ly is exactly 1 there).
     """
     x_ref, y_ref = mesh.nodes.T
-    a1, a2, b = dofmap.unpack(
-        dofmap.pack(state.a1, state.a2, state.b), x_ref,
-        (y_ref / mesh.Ly) * program.top_displacement(t), state.b)
-    return State(a1=a1, a2=a2, b=b, time=t)
+    prescribed = state.q.copy()
+    prescribed[0] = x_ref
+    prescribed[1] = (y_ref / mesh.Ly) * program.top_displacement(t)
+    return State(dofmap.unpack(dofmap.pack(state.q), prescribed), t)
 
 
 def lift_state(state: State, mesh: Mesh2D, program: LoadProgram,
@@ -125,10 +130,9 @@ def lift_state(state: State, mesh: Mesh2D, program: LoadProgram,
     and keeps the bottom fixed.
     """
     delta = program.top_displacement(t_to) - program.top_displacement(t_from)
-    out = state.copy()
-    out.a2 = out.a2 + delta * mesh.nodes[:, 1] / program.Ly
-    out.time = t_to
-    return out
+    q = state.q.copy()
+    q[1] += delta * mesh.nodes[:, 1] / program.Ly
+    return State(q, t_to)
 
 
 def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
@@ -139,19 +143,17 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
     call at an equal x (``np.array_equal``) returns it without assembling.
     fun_grad holds no reference to itself, so it is freed without the cycle
     collector.  ``b_prev`` is taken to the quadrature points once."""
-    q = np.concatenate((template.a1, template.a2, template.b))
+    q = template.q.copy()
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
-    nodal = q.reshape(3, -1)
     last = [None, None]
 
     def fun_grad(x):
         if not np.array_equal(x, last[0]):
-            q[dofmap.free] = x
-            last[:] = x.copy(), _assemble(mesh, *nodal, params, slip,
+            q.reshape(-1)[dofmap.free] = x
+            last[:] = x.copy(), _assemble(mesh, q, params, slip,
                                           gam_prev=gam_prev, need_grad=True)
         breakdown, diss, grads = last[1]
-        # the rows of grads are the blocks of the nodal vector [a1, a2, b]
-        return breakdown.total + diss, grads.reshape(-1)[dofmap.free]
+        return breakdown.total + diss, dofmap.pack(grads)
 
     fun_grad.last = last
     return fun_grad
@@ -214,17 +216,16 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     the record.
     """
     template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
-    template.b = np.zeros_like(template.b)
+    template.q[2] = 0.0
     fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
-    x0 = dofmap.pack(template.a1, template.a2, template.b)
-    lifted = lift_state(prev, mesh, program, prev.time, t_next)
-    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
+    x0 = dofmap.pack(template.q)
+    x_lift = dofmap.pack(lift_state(prev, mesh, program, prev.time, t_next).q)
     f_lift, g_lift = fun_grad(x_lift)
     lift_assembly = fun_grad.last[:]
     stable = (float(np.abs(g_lift).max(initial=0.0)) <= GRAD_TOL
               and lift_assembly[1][0].penalty == 0.0
-              and _certified(mesh, dofmap, params, slip, dofmap.unpack(
-                  x_lift, template.a1, template.a2, template.b)))
+              and _certified(mesh, dofmap, params, slip,
+                             dofmap.unpack(x_lift, template.q)))
 
     try:
         if stable:                      # ends at its start, reading no h
@@ -243,13 +244,14 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         raise StepFailureError(
             f"step to t={t_next:g} failed to start: {exc}") from exc
 
-    a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
+    state = State(dofmap.unpack(res.x_min, template.q), t_next)
     # the record from one assembly, the minimizer's latest if it ended there
     fun_grad(res.x_min)
     breakdown, diss, grads = fun_grad.last[1]
     # the smoothed increment is what the step minimized; the cumulative
     # variation uses the raw dissipation distance sigma * int |dgamma|
-    var_inc = dissipation_increment(prev.b, b, mesh, replace(params, delta=0.0))
+    var_inc = dissipation_increment(prev.b, state.b, mesh,
+                                    replace(params, delta=0.0))
     record = StepRecord(
         k=k,
         time=t_next,
@@ -258,8 +260,8 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
         cumulative_dissipation=prev_cumulative + var_inc,
         reaction_force=reaction_force(grads, mesh),
         top_displacement=program.top_displacement(t_next),
-        max_abs_gamma=float(np.max(np.abs(b))),
-        min_det_Fe=_min_det(mesh, a1, a2),
+        max_abs_gamma=float(np.max(np.abs(state.b))),
+        min_det_Fe=_min_det(mesh, state.q),
         optimizer_iterations=iterations,
     )
     # the north star's acceptance tests that need no further assembly
@@ -275,11 +277,11 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
             "the accepted state breaks the energy upper estimate: I + D = "
             f"{breakdown.total + diss:.10g} N mm against the lifted state's "
             f"I = {lifted_energy:.10g} N mm")
-    return State(a1=a1, a2=a2, b=b, time=t_next), record
+    return state, record
 
 
-def _min_det(mesh, a1, a2):
-    return float(np.min(element_grad_y(mesh, a1, a2)[4]))
+def _min_det(mesh, q):
+    return float(np.min(element_grad_y(mesh, q)[4]))
 
 
 def reaction_force(grads, mesh: Mesh2D) -> float:
@@ -298,9 +300,9 @@ def _startup_probe(mesh, dofmap, program) -> State:
     t = 0; strained and slipped, so every gradient block is well scaled."""
     x, y = mesh.nodes.T
     u, v = 3.0 * np.pi * x / mesh.Lx, np.pi * y / mesh.Ly
-    bumped = State(a1=x - 0.025 * np.sin(u) * np.sin(v),
-                   a2=y + 0.002 * np.cos(u) * np.sin(v),
-                   b=0.2 + 0.002 * np.cos(u) * np.cos(v))
+    bumped = State(np.array((x - 0.025 * np.sin(u) * np.sin(v),
+                             y + 0.002 * np.cos(u) * np.sin(v),
+                             0.2 + 0.002 * np.cos(u) * np.cos(v))))
     return apply_boundary_conditions(bumped, mesh, dofmap, program, 0.0)
 
 
@@ -320,9 +322,9 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
     probe = _startup_probe(mesh, dofmap, program)
     b_prev = np.zeros(mesh.n_nodes)
     fun_grad = _make_objective(mesh, dofmap, params, slip, probe, b_prev)
-    x = dofmap.pack(probe.a1, probe.a2, probe.b)
-    oracle = _patch_oracle(mesh, np.array([probe.a1, probe.a2, probe.b]),
-                           params, slip, _field_at_points(mesh, b_prev))
+    x = dofmap.pack(probe.q)
+    oracle = _patch_oracle(mesh, probe.q, params, slip,
+                           _field_at_points(mesh, b_prev))
     return gradient_check(lambda t: oracle(t)[dofmap.free],
                           lambda v: fun_grad(v)[1], x, GRADIENT_CHECK_STEP)
 

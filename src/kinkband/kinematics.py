@@ -29,8 +29,3 @@ class SlipSystem:
             raise ValueError(f"glide direction must be a unit 2-vector, got {self.s}")
         # 0.0 - s0 keeps the default m at +0.0, not -0.0
         self.m = np.array([self.s[1], 0.0 - self.s[0]])
-
-    @classmethod
-    def default(cls) -> "SlipSystem":
-        """Vertical glide on vertical layer planes: s = (0,1), m = (1,0)."""
-        return cls(s=np.array([0.0, 1.0]))

@@ -170,12 +170,13 @@ class HessianBins(NamedTuple):
 
 @dataclass
 class DofMap:
-    """The free/fixed split of the nodal vector [a1, a2, b] (length 3n).
+    """The free/fixed split of the (3, n) nodal values q, rows a1, a2, b.
 
-    ``free`` holds the ascending positions of the free coefficients in that
-    vector, so the packed layout is the free entries of a1, then of a2, then
-    of b.  Horizontal displacements are fixed on the whole boundary,
-    vertical ones on bottom and top; the slip field is free everywhere.
+    ``free`` holds the ascending positions of the free coefficients in
+    q.ravel(), the nodal vector [a1, a2, b] (length 3n), so the packed
+    layout is the free entries of a1, then of a2, then of b.  Horizontal
+    displacements are fixed on the whole boundary, vertical ones on bottom
+    and top; the slip field is free everywhere.
     Every other entry is fixed and prescribed by the boundary program.
     ``grid`` is (rows, nodes per row) of the node numbering, row by row,
     and ``corners`` the mesh's (3, n_tri) element corners, as in ``Mesh2D``.
@@ -235,15 +236,16 @@ class DofMap:
             a.flags.writeable = False
         return HessianBins(band, start, kind, pattern)
 
-    def pack(self, a1, a2, b) -> np.ndarray:
-        return np.concatenate((a1, a2, b))[self.free]
+    def pack(self, q) -> np.ndarray:
+        """The free entries of the (3, n) nodal values q, rows a1, a2, b."""
+        return q.ravel()[self.free]
 
-    def unpack(self, x, a1, a2, b) -> np.ndarray:
-        """Scatter a flat vector into a copy of the nodal arrays (fixed
-        entries kept); returns a (3, n) array whose rows are a1, a2, b."""
-        q = np.concatenate((a1, a2, b))
-        q[self.free] = x
-        return q.reshape(3, -1)
+    def unpack(self, x, q) -> np.ndarray:
+        """A copy of the (3, n) nodal values q with the free entries set to
+        the flat vector x (fixed entries kept)."""
+        out = q.copy()
+        out.reshape(-1)[self.free] = x
+        return out
 
 
 def build_dofmap(mesh: Mesh2D) -> DofMap:

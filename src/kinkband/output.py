@@ -6,8 +6,6 @@ the in-memory values exactly.  Column names carry explicit unit suffixes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .energy import element_grad_y
 
 CSV_HEADER = ("k,time_s,top_displacement_mm,engineering_strain,"
@@ -52,7 +50,7 @@ def write_history_csv(records, path, Lx: float, Ly: float, speed: float) -> None
 def _cell_fields(state, mesh):
     """Element-constant det Fe, Green-Lagrange strain E = (grad_y^T grad_y - I)/2
     and displacement gradient grad_y - I, each component an (nt,) array."""
-    y00, y01, y10, y11, det = element_grad_y(mesh, state.a1, state.a2)
+    y00, y01, y10, y11, det = element_grad_y(mesh, state.q)
     E = {"11": 0.5 * ((y00 * y00 + y10 * y10) - 1.0),
          "22": 0.5 * ((y01 * y01 + y11 * y11) - 1.0),
          "12": 0.5 * (y00 * y01 + y10 * y11)}
@@ -67,8 +65,6 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
     Green-Lagrange strain components and displacement-gradient components.
     """
     det, E, gu = _cell_fields(state, mesh)
-    u1 = state.a1 - mesh.nodes[:, 0]
-    u2 = state.a2 - mesh.nodes[:, 1]
     n = mesh.n_nodes
     nt = mesh.n_triangles
     with open(path, "w", encoding="utf-8") as fh:
@@ -77,11 +73,11 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")
-        _write_vectors(fh, state.a1, state.a2)
+        _write_vectors(fh, state.q[:2])
         fh.write(mesh.vtk_cells)
         fh.write(f"POINT_DATA {n}\n")
         fh.write("VECTORS displacement double\n")
-        _write_vectors(fh, u1, u2)
+        _write_vectors(fh, state.q[:2] - mesh.nodes.T)
         _write_scalars(fh, "gamma", state.b)
         fh.write(f"CELL_DATA {nt}\n")
         _write_scalars(fh, "det_Fe", det)
@@ -91,9 +87,9 @@ def write_snapshot_vtk(state, mesh, path, title: str = "kinkband snapshot") -> N
             _write_scalars(fh, f"grad_u_{name}", values)
 
 
-def _write_vectors(fh, v1, v2):
-    fh.write(("%.17g %.17g 0\n" * len(v1))
-             % tuple(np.column_stack((v1, v2)).ravel().tolist()))
+def _write_vectors(fh, v):
+    """Write the (2, n) nodal vectors v, one node a line."""
+    fh.write(("%.17g %.17g 0\n" * v.shape[1]) % tuple(v.T.ravel().tolist()))
 
 
 def _write_scalars(fh, name, values):

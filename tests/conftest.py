@@ -1,12 +1,13 @@
 import pytest
 
-from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
-                      build_dofmap, build_structured_mesh, run_simulation)
+from kinkband import (MaterialParams, SimulationConfig, build_dofmap,
+                      build_structured_mesh, run_simulation)
+from rotations import aligned_slip
 
 
 @pytest.fixture(scope="session")
 def slip():
-    return SlipSystem.default()
+    return aligned_slip()
 
 
 @pytest.fixture(scope="session")

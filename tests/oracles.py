@@ -47,8 +47,8 @@ def _smooth_bumps(mesh, dofmap, rng):
     da1 = sgn[0] * amp * np.sin(np.pi * i1 * x) * np.sin(np.pi * j1 * y)
     da2 = sgn[1] * amp * np.cos(np.pi * i1 * x) * np.sin(np.pi * j1 * y)
     db = sgn[2] * amp * np.cos(np.pi * i1 * x) * np.cos(np.pi * j1 * y)
-    return dofmap.pack(*(f if on else np.zeros_like(f)
-                         for f, on in zip((da1, da2, db), active)))
+    return dofmap.pack(np.array([f if on else np.zeros_like(f)
+                                 for f, on in zip((da1, da2, db), active)]))
 
 
 def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
@@ -67,12 +67,12 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
     rng = np.random.default_rng(0) if rng is None else rng
     bc = apply_boundary_conditions(state, mesh, dofmap, program, t)
     f_state = total_energy(bc, mesh, params, slip).total
-    x = dofmap.pack(bc.a1, bc.a2, state.b)
+    x = dofmap.pack(bc.q)
     fun_grad = _make_objective(mesh, dofmap, params, slip, bc, state.b)
     worst = f_state - fun_grad(x)[0]  # the state itself
     if prev_state is not None:
         lifted = lift_state(prev_state, mesh, program, prev_state.time, t)
-        xc = dofmap.pack(lifted.a1, lifted.a2, prev_state.b)
+        xc = dofmap.pack(lifted.q)
         worst = max(worst, f_state - fun_grad(xc)[0])
     for _ in range(n_competitors):
         xc = x + _smooth_bumps(mesh, dofmap, rng)

@@ -1,9 +1,16 @@
-"""Random planar rotations, and the material law at stacked 2x2 gradients,
-for the pointwise density and frame-indifference tests."""
+"""Random planar rotations, the material law at stacked 2x2 gradients, for
+the pointwise density and frame-indifference tests, and the aligned slip
+system most tests run on."""
 
 import numpy as np
 
-from kinkband import material_law
+from kinkband import SimulationConfig, SlipSystem, material_law
+
+
+def aligned_slip():
+    """The default config's slip system: vertical glide on vertical layer
+    planes, s = (s1, s2) = (0, 1) and m = (1, 0)."""
+    return SlipSystem(s=(SimulationConfig.s1, SimulationConfig.s2))
 
 
 def random_rotation(rng):

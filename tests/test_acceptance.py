@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
+from kinkband import (MaterialParams, SimulationConfig,
                       build_dofmap, build_structured_mesh,
                       dissipation_increment, initial_state, lift_state,
                       parse_config, run_simulation, serialize_config,
@@ -19,7 +19,7 @@ from kinkband.output import CSV_HEADER
 from oracles import (elastic_strain, energy_inequality_check,
                      inverse_plastic, plastic_distortion, read_history_csv,
                      stability_check)
-from rotations import law_at, random_rotation
+from rotations import aligned_slip, law_at, random_rotation
 from test_io import read_vtk_ascii
 
 
@@ -100,15 +100,15 @@ def test_criterion_3_gradient_correctness(params, slip, mesh_4x6, dofmap_4x6):
     worst = 0.0
     for _ in range(10):
         st = initial_state(mesh_4x6)
-        st.a1 = st.a1 + 0.1 * rng.standard_normal(mesh_4x6.n_nodes)
-        st.a2 = st.a2 + 0.1 * rng.standard_normal(mesh_4x6.n_nodes)
-        st.b = 0.3 * rng.standard_normal(mesh_4x6.n_nodes)
+        st.q[0] = st.a1 + 0.1 * rng.standard_normal(mesh_4x6.n_nodes)
+        st.q[1] = st.a2 + 0.1 * rng.standard_normal(mesh_4x6.n_nodes)
+        st.q[2] = 0.3 * rng.standard_normal(mesh_4x6.n_nodes)
         # keep the slip increment clear of the dissipation smoothing zone,
         # where the central-difference oracle itself loses accuracy
         b_prev = st.b - 0.05 - 0.3 * np.abs(rng.standard_normal(mesh_4x6.n_nodes))
         fun_grad = _make_objective(mesh_4x6, dofmap_4x6, params, slip, st,
                                    b_prev)
-        x = dofmap_4x6.pack(st.a1, st.a2, st.b)
+        x = dofmap_4x6.pack(st.q)
         _, ga = fun_grad(x)
         h = 1e-6
         fd = np.empty_like(x)
@@ -131,7 +131,7 @@ def test_criterion_4_incremental_minimality(run_10x18_k20):
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
-    slip = SlipSystem.default()
+    slip = aligned_slip()
     program = LoadProgram(speed=config.speed, Ly=config.Ly)
     rng = np.random.default_rng(104)
     worst = -np.inf
@@ -151,7 +151,7 @@ def test_criterion_5_discrete_energy_inequality(run_10x18_k20):
     config, records, states = run_10x18_k20
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
     params = MaterialParams()
-    slip = SlipSystem.default()
+    slip = aligned_slip()
     program = LoadProgram(speed=config.speed, Ly=config.Ly)
     floor = params.sigma * params.delta * mesh.total_area
     worst_slack = np.inf

@@ -9,7 +9,7 @@ from kinkband import (MaterialParams, SlipSystem, build_dofmap,
 from kinkband.energy import _assemble, _field_at_points, curvature_scale
 from kinkband.evolution import State
 from kinkband.optimizer import gradient_check
-from rotations import law_at, random_rotation
+from rotations import aligned_slip, law_at, random_rotation
 from test_optimizer import coordinate_oracle
 
 DOMAIN_AREA = 42.0 * 75.0
@@ -17,9 +17,9 @@ DOMAIN_AREA = 42.0 * 75.0
 
 def _random_state(mesh, rng, amp=0.1, gamma_amp=0.3):
     st = initial_state(mesh)
-    st.a1 = st.a1 + amp * rng.standard_normal(mesh.n_nodes)
-    st.a2 = st.a2 + amp * rng.standard_normal(mesh.n_nodes)
-    st.b = gamma_amp * rng.standard_normal(mesh.n_nodes)
+    st.q[0] = st.a1 + amp * rng.standard_normal(mesh.n_nodes)
+    st.q[1] = st.a2 + amp * rng.standard_normal(mesh.n_nodes)
+    st.q[2] = gamma_amp * rng.standard_normal(mesh.n_nodes)
     return st
 
 
@@ -95,7 +95,7 @@ def test_hardening_density_examples(slip):
 
 
 @pytest.mark.parametrize("slip", [
-    SlipSystem.default(),
+    aligned_slip(),
     SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)]))],
     ids=["default", "rotated"])
 def test_material_law_derivatives_match_central_differences(params, slip):
@@ -142,9 +142,9 @@ def test_slip_gradient_density_examples(slip):
     params = MaterialParams(eps_grad=500.0)
     mesh = build_structured_mesh(42, 75, 5, 8)
     st = initial_state(mesh)
-    st.b = np.full(mesh.n_nodes, 0.3)
+    st.q[2] = np.full(mesh.n_nodes, 0.3)
     assert total_energy(st, mesh, params, slip).slip_gradient == 0.0
-    st.b = 0.03 * mesh.nodes[:, 0] + 0.04 * mesh.nodes[:, 1]
+    st.q[2] = 0.03 * mesh.nodes[:, 0] + 0.04 * mesh.nodes[:, 1]
     assert total_energy(st, mesh, params, slip).slip_gradient == pytest.approx(
         500.0 * 0.0025 * DOMAIN_AREA, rel=1e-12)
 
@@ -168,7 +168,7 @@ def test_total_energy_identity_closed_form(slip):
 def test_total_energy_uniform_compression(params, slip):
     mesh = build_structured_mesh(42, 75, 6, 10)
     st = initial_state(mesh)
-    st.a2 = 0.99 * st.a2
+    st.q[1] = 0.99 * st.a2
     breakdown = total_energy(st, mesh, params, slip)
     # independent oracle by direct arithmetic: W(diag(1, 0.99)) + beta 2^{r/2}
     assert params.r == 2.0
@@ -181,7 +181,7 @@ def test_total_energy_uniform_compression(params, slip):
 def test_total_energy_penalty_branch(params, slip):
     mesh = build_structured_mesh(42, 75, 3, 4)
     st = initial_state(mesh)
-    st.a2 = 1e-9 * st.a2          # det grad_y = 1e-9 <= det_floor everywhere
+    st.q[1] = 1e-9 * st.a2          # det grad_y = 1e-9 <= det_floor everywhere
     breakdown = total_energy(st, mesh, params, slip)
     assert breakdown.penalty > 0
     assert breakdown.penalty == pytest.approx(params.det_penalty * DOMAIN_AREA,
@@ -197,8 +197,7 @@ def test_breakdown_additivity(params, slip, mesh_4x6):
 
 
 def test_total_energy_dimension_mismatch(params, slip, mesh_4x6):
-    st = initial_state(mesh_4x6)
-    st.b = np.zeros(mesh_4x6.n_nodes + 1)
+    st = State(np.zeros((3, mesh_4x6.n_nodes + 1)))
     with pytest.raises(ValueError):
         total_energy(st, mesh_4x6, params, slip)
 
@@ -313,18 +312,17 @@ def _packed_gradient(state, mesh, dofmap, params, slip, gamma_prev=None):
     """The gradient of I (+ D^delta) over the free DOF vector."""
     gam_prev = (None if gamma_prev is None
                 else _field_at_points(mesh, gamma_prev))
-    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
+    _, _, grads = _assemble(mesh, state.q, params, slip,
                             gam_prev=gam_prev, need_grad=True)
-    return dofmap.pack(*grads)
+    return dofmap.pack(grads)
 
 
 def _packed_objective(mesh, dofmap, params, slip, template, b_prev):
     gam_prev = _field_at_points(mesh, b_prev)
 
     def fun(x):
-        a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
-        bd, diss, _ = _assemble(mesh, a1, a2, b, params, slip,
-                                gam_prev=gam_prev)
+        bd, diss, _ = _assemble(mesh, dofmap.unpack(x, template.q), params,
+                                slip, gam_prev=gam_prev)
         return bd.total + diss
     return fun
 
@@ -338,12 +336,11 @@ def test_analytic_gradient_matches_fd(params, slip, mesh_4x6, dofmap_4x6):
         fun = _packed_objective(mesh_4x6, dofmap_4x6, params, slip, st, b_prev)
 
         def grad(x):
-            a1, a2, b = dofmap_4x6.unpack(x, st.a1, st.a2, st.b)
-            probe = State(a1=a1, a2=a2, b=b)
+            probe = State(dofmap_4x6.unpack(x, st.q))
             return _packed_gradient(probe, mesh_4x6, dofmap_4x6,
                                     params, slip, gamma_prev=b_prev)
 
-        x = dofmap_4x6.pack(st.a1, st.a2, st.b)
+        x = dofmap_4x6.pack(st.q)
         assert gradient_check(coordinate_oracle(fun, x), grad, x, 1e-6) < 1e-5
 
 
@@ -354,7 +351,7 @@ def test_identity_state_gradient_zero(params, slip, mesh_4x6, dofmap_4x6):
     # central differences agree: the state is a critical point
     fun = _packed_objective(mesh_4x6, dofmap_4x6, params, slip, st,
                             np.zeros(mesh_4x6.n_nodes))
-    x = dofmap_4x6.pack(st.a1, st.a2, st.b)
+    x = dofmap_4x6.pack(st.q)
     h = 1e-6
     for i in range(0, len(x), 7):
         xp, xm = x.copy(), x.copy()
@@ -366,7 +363,7 @@ def test_identity_state_gradient_zero(params, slip, mesh_4x6, dofmap_4x6):
 def test_uniform_slip_shift_kills_gradient_term(slip, mesh_4x6, dofmap_4x6):
     # with grad gamma = 0 the b-block gradient must not depend on eps_grad
     st = initial_state(mesh_4x6)
-    st.b = np.full(mesh_4x6.n_nodes, 0.2)
+    st.q[2] = np.full(mesh_4x6.n_nodes, 0.2)
     b_prev = np.zeros(mesh_4x6.n_nodes)
     g_eps = _packed_gradient(st, mesh_4x6, dofmap_4x6,
                              MaterialParams(eps_grad=500.0), slip,
@@ -395,7 +392,7 @@ def test_uniform_slip_shift_kills_gradient_term(slip, mesh_4x6, dofmap_4x6):
 
 def test_penalty_branch_gradient_is_zero(params, slip, mesh_4x6, dofmap_4x6):
     st = initial_state(mesh_4x6)
-    st.a2 = 1e-9 * st.a2
+    st.q[1] = 1e-9 * st.a2
     g = _packed_gradient(st, mesh_4x6, dofmap_4x6, params, slip)
     # the whole mesh sits in the penalty branch: elastic contribution gone,
     # remaining gradient comes from the slip terms only (zero here)
@@ -451,10 +448,10 @@ def test_curvature_scale_is_the_curvature_ratio(mesh_4x6, dofmap_4x6, slip):
         e[i] = t
 
         def curvature(gam_prev):
-            gp = _assemble(mesh_4x6, st.a1, st.a2, e, params, slip,
-                           gam_prev=gam_prev, need_grad=True)[2][2]
-            gm = _assemble(mesh_4x6, st.a1, st.a2, -e, params, slip,
-                           gam_prev=gam_prev, need_grad=True)[2][2]
+            gp = _assemble(mesh_4x6, np.array((st.a1, st.a2, e)), params,
+                           slip, gam_prev=gam_prev, need_grad=True)[2][2]
+            gm = _assemble(mesh_4x6, np.array((st.a1, st.a2, -e)), params,
+                           slip, gam_prev=gam_prev, need_grad=True)[2][2]
             return (gp[i] - gm[i]) / (2.0 * t)
 
         stored = curvature(None)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import kinkband.evolution as evolution
-from kinkband import (MaterialParams, SimulationConfig, SlipSystem,
-                      StepFailureError, build_dofmap, build_structured_mesh,
+from kinkband import (MaterialParams, SimulationConfig, StepFailureError,
+                      build_dofmap, build_structured_mesh,
                       dissipation_increment, incremental_step,
                       initial_state, lift_state, minimize, optimizer,
                       reaction_force, run_simulation, total_energy)
@@ -17,6 +17,7 @@ from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
                                 apply_boundary_conditions)
 from kinkband.mesh import BOTTOM, INTERIOR, LATERAL, TOP
 from oracles import energy_inequality_check, stability_check
+from rotations import aligned_slip
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def small_problem():
     mesh = build_structured_mesh(42.0, 75.0, 4, 6)
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
-    slip = SlipSystem.default()
+    slip = aligned_slip()
     program = LoadProgram(speed=0.18, Ly=75.0)
     return mesh, dofmap, params, slip, program
 
@@ -81,10 +82,9 @@ def test_apply_bc_leaves_free_entries(small_problem):
     mesh, dofmap, _, _, program = small_problem
     # random fixed entries too, so each one must be overwritten
     rng = np.random.default_rng(50)
-    st = evolution.State(*rng.standard_normal((3, mesh.n_nodes)))
+    st = evolution.State(rng.standard_normal((3, mesh.n_nodes)))
     out = apply_boundary_conditions(st, mesh, dofmap, program, 42.0)
-    assert (dofmap.pack(out.a1, out.a2, out.b)
-            == dofmap.pack(st.a1, st.a2, st.b)).all()
+    assert (dofmap.pack(out.q) == dofmap.pack(st.q)).all()
     assert (out.b == st.b).all()
     _assert_prescribed(out, mesh, dofmap, program, 42.0)
     kept = (np.concatenate((out.a1, out.a2, out.b))
@@ -167,9 +167,9 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
 
     # oracle: minimize over the elastic blocks only, slip frozen at zero
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 10.0)
-    template.b = np.zeros(mesh.n_nodes)
+    template.q[2] = np.zeros(mesh.n_nodes)
     fun_grad = _make_objective(mesh, dofmap, stiff, slip, template, prev.b)
-    x0 = dofmap.pack(template.a1, template.a2, template.b)
+    x0 = dofmap.pack(template.q)
     idx_a = np.flatnonzero(dofmap.free < 2 * mesh.n_nodes)
     _, res = _minimize_subset(fun_grad, x0, idx_a)
     assert rec.energy.total + rec.dissipation_increment \
@@ -184,8 +184,7 @@ def test_slip_suppressed_matches_elastic_minimization(small_problem):
 
 def _platen_force(state, mesh, params, slip):
     """The reaction of a state from its own gradient assembly."""
-    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, params, slip,
-                            need_grad=True)
+    _, _, grads = _assemble(mesh, state.q, params, slip, need_grad=True)
     return reaction_force(grads, mesh)
 
 
@@ -210,10 +209,10 @@ def test_reaction_force_at_identity(small_problem):
 def _fd_platen_force(state, mesh, params, slip, h=1e-6):
     """Centered difference of stored energy under a rigid top-row shift."""
     top = mesh.boundary_tags == TOP
-    up = state.copy()
-    up.a2 = up.a2 + h * top
-    down = state.copy()
-    down.a2 = down.a2 - h * top
+    up = evolution.State(state.q.copy(), state.time)
+    up.q[1] = up.a2 + h * top
+    down = evolution.State(state.q.copy(), state.time)
+    down.q[1] = down.a2 - h * top
     e_up = total_energy(up, mesh, params, slip).total
     e_down = total_energy(down, mesh, params, slip).total
     # platen travel is downward, so the conjugate force flips sign
@@ -223,7 +222,7 @@ def _fd_platen_force(state, mesh, params, slip, h=1e-6):
 def test_reaction_force_matches_fd_small_compression(small_problem):
     mesh, _, params, slip, _ = small_problem
     st = initial_state(mesh)
-    st.a2 = 0.999 * st.a2          # 0.1% uniform compression
+    st.q[1] = 0.999 * st.a2        # 0.1% uniform compression
     force = _platen_force(st, mesh, params, slip)
     fd = _fd_platen_force(st, mesh, params, slip)
     assert force == pytest.approx(fd, rel=1e-3)
@@ -260,11 +259,11 @@ def test_record_is_the_accepted_state(run_10x18_k76):
         for field in ("elastic", "hardening", "slip_gradient", "penalty",
                       "total"):
             assert getattr(rec.energy, field) == getattr(energy, field), field
-        _, diss, _ = _assemble(mesh, state.a1, state.a2, state.b, params,
-                               slip, gam_prev=_field_at_points(mesh, prev.b))
+        _, diss, _ = _assemble(mesh, state.q, params, slip,
+                               gam_prev=_field_at_points(mesh, prev.b))
         assert rec.dissipation_increment == diss
         assert rec.reaction_force == _platen_force(state, mesh, params, slip)
-        assert rec.min_det_Fe == _min_det(mesh, state.a1, state.a2)
+        assert rec.min_det_Fe == _min_det(mesh, state.q)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +299,10 @@ def test_stability_negative_control(monkeypatch, small_problem):
     prev = initial_state(mesh)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 40.0)
     fun_grad = _make_objective(mesh, dofmap, params, slip, template, prev.b)
-    x0 = dofmap.pack(template.a1, template.a2, template.b)
+    x0 = dofmap.pack(template.q)
     monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
     res = minimize(fun_grad, x0)
-    a1, a2, b = dofmap.unpack(res.x_min, template.a1, template.a2, template.b)
-    state = evolution.State(a1=a1, a2=a2, b=b, time=40.0)
+    state = evolution.State(dofmap.unpack(res.x_min, template.q), time=40.0)
     v = stability_check(state, 40.0, mesh, dofmap, params, slip, program,
                         n_competitors=50, prev_state=prev,
                         rng=np.random.default_rng(52))
@@ -359,7 +357,7 @@ def test_step_energy_estimate_boundary(monkeypatch, small_problem):
     mesh, dofmap, params, slip, program = small_problem
     prev = initial_state(mesh)
     x, y = mesh.nodes.T
-    prev.a1 = prev.a1 + 0.5 * np.sin(np.pi * x / mesh.Lx) * np.sin(
+    prev.q[0] = prev.a1 + 0.5 * np.sin(np.pi * x / mesh.Lx) * np.sin(
         np.pi * y / mesh.Ly)
     _, rec = incremental_step(prev, 10.0, mesh, dofmap, params, slip, program)
     assert rec.optimizer_iterations > 0
@@ -486,7 +484,7 @@ def test_certified_prefix_does_not_depend_on_delta():
     # from them in the last bit
     mesh = build_structured_mesh(42.0, 75.0, 10, 18)
     dofmap = build_dofmap(mesh)
-    slip = SlipSystem.default()
+    slip = aligned_slip()
     program = LoadProgram(speed=0.18, Ly=75.0)
     kept = None
     for delta in (1e-4, 1e-5, 1e-6):
@@ -537,14 +535,13 @@ def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
     prev = initial_state(mesh)
     lifted = lift_state(prev, mesh, program, 0.0, 20.0)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 20.0)
-    lift_point = dofmap.unpack(dofmap.pack(lifted.a1, lifted.a2, prev.b),
-                               template.a1, template.a2, template.b)
+    lift_point = dofmap.unpack(dofmap.pack(lifted.q), template.q)
     for penalized in (False, True):
         starts = []
 
-        def assemble(mesh_, a1, a2, b, *args, **kwargs):
-            out = _assemble(mesh_, a1, a2, b, *args, **kwargs)
-            if penalized and np.array_equal(np.array([a1, a2, b]), lift_point):
+        def assemble(mesh_, q, *args, **kwargs):
+            out = _assemble(mesh_, q, *args, **kwargs)
+            if penalized and np.array_equal(q, lift_point):
                 out = (dataclasses.replace(out[0], penalty=1.0),) + out[1:]
             return out
 
@@ -559,13 +556,12 @@ def test_a_lift_with_a_penalty_point_is_not_kept_unminimized(monkeypatch,
                 incremental_step(prev, 20.0, mesh, dofmap, params, slip,
                                  program)
             assert len(starts) == 2
-            assert np.array_equal(starts[1], dofmap.pack(lifted.a1, lifted.a2,
-                                                         prev.b))
+            assert np.array_equal(starts[1], dofmap.pack(lifted.q))
             continue
         state, record = incremental_step(prev, 20.0, mesh, dofmap, params,
                                          slip, program)
         assert len(starts) == 1
-        assert np.array_equal(np.array([state.a1, state.a2, state.b]),
+        assert np.array_equal(state.q,
                               lift_point)
         assert record.optimizer_iterations == 0
 
@@ -577,7 +573,7 @@ def test_every_step_minimizes_and_a_certified_step_once_unmoved(monkeypatch):
     # certified, step 10 is not
     mesh = build_structured_mesh(42.0, 75.0, 10, 18)
     dofmap = build_dofmap(mesh)
-    params, slip = MaterialParams(), SlipSystem.default()
+    params, slip = MaterialParams(), aligned_slip()
     program = LoadProgram(speed=0.18, Ly=75.0)
     calls, verdicts = [], []
     real_certified = evolution._certified
@@ -605,6 +601,5 @@ def test_every_step_minimizes_and_a_certified_step_once_unmoved(monkeypatch):
         if verdicts[-1]:
             (x0, iterations), = calls[-1]
             assert iterations == 0, k
-            assert np.array_equal(x0, dofmap.pack(lifted.a1, lifted.a2,
-                                                  lifted.b))
+            assert np.array_equal(x0, dofmap.pack(lifted.q))
     assert verdicts == [True] * 9 + [False]

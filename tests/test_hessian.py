@@ -17,8 +17,9 @@ from kinkband import energy
 from kinkband.energy import hessian_rows
 from kinkband.evolution import (LoadProgram, _certified, _make_objective,
                                 apply_boundary_conditions, lift_state)
+from rotations import aligned_slip
 
-SLIPS = {"default": SlipSystem.default(),
+SLIPS = {"default": aligned_slip(),
          "rotated": SlipSystem(s=np.array([-0.6, 0.8]))}
 
 
@@ -91,7 +92,7 @@ def _strained_slipped(mesh, dofmap, program):
     state = apply_boundary_conditions(initial_state(mesh), mesh, dofmap,
                                       program, 10.0)
     rng = np.random.default_rng(3)
-    x = dofmap.pack(state.a1, state.a2, state.b) \
+    x = dofmap.pack(state.q) \
         + 0.3 * rng.standard_normal(len(dofmap.free))
     return state, x
 
@@ -116,7 +117,7 @@ def test_assembled_hessian_matches_differences_of_the_gradient(
     assert fun_grad.last[1] is None
     fun_grad(x)
     assert fun_grad.last[1][0].penalty == 0.0
-    q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
+    q = dofmap_4x6.unpack(x, state.q)
     H, full = dense_hessian(mesh_4x6, dofmap_4x6, q, params, slip)
     scale = np.abs(H).max()
     assert np.abs(_difference_columns(fun_grad, x) - H).max() <= 1e-7 * scale
@@ -134,7 +135,7 @@ def test_a_hessian_without_the_slip_gradient_fails_the_difference_test(
     program = LoadProgram(speed=0.18, Ly=75.0)
     state, x = _strained_slipped(mesh_4x6, dofmap_4x6, program)
     fun_grad = _make_objective(mesh_4x6, dofmap_4x6, params, slip, state, None)
-    q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
+    q = dofmap_4x6.unpack(x, state.q)
     H, _ = dense_hessian(mesh_4x6, dofmap_4x6, q, replace(params, eps_grad=0.0),
                          slip)
     err = np.abs(_difference_columns(fun_grad, x) - H).max()
@@ -157,7 +158,7 @@ def test_block_cholesky_agrees_with_the_eigenvalues(params, nx, ny, slip_name,
     found = []
     for k in (9, 10):
         lifted = lift_state(initial_state(mesh), mesh, program, 0.0, 5.0 * k)
-        q = np.array([lifted.a1, lifted.a2, lifted.b])
+        q = lifted.q
         H, _ = dense_hessian(mesh, dofmap, q, params, slip)
         lowest = np.linalg.eigvalsh(H)[0]
         found.append(_certified(mesh, dofmap, params, slip, q))
@@ -212,7 +213,7 @@ def test_rows_and_verdicts_match_the_seed_at_homogeneous_lifts(
     for k in steps:
         lifted = lift_state(initial_state(mesh), mesh, program, 0.0,
                             float(times[k]))
-        q = np.array([lifted.a1, lifted.a2, lifted.b])
+        q = lifted.q
         found.append(_assert_matches_the_seed(mesh, dofmap, q, params, slip))
     if verdicts is not None:
         assert tuple(found) == verdicts
@@ -243,7 +244,7 @@ def test_rows_and_verdicts_match_the_seed_at_strained_slipped_states(
     monkeypatch.setattr(energy, "_element_hessians", recorded)
     state, x = _strained_slipped(mesh, dofmap, LoadProgram(speed=0.18,
                                                             Ly=75.0))
-    q = dofmap.unpack(x, state.a1, state.a2, state.b)
+    q = dofmap.unpack(x, state.q)
     _assert_matches_the_seed(mesh, dofmap, q, params, SLIPS[slip_name])
     # the rows' first pass took the elements in ceil(n_tri / size) slices
     first = formed[:-(-mesh.n_triangles // size)]
@@ -283,7 +284,7 @@ def test_a_kept_upper_coupling_or_fixed_entry_fails_the_seed_comparison(
     # with the mesh in one chunk (the default at 4x6) and in one per band
     state, x = _strained_slipped(mesh_4x6, dofmap_4x6,
                                  LoadProgram(speed=0.18, Ly=75.0))
-    q = dofmap_4x6.unpack(x, state.a1, state.a2, state.b)
+    q = dofmap_4x6.unpack(x, state.q)
     reference = list(seed_hessian_rows(mesh_4x6, dofmap_4x6, q, params, slip))
     tampered = _with_one_discarded_entry_kept(mesh_4x6, dofmap_4x6, upper)
     for size in (energy._HESSIAN_CHUNK, 8):
@@ -305,7 +306,7 @@ def test_a_mesh_not_numbered_band_by_band_is_refused(params, slip, mesh_4x6):
     dofmap = build_dofmap(shuffled)
     lifted = lift_state(initial_state(shuffled), shuffled,
                         LoadProgram(speed=0.18, Ly=75.0), 0.0, 45.0)
-    q = np.array([lifted.a1, lifted.a2, lifted.b])
+    q = lifted.q
     with pytest.raises(ValueError, match="band by band"):
         _certified(shuffled, dofmap, params, slip, q)
 
@@ -318,7 +319,7 @@ def _first_certificate_peak(params, slip, nx, ny, t):
     dofmap = build_dofmap(mesh)
     lifted = lift_state(initial_state(mesh), mesh,
                         LoadProgram(speed=0.18, Ly=75.0), 0.0, t)
-    q = np.array([lifted.a1, lifted.a2, lifted.b])
+    q = lifted.q
     tracemalloc.start()
     try:
         assert _certified(mesh, dofmap, params, slip, q)    # every row factored

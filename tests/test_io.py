@@ -502,7 +502,7 @@ def test_vtk_undeformed_snapshot(tmp_path):
 def test_vtk_uniform_compression_strain(tmp_path):
     mesh = build_structured_mesh(42, 75, 3, 4)
     st = initial_state(mesh)
-    st.a2 = 0.99 * st.a2
+    st.q[1] = 0.99 * st.a2
     path = tmp_path / "snap.vtk"
     write_snapshot_vtk(st, mesh, path)
     data = read_vtk_ascii(path)

@@ -16,13 +16,14 @@ from kinkband import (MaterialParams, SlipSystem, State, build_dofmap,
 from kinkband.energy import _assemble, _at_points, _field_at_points, _to_corners
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
                                 lift_state, reaction_force)
+from rotations import aligned_slip
 from seed_kernel import seed_assemble
 
 # axis-aligned slip systems, s along each of the four axis directions:
 # every product with a component of s or m is exact, and the negated ones
 # give negative components
 AXIS_SLIPS = {
-    "default": SlipSystem.default(),
+    "default": aligned_slip(),
     "swapped": SlipSystem(s=np.array([1.0, 0.0])),
     "negated_s": SlipSystem(s=np.array([0.0, -1.0])),
     "negated_swapped": SlipSystem(s=np.array([-1.0, 0.0])),
@@ -42,8 +43,8 @@ def _random_inputs(mesh, rng, amp):
 def _both(mesh, a1, a2, b, slip, b_prev, need_grad):
     params = MaterialParams()
     gam_prev = None if b_prev is None else _field_at_points(mesh, b_prev)
-    new = _assemble(mesh, a1, a2, b, params, slip, gam_prev=gam_prev,
-                    need_grad=need_grad)
+    new = _assemble(mesh, np.array((a1, a2, b)), params, slip,
+                    gam_prev=gam_prev, need_grad=need_grad)
     # the seed reads the row-major layout, given here as views
     row_major = SimpleNamespace(
         triangles=mesh.corners.T, basis_gradients=mesh.grads.transpose(2, 1, 0),
@@ -116,9 +117,10 @@ def test_negated_glide_direction_is_the_same_model():
         for amp in (0.1, 1.0):
             a1, a2, b, b_prev = _random_inputs(mesh, rng, amp)
             gam_prev = _field_at_points(mesh, b_prev)
-            bd, diss, grads = _assemble(mesh, a1, a2, b, params, slip,
+            q = np.array((a1, a2, b))
+            bd, diss, grads = _assemble(mesh, q, params, slip,
                                         gam_prev=gam_prev, need_grad=True)
-            bd1, diss1, grads1 = _assemble(mesh, a1, a2, b, params, flipped,
+            bd1, diss1, grads1 = _assemble(mesh, q, params, flipped,
                                            gam_prev=gam_prev, need_grad=True)
             for field in BREAKDOWN_FIELDS:
                 assert getattr(bd, field) == getattr(bd1, field), field
@@ -168,17 +170,17 @@ def test_point_and_corner_sums_are_the_rule_matmuls():
 def test_objective_gradient_is_the_packed_nodal_gradient():
     mesh = build_structured_mesh(42.0, 75.0, 10, 18)
     dofmap = build_dofmap(mesh)
-    params, slip = MaterialParams(), SlipSystem.default()
+    params, slip = MaterialParams(), aligned_slip()
     rng = np.random.default_rng(11)
     a1, a2, b, b_prev = _random_inputs(mesh, rng, 0.3)
-    template = State(a1=a1, a2=a2, b=b)
+    template = State(np.array((a1, a2, b)))
     fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
                                          template, b_prev)
-    x = dofmap.pack(a1, a2, b)
-    _, _, nodal = _assemble(mesh, a1, a2, b, params, slip,
+    x = dofmap.pack(template.q)
+    _, _, nodal = _assemble(mesh, template.q, params, slip,
                             gam_prev=_field_at_points(mesh, b_prev),
                             need_grad=True)
-    assert np.array_equal(fun_grad(x)[1], dofmap.pack(*nodal))
+    assert np.array_equal(fun_grad(x)[1], dofmap.pack(nodal))
 
 
 @pytest.mark.parametrize("nx,ny", [(4, 6), (20, 36), (34, 61)])
@@ -188,11 +190,11 @@ def test_reference_state_stress(nx, ny):
     # edge, whose normal is m, carries (c + 2 aniso) Ly
     p = MaterialParams()
     mesh = build_structured_mesh(42.0, 75.0, nx, ny)
-    slip = SlipSystem.default()
+    slip = aligned_slip()
     assert np.array_equal(slip.m, [1.0, 0.0])
     state = initial_state(mesh)
     c = p.C * (p.p * 2.0 ** ((p.p - 2.0) / 2.0) - 2.0)
-    _, _, grads = _assemble(mesh, state.a1, state.a2, state.b, p, slip,
+    _, _, grads = _assemble(mesh, state.q, p, slip,
                             need_grad=True)
     assert reaction_force(grads, mesh) == pytest.approx(-42.0 * c, rel=1e-12)
     assert -42.0 * c == pytest.approx(-9019.12, abs=0.01)
@@ -207,20 +209,20 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     mesh = build_structured_mesh(42.0, 75.0, 4, 6)
     dofmap = build_dofmap(mesh)
     params = MaterialParams()
-    slip = SlipSystem.default()
+    slip = aligned_slip()
     program = LoadProgram(speed=0.18, Ly=75.0)
     prev = initial_state(mesh)
     calls = []
 
-    def recording(mesh_, a1, a2, b, *args, need_grad=False, **kwargs):
-        calls.append((need_grad, a1.tobytes() + a2.tobytes() + b.tobytes()))
-        return _assemble(mesh_, a1, a2, b, *args, need_grad=need_grad, **kwargs)
+    def recording(mesh_, q, *args, need_grad=False, **kwargs):
+        calls.append((need_grad, q.tobytes()))
+        return _assemble(mesh_, q, *args, need_grad=need_grad, **kwargs)
 
     monkeypatch.setattr(evolution, "_assemble", recording)
     template = apply_boundary_conditions(prev, mesh, dofmap, program, 20.0)
     fun_grad = evolution._make_objective(mesh, dofmap, params, slip,
                                          template, prev.b)
-    x0 = dofmap.pack(template.a1, template.a2, template.b)
+    x0 = dofmap.pack(template.q)
     res = minimize(fun_grad, x0)
     assert res.iterations > 5
     # every point the minimizer looked at was assembled once, value and
@@ -238,9 +240,8 @@ def test_each_trial_point_costs_one_assembly(monkeypatch):
     # use.  The record's energy, dissipation and reaction come from the
     # assembly at the accepted point
     lifted = lift_state(prev, mesh, program, prev.time, 20.0)
-    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
-    a1, a2, b = dofmap.unpack(x_lift, template.a1, template.a2, template.b)
-    lift_point = a1.tobytes() + a2.tobytes() + b.tobytes()
+    x_lift = dofmap.pack(lifted.q)
+    lift_point = dofmap.unpack(x_lift, template.q).tobytes()
     real_certified = evolution._certified
     for certified, lift_loses in ((True, False), (False, False), (False, True)):
         calls.clear()
@@ -298,8 +299,8 @@ def test_objective_assembles_again_only_at_a_new_point(monkeypatch):
 
     monkeypatch.setattr(evolution, "_assemble", counting)
     fun_grad = evolution._make_objective(
-        mesh, dofmap, MaterialParams(), SlipSystem.default(), state, state.b)
-    x = dofmap.pack(state.a1, state.a2, state.b) + 0.1
+        mesh, dofmap, MaterialParams(), aligned_slip(), state, state.b)
+    x = dofmap.pack(state.q) + 0.1
     f, g = fun_grad(x)
     f_copy, g_copy = fun_grad(x.copy())
     assert calls == [True]
@@ -323,11 +324,11 @@ def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
     # certificate made to fail, the step minimizes from zero slip first
     mesh = build_structured_mesh(42.0, 75.0, 4, 6)
     dofmap = build_dofmap(mesh)
-    params, slip = MaterialParams(), SlipSystem.default()
+    params, slip = MaterialParams(), aligned_slip()
     program = LoadProgram(speed=0.18, Ly=75.0)
     prev = initial_state(mesh)
     lifted = lift_state(prev, mesh, program, prev.time, 20.0)
-    x_lift = dofmap.pack(lifted.a1, lifted.a2, prev.b)
+    x_lift = dofmap.pack(lifted.q)
     starts = []
 
     def on_start(fun_grad, x0, *args, **kwargs):
@@ -353,7 +354,7 @@ def test_step_record_is_the_assembly_at_the_accepted_point(monkeypatch,
         state, record = evolution.incremental_step(
             prev, 20.0, mesh, dofmap, params, slip, program)
         breakdown, diss, grads = _assemble(
-            mesh, state.a1, state.a2, state.b, params, slip,
+            mesh, state.q, params, slip,
             gam_prev=_field_at_points(mesh, prev.b), need_grad=True)
         assert record.energy == breakdown
         assert record.dissipation_increment == diss
@@ -378,8 +379,8 @@ def test_objective_is_freed_without_the_cycle_collector():
     dofmap = build_dofmap(mesh)
     state = initial_state(mesh)
     fun_grad = evolution._make_objective(
-        mesh, dofmap, MaterialParams(), SlipSystem.default(), state, state.b)
-    fun_grad(dofmap.pack(state.a1, state.a2, state.b))
+        mesh, dofmap, MaterialParams(), aligned_slip(), state, state.b)
+    fun_grad(dofmap.pack(state.q))
     ref = weakref.ref(fun_grad)
     gc.disable()
     try:

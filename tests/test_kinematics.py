@@ -4,6 +4,7 @@ import pytest
 from kinkband import SlipSystem, build_structured_mesh
 from kinkband.energy import element_grad_y
 from oracles import elastic_strain, inverse_plastic, plastic_distortion
+from rotations import aligned_slip
 
 
 def test_slip_system_validation():
@@ -20,7 +21,7 @@ def test_slip_system_validation():
 
 
 def test_normal_is_the_glide_direction_turned_clockwise():
-    m = SlipSystem.default().m
+    m = aligned_slip().m
     assert m.tolist() == [1.0, 0.0]
     assert not np.signbit(m).any()
     assert SlipSystem(s=[-0.6, 0.8]).m.tolist() == [0.8, 0.6]
@@ -96,7 +97,7 @@ def test_gradient_of_field_examples():
     for vals, grad, atol in ((x, [1.0, 0.0], 1e-13),
                              (np.full(mesh.n_nodes, 7.5), [0.0, 0.0], 1e-13),
                              (3.0 * x - 2.0 * y, [3.0, -2.0], 1e-12)):
-        y00, y01, y10, y11, _ = element_grad_y(mesh, vals, vals)
+        y00, y01, y10, y11, _ = element_grad_y(mesh, np.array((vals, vals)))
         np.testing.assert_allclose(np.column_stack([y00, y01, y10, y11]),
                                    np.tile(grad * 2, (mesh.n_triangles, 1)),
                                    atol=atol)

@@ -275,7 +275,8 @@ def test_dofmap_index_sets(mesh_4x6):
     assert (np.diff(dm.free) > 0).all()
     assert 0 <= dm.free[0] and dm.free[-1] < 3 * n
     block = dm.free // n
-    assert (dm.pack(np.zeros(n), np.ones(n), np.full(n, 2.0)) == block).all()
+    assert (dm.pack(np.array((np.zeros(n), np.ones(n), np.full(n, 2.0))))
+            == block).all()
     free_a1, free_a2, free_b = (dm.free[block == k] - k * n for k in range(3))
     assert (free_a1 == np.flatnonzero(tags == INTERIOR)).all()
     assert (free_a2 == np.flatnonzero((tags != BOTTOM) & (tags != TOP))).all()
@@ -295,13 +296,15 @@ def test_pack_unpack_roundtrip(mesh_4x6):
     a1 = rng.standard_normal(mesh_4x6.n_nodes)
     a2 = rng.standard_normal(mesh_4x6.n_nodes)
     b = rng.standard_normal(mesh_4x6.n_nodes)
+    q = np.array((a1, a2, b))
+    a1, a2, b = q
     for _ in range(10):
         v = rng.standard_normal(len(dm.free))
-        assert (dm.pack(*dm.unpack(v, a1, a2, b)) == v).all()
+        assert (dm.pack(dm.unpack(v, q)) == v).all()
     # unpack keeps fixed entries
     v = rng.standard_normal(len(dm.free))
     before = [a.copy() for a in (a1, a2, b)]
-    na1, na2, nb = dm.unpack(v, a1, a2, b)
+    na1, na2, nb = dm.unpack(v, q)
     fixed_a1 = np.setdiff1d(np.arange(mesh_4x6.n_nodes),
                             dm.free[dm.free < mesh_4x6.n_nodes])
     assert (na1[fixed_a1] == a1[fixed_a1]).all()

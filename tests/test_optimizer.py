@@ -1,12 +1,16 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
-from kinkband import (InvalidStartError, MaterialParams, SlipSystem,
+from kinkband import (InvalidStartError, MaterialParams,
                       build_dofmap, build_structured_mesh, gradient_check, initial_state, minimize, optimizer)
 from kinkband.energy import curvature_scale
 from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions)
 from kinkband.optimizer import _lbfgs_direction, _line_search
+from rotations import aligned_slip
 from seed_optimizer import MinimizeOptions, seed_line_search, seed_minimize
 
 
@@ -135,6 +139,77 @@ def test_zero_gradient_start_exits_immediately():
                    np.zeros(3))
     assert res.iterations == 0
     assert res.converged_by == "gradient"
+
+
+def _one_ascent_run(run, patch, at=3):
+    """``run``, ``minimize`` or a copy of it, on a convex quadratic with the
+    scale h of its diagonal, where ``_lbfgs_direction`` returns the ascent
+    direction g/h once, at iteration ``at``, and every search is watched;
+    ``patch(name, value)`` sets a name where ``run`` looks it up.  Returns
+    the result, the start value, the memory length at each direction, and
+    per search (x, d, t0, memory length, first trial point)."""
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((6, 6))
+    a = m @ m.T + 6.0 * np.eye(6)
+    c = rng.standard_normal(6)
+    h = np.diag(a).copy()
+
+    def fun_grad(x):
+        return 0.5 * float(x @ a @ x) - float(c @ x), a @ x - c
+
+    memory, held, searches = [], [], []
+
+    def direction(g, s_hist, *args):
+        memory[:] = [s_hist]
+        held.append(len(s_hist))
+        if len(held) == at:
+            return g / h
+        return _lbfgs_direction(g, s_hist, *args)
+
+    def search(fun_grad, x, f0, d, t0, dg0):
+        trials = []
+
+        def recorded(xt):
+            trials.append(xt.copy())
+            return fun_grad(xt)
+        watched = [x.copy(), d.copy(), t0, len(memory[0])]
+        hit = _line_search(recorded, x, f0, d, t0, dg0)
+        searches.append(watched + [trials[0]])
+        return hit
+
+    patch("_lbfgs_direction", direction)
+    patch("_line_search", search)
+    x0 = np.zeros(6)
+    return run(fun_grad, x0, h=h), fun_grad(x0)[0], held, searches, fun_grad, h
+
+
+@pytest.mark.usefixtures("tight")
+def test_an_ascent_direction_empties_the_memory(monkeypatch):
+    # the memory is cleared and the search runs along -g/h from the
+    # conservative first trial t0 = min(1, 1/|g/h|); the run goes on
+    res, f0, held, searches, fun_grad, h = _one_ascent_run(
+        minimize, lambda name, value: monkeypatch.setattr(optimizer, name,
+                                                          value))
+    x, d, t0, kept, first = searches[2]
+    assert held[2] == 2 and kept == 0
+    g = fun_grad(x)[1]
+    assert np.array_equal(d, -g / h)
+    assert t0 == min(1.0, 1.0 / math.sqrt(float((g / h).dot(g / h))))
+    assert np.array_equal(first, x + t0 * d)
+    assert res.iterations > 3
+    assert res.f_min < f0
+
+
+@pytest.mark.usefixtures("tight")
+def test_without_the_reset_an_ascent_direction_stops_the_run():
+    # negative control: minimize with its reset taken out searches along the
+    # ascent direction, finds no decrease and stops on ``step`` there
+    source = inspect.getsource(optimizer.minimize)
+    assert source.count("if dg >= 0.0:") == 1
+    namespace = dict(vars(optimizer))
+    exec(source.replace("if dg >= 0.0:", "if False:"), namespace)
+    res = _one_ascent_run(namespace["minimize"], namespace.__setitem__)[0]
+    assert (res.converged_by, res.iterations) == ("step", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +361,9 @@ def _assembled_first_step():
                                          program, t1)
     b_prev = np.zeros(mesh.n_nodes)
     fun_grad = _make_objective(mesh, dofmap, MaterialParams(),
-                               SlipSystem.default(), template, b_prev)
+                               aligned_slip(), template, b_prev)
     return (lambda x: fun_grad(x)[0], fun_grad,
-            dofmap.pack(template.a1, template.a2, template.b))
+            dofmap.pack(template.q))
 
 
 def test_assembled_step_matches_coordinate_descent_oracle():
@@ -373,9 +448,9 @@ def _step_problem(sigma):
     prev = initial_state(mesh)
     template = apply_boundary_conditions(prev, mesh, dofmap,
                                          LoadProgram(speed=0.18, Ly=75.0), 20.0)
-    fun_grad = _make_objective(mesh, dofmap, params, SlipSystem.default(),
+    fun_grad = _make_objective(mesh, dofmap, params, aligned_slip(),
                                template, prev.b)
-    return (fun_grad, dofmap.pack(template.a1, template.a2, template.b),
+    return (fun_grad, dofmap.pack(template.q),
             curvature_scale(mesh, dofmap, params))
 
 

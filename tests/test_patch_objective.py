@@ -17,9 +17,10 @@ from kinkband.cli import cli_main
 from kinkband.energy import (_assemble, _at_points, _field_at_points,
                              _integrate, _p1_gradient, _patch_oracle)
 from kinkband.evolution import State, _make_objective
+from rotations import aligned_slip
 
 SLIPS = {
-    "default": SlipSystem.default(),
+    "default": aligned_slip(),
     "rotated": SlipSystem(s=np.array([-np.sin(0.7), np.cos(0.7)])),
 }
 BREAKDOWN_FIELDS = ("elastic", "hardening", "slip_gradient", "penalty", "total")
@@ -31,11 +32,11 @@ def _problem(slip_name, amp, with_prev, seed=3):
     dofmap = build_dofmap(mesh)
     rng = np.random.default_rng(seed)
     n = mesh.n_nodes
-    template = State(a1=mesh.nodes[:, 0] + amp * rng.standard_normal(n),
-                     a2=mesh.nodes[:, 1] + amp * rng.standard_normal(n),
-                     b=0.3 * rng.standard_normal(n))
+    template = State(np.array((mesh.nodes[:, 0] + amp * rng.standard_normal(n),
+                               mesh.nodes[:, 1] + amp * rng.standard_normal(n),
+                               0.3 * rng.standard_normal(n))))
     b_prev = template.b - 0.1 * rng.standard_normal(n) if with_prev else None
-    x = dofmap.pack(template.a1, template.a2, template.b)
+    x = dofmap.pack(template.q)
     x = x + 0.5 * amp * rng.standard_normal(len(dofmap.free))
     args = (mesh, dofmap, MaterialParams(), SLIPS[slip_name], template, b_prev)
     return args, x
@@ -43,7 +44,7 @@ def _problem(slip_name, amp, with_prev, seed=3):
 
 def _free_oracle(mesh, dofmap, params, slip, template, b_prev, x):
     """The patch oracle around the packed x, taken at the free DOFs."""
-    q = dofmap.unpack(x, template.a1, template.a2, template.b)
+    q = dofmap.unpack(x, template.q)
     gp = None if b_prev is None else _field_at_points(mesh, b_prev)
     oracle = _patch_oracle(mesh, q, params, slip, gp)
     return lambda t: oracle(t)[dofmap.free]
@@ -65,10 +66,10 @@ def _startup_probe(problem):
     previous slip at the points and the packed analytic gradient."""
     mesh, dofmap, params, slip, program = problem
     probe = evolution._startup_probe(mesh, dofmap, program)
-    x = dofmap.pack(probe.a1, probe.a2, probe.b)
-    q = np.array([probe.a1, probe.a2, probe.b])
+    x = dofmap.pack(probe.q)
+    q = probe.q
     gam_prev = np.zeros((3, mesh.n_triangles))
-    _, _, grads = _assemble(mesh, *q, params, slip, gam_prev=gam_prev,
+    _, _, grads = _assemble(mesh, q, params, slip, gam_prev=gam_prev,
                             need_grad=True)
     return x, q, gam_prev, grads.reshape(-1)[dofmap.free]
 
@@ -91,8 +92,8 @@ def test_patch_differences_equal_full_differences(slip_name, with_prev, amp):
     args, x = _problem(slip_name, amp, with_prev)
     mesh, dofmap, params, slip, template, b_prev = args
     if amp > 1.0:                   # the anchor has penalty points
-        a1, a2, b = dofmap.unpack(x, template.a1, template.a2, template.b)
-        assert _assemble(mesh, a1, a2, b, params, slip)[0].penalty > 0.0
+        q = dofmap.unpack(x, template.q)
+        assert _assemble(mesh, q, params, slip)[0].penalty > 0.0
     fun_grad = _make_objective(*args)
     oracle = _free_oracle(*args, x)
     patch_p, patch_m = oracle(1e-6), oracle(-1e-6)
@@ -115,9 +116,9 @@ def test_assemble_over_every_element_by_index_equals_the_default(amp,
     # the per-element integrals, indexed by element, sum to the totals
     args, x = _problem("default", amp, with_prev)
     mesh, dofmap, params, slip, template, b_prev = args
-    q = dofmap.unpack(x, template.a1, template.a2, template.b)
+    q = dofmap.unpack(x, template.q)
     gp = None if b_prev is None else _field_at_points(mesh, b_prev)
-    bd, diss, _ = _assemble(mesh, *q, params, slip, gam_prev=gp)
+    bd, diss, _ = _assemble(mesh, q, params, slip, gam_prev=gp)
     bd_e, diss_e = _element_integrals(mesh, *q, params, slip, gam_prev=gp)
     for field in BREAKDOWN_FIELDS:
         assert getattr(bd_e, field).shape == (mesh.n_triangles,)
@@ -139,17 +140,17 @@ def test_oracle_sums_the_full_element_integrals_over_each_patch(
     params, slip = MaterialParams(), SLIPS[slip_name]
     rng = np.random.default_rng(7)
     n = mesh.n_nodes
-    template = State(a1=mesh.nodes[:, 0] + 0.2 * rng.standard_normal(n),
-                     a2=mesh.nodes[:, 1] + 0.2 * rng.standard_normal(n),
-                     b=0.3 * rng.standard_normal(n))
+    template = State(np.array((mesh.nodes[:, 0] + 0.2 * rng.standard_normal(n),
+                               mesh.nodes[:, 1] + 0.2 * rng.standard_normal(n),
+                               0.3 * rng.standard_normal(n))))
     b_prev = template.b - 0.1 * rng.standard_normal(n) if with_prev else None
     gp = None if b_prev is None else _field_at_points(mesh, b_prev)
-    x = dofmap.pack(template.a1, template.a2, template.b)
+    x = dofmap.pack(template.q)
     got = _free_oracle(mesh, dofmap, params, slip, template, b_prev, x)(t)
     for i, node in enumerate(dofmap.free % n):
         xi = x.copy()
         xi[i] += t
-        q = dofmap.unpack(xi, template.a1, template.a2, template.b)
+        q = dofmap.unpack(xi, template.q)
         bd, diss = _element_integrals(mesh, *q, params, slip, gam_prev=gp)
         want = 0.0
         for e in np.flatnonzero((mesh.corners == node).any(axis=0)):
