@@ -525,8 +525,10 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     bands' stretches laid end to end; the upper couplings and the fixed
     entries land in bins that are dropped, and the fixed diagonal gets its
     ones in one indexed add.  Only one chunk's blocks are held at a time,
-    0.8 MB at 20x36 (3 chunks), where a certificate's traced memory peaks
-    at 1.9 MB, the first one's included (an (f, g) assembly: 0.7 MB)."""
+    0.8 MB at 20x36 (3 chunks).  A first certificate's traced memory, the
+    row layout and bins it builds included, peaks at 0.78 MB at 10x18,
+    1.74 MB at 20x36 and 2.90 MB at 34x61 (an (f, g) assembly at 20x36:
+    0.81 MB)."""
     lay, bins = dofmap.row_blocks, dofmap.hessian_bins
     m = lay.size
     stretch = 2 * m * m + 1

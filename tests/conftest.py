@@ -1,7 +1,7 @@
 import pytest
 
-from kinkband import (MaterialParams, SimulationConfig, build_dofmap,
-                      build_structured_mesh, run_simulation)
+from kinkband import MaterialParams, SimulationConfig, run_simulation
+from kinkband.mesh import build_dofmap, build_structured_mesh
 from rotations import aligned_slip
 
 

@@ -4,7 +4,9 @@ system most tests run on."""
 
 import numpy as np
 
-from kinkband import SimulationConfig, SlipSystem, material_law
+from kinkband import SimulationConfig
+from kinkband.energy import material_law
+from kinkband.kinematics import SlipSystem
 
 
 def aligned_slip():

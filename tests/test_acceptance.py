@@ -9,13 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from kinkband import (MaterialParams, SimulationConfig,
-                      build_dofmap, build_structured_mesh,
-                      dissipation_increment, initial_state, lift_state,
-                      parse_config, run_simulation, serialize_config,
-                      total_energy, write_history_csv, write_snapshot_vtk)
-from kinkband.evolution import LoadProgram, _make_objective
-from kinkband.output import CSV_HEADER
+from kinkband import (MaterialParams, SimulationConfig, parse_config,
+                      run_simulation)
+from kinkband.config import serialize_config
+from kinkband.energy import total_energy
+from kinkband.evolution import (LoadProgram, _make_objective, initial_state,
+                                lift_state)
+from kinkband.mesh import build_dofmap, build_structured_mesh
+from kinkband.output import (CSV_HEADER, write_history_csv,
+                             write_snapshot_vtk)
 from oracles import (elastic_strain, energy_inequality_check,
                      inverse_plastic, plastic_distortion, read_history_csv,
                      stability_check)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kinkband import (MaterialParams, SlipSystem, build_dofmap,
-                      build_structured_mesh, dissipation_increment,
-                      initial_state, total_energy)
-from kinkband.energy import _assemble, _field_at_points, curvature_scale
-from kinkband.evolution import State
+from kinkband import MaterialParams
+from kinkband.energy import (_assemble, _field_at_points, curvature_scale,
+                             dissipation_increment, total_energy)
+from kinkband.evolution import State, initial_state
+from kinkband.kinematics import SlipSystem
+from kinkband.mesh import build_dofmap, build_structured_mesh
 from kinkband.optimizer import gradient_check
 from rotations import aligned_slip, law_at, random_rotation
 from test_optimizer import coordinate_oracle

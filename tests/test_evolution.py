@@ -8,14 +8,15 @@ import pytest
 
 import kinkband.evolution as evolution
 from kinkband import (MaterialParams, SimulationConfig, StepFailureError,
-                      build_dofmap, build_structured_mesh,
-                      dissipation_increment, incremental_step,
-                      initial_state, lift_state, minimize, optimizer,
-                      reaction_force, run_simulation, total_energy)
-from kinkband.energy import _assemble, _field_at_points
+                      optimizer, run_simulation)
+from kinkband.energy import (_assemble, _field_at_points,
+                             dissipation_increment, total_energy)
 from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
-                                apply_boundary_conditions)
-from kinkband.mesh import BOTTOM, INTERIOR, LATERAL, TOP
+                                apply_boundary_conditions, incremental_step,
+                                initial_state, lift_state, reaction_force)
+from kinkband.mesh import (BOTTOM, INTERIOR, LATERAL, TOP, build_dofmap,
+                           build_structured_mesh)
+from kinkband.optimizer import minimize
 from oracles import energy_inequality_check, stability_check
 from rotations import aligned_slip
 

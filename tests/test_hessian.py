@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from seed_hessian import seed_certified, seed_hessian_rows
 
-from kinkband import (MaterialParams, SlipSystem, build_dofmap,
-                      build_structured_mesh, initial_state, material_law)
 from kinkband import energy
-from kinkband.energy import hessian_rows
+from kinkband.energy import hessian_rows, material_law
 from kinkband.evolution import (LoadProgram, _certified, _make_objective,
-                                apply_boundary_conditions, lift_state)
+                                apply_boundary_conditions, initial_state,
+                                lift_state)
+from kinkband.kinematics import SlipSystem
+from kinkband.mesh import build_dofmap, build_structured_mesh
 from rotations import aligned_slip
 
 SLIPS = {"default": aligned_slip(),
@@ -217,6 +218,40 @@ def test_rows_and_verdicts_match_the_seed_at_homogeneous_lifts(
         found.append(_assert_matches_the_seed(mesh, dofmap, q, params, slip))
     if verdicts is not None:
         assert tuple(found) == verdicts
+
+
+def _onset_strain(params, slip, nx, ny, bisections=20):
+    """The nominal strain at which the stored energy of the homogeneous
+    state loses stability (c = 0), by bisecting ``_certified`` in t on
+    (0, 100) s: the homogeneous lift of the initial state to t, with the
+    fixed entries of the boundary data at t, as a step builds it."""
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    dofmap = build_dofmap(mesh)
+    program = LoadProgram(speed=0.18, Ly=75.0)
+
+    def certified(t):
+        lifted = lift_state(initial_state(mesh), mesh, program, 0.0, t)
+        q = apply_boundary_conditions(lifted, mesh, dofmap, program, t).q
+        return _certified(mesh, dofmap, params, slip, q)
+
+    stable, unstable = 0.0, 100.0
+    assert certified(stable) and not certified(unstable)
+    for _ in range(bisections):
+        t = 0.5 * (stable + unstable)
+        stable, unstable = (t, unstable) if certified(t) else (stable, t)
+    assert unstable - stable <= 1e-4
+    return program.speed * unstable / program.Ly
+
+
+def test_the_homogeneous_states_onset_falls_toward_the_box_estimate(params,
+                                                                   slip):
+    # t_c = 47.89 s on 10x18 and 22.29 s on 20x36 (steps 9.6 of K = 20 and
+    # 16.9 of K = 76); the continuum estimate in the 42 x 75 mm box is 2.36%
+    coarse = _onset_strain(params, slip, 10, 18)
+    fine = _onset_strain(params, slip, 20, 36)
+    assert abs(coarse - 0.11494) <= 1e-4
+    assert abs(fine - 0.05349) <= 1e-4
+    assert coarse > fine > 0.0236
 
 
 @pytest.mark.parametrize("slip_name", sorted(SLIPS))

@@ -10,14 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kinkband import (ConfigError, MaterialParams, SimulationConfig, build_structured_mesh, initial_state,
-                      StepFailureError, build_dofmap, parse_config,
-                      run_simulation, serialize_config, write_history_csv,
-                      write_snapshot_vtk)
+from kinkband import (ConfigError, MaterialParams, SimulationConfig,
+                      StepFailureError, parse_config, run_simulation)
 from kinkband.cli import cli_main
-from kinkband.config import _TABLE
-from kinkband.mesh import INTERIOR
-from kinkband.output import CSV_HEADER
+from kinkband.config import _TABLE, serialize_config
+from kinkband.evolution import initial_state
+from kinkband.mesh import INTERIOR, build_dofmap, build_structured_mesh
+from kinkband.output import (CSV_HEADER, write_history_csv,
+                             write_snapshot_vtk)
 from oracles import read_history_csv
 
 

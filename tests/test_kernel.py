@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import kinkband.evolution as evolution
-from kinkband import (MaterialParams, SlipSystem, State, build_dofmap,
-                      build_structured_mesh, initial_state, minimize)
+from kinkband import MaterialParams, State
 from kinkband.energy import _assemble, _at_points, _field_at_points, _to_corners
 from kinkband.evolution import (LoadProgram, apply_boundary_conditions,
-                                lift_state, reaction_force)
+                                initial_state, lift_state, reaction_force)
+from kinkband.kinematics import SlipSystem
+from kinkband.mesh import build_dofmap, build_structured_mesh
+from kinkband.optimizer import minimize
 from rotations import aligned_slip
 from seed_kernel import seed_assemble
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kinkband import SlipSystem, build_structured_mesh
 from kinkband.energy import element_grad_y
+from kinkband.kinematics import SlipSystem
+from kinkband.mesh import build_structured_mesh
 from oracles import elastic_strain, inverse_plastic, plastic_distortion
 from rotations import aligned_slip
 

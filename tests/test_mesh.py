@@ -5,10 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kinkband import GeometryError, build_dofmap, build_structured_mesh
 from kinkband.energy import _WEIGHTS, _at_points
-from kinkband.mesh import (BOTTOM, INTERIOR, LATERAL, TOP,
-                           _all_element_geometry)
+from kinkband.mesh import (BOTTOM, INTERIOR, LATERAL, TOP, GeometryError,
+                           _all_element_geometry, build_dofmap,
+                           build_structured_mesh)
 
 
 def exact_monomial_integral(v1, v2, v3, a, b):

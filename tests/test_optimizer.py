@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from kinkband import (InvalidStartError, MaterialParams,
-                      build_dofmap, build_structured_mesh, gradient_check, initial_state, minimize, optimizer)
+from kinkband import MaterialParams, optimizer
 from kinkband.energy import curvature_scale
 from kinkband.evolution import (LoadProgram, _make_objective,
-                                apply_boundary_conditions)
-from kinkband.optimizer import _lbfgs_direction, _line_search
+                                apply_boundary_conditions, initial_state)
+from kinkband.mesh import build_dofmap, build_structured_mesh
+from kinkband.optimizer import (InvalidStartError, _lbfgs_direction,
+                                _line_search, gradient_check, minimize)
 from rotations import aligned_slip
 from seed_optimizer import MinimizeOptions, seed_line_search, seed_minimize
 

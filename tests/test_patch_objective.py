@@ -11,12 +11,14 @@ import pytest
 
 import kinkband.energy as energy
 import kinkband.evolution as evolution
-from kinkband import (MaterialParams, SlipSystem, build_dofmap,
-                      build_structured_mesh, gradient_check, parse_config)
+from kinkband import MaterialParams, parse_config
 from kinkband.cli import cli_main
 from kinkband.energy import (_assemble, _at_points, _field_at_points,
                              _integrate, _p1_gradient, _patch_oracle)
 from kinkband.evolution import State, _make_objective
+from kinkband.kinematics import SlipSystem
+from kinkband.mesh import build_dofmap, build_structured_mesh
+from kinkband.optimizer import gradient_check
 from rotations import aligned_slip
 
 SLIPS = {
