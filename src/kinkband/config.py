@@ -68,12 +68,10 @@ class SimulationConfig:
     formats: str = "csv,vtk"
 
 
-# the SimulationConfig fields that are objects of the solver's own, each
-# setting its ``<section>.<field>`` keys and validating itself
-_SECTIONS = ("material",)
-
-# key -> (attribute, constraint, description of the constraint) of the other
-# fields; the glide direction (s1, s2) is checked as a whole by SlipSystem
+# key -> (attribute, constraint, description of the constraint) of the
+# fields but ``material``, a MaterialParams, which sets the ``material.*``
+# keys and validates itself; the glide direction (s1, s2) is checked as a
+# whole by SlipSystem
 _KEYS = {
     "geometry.Lx": ("Lx", _positive, "must be positive"),
     "geometry.Ly": ("Ly", _positive, "must be positive"),
@@ -98,9 +96,10 @@ def _key_table():
     attr_to_key = {attr: key for key, (attr, _, _) in _KEYS.items()}
     table = {}
     for f in fields(SimulationConfig):
-        if f.name in _SECTIONS:
-            for g in fields(f.default_factory):
-                table[f"{f.name}.{g.name}"] = (f.name, g.name, type(g.default))
+        if f.name == "material":
+            for g in fields(MaterialParams):
+                table[f"material.{g.name}"] = ("material", g.name,
+                                               type(g.default))
         else:
             table[attr_to_key[f.name]] = (None, f.name, type(f.default))
     return table
@@ -136,11 +135,10 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
     for key, (attr, check, msg) in _KEYS.items():
         if check is not None and not check(getattr(config, attr)):
             raise ConfigError(f"{key} {msg}, got {getattr(config, attr)}")
-    for section in _SECTIONS:
-        try:
-            getattr(config, section).validate()
-        except ValueError as exc:       # the message starts with the field
-            raise ConfigError(f"{section}.{exc}") from None
+    try:
+        config.material.validate()
+    except ValueError as exc:           # the message starts with the field
+        raise ConfigError(f"material.{exc}") from None
     try:
         SlipSystem(s=(config.s1, config.s2))
     except ValueError as exc:

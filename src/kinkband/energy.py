@@ -79,8 +79,9 @@ one block per node row, for the stability certificate: the elements come
 band by band, so a chunk of bands is an element slice, and one
 ``bincount`` per chunk (one at 10x18, three at 20x36) scatters its element
 matrices straight into its row blocks, at bins computed once per problem
-(``DofMap.hessian_bins``).  Only ``mesh``, which lays out the rows, and
-``hessian_rows``, which fills them, know that layout.
+(``DofMap.row_blocks``), and ``_certified`` factors the rows by block
+Cholesky.  Only ``mesh``, which lays out the rows, and ``hessian_rows``,
+which fills them, know that layout.
 """
 
 from __future__ import annotations
@@ -519,7 +520,7 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     the next one is asked for.
 
     The element matrices are formed in ceil(n_tri / ``_HESSIAN_CHUNK``)
-    chunks of whole bands, each an element slice (``DofMap.hessian_bins``),
+    chunks of whole bands, each an element slice (``DofMap.row_blocks``),
     so a mesh of up to that many elements (10x18: 360) takes one pass; each
     chunk's are scattered by one ``bincount`` straight into its blocks, the
     bands' stretches laid end to end; the upper couplings and the fixed
@@ -529,27 +530,25 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     row layout and bins it builds included, peaks at 0.78 MB at 10x18,
     1.74 MB at 20x36 and 2.90 MB at 34x61 (an (f, g) assembly at 20x36:
     0.81 MB)."""
-    lay, bins = dofmap.row_blocks, dofmap.hessian_bins
+    lay = dofmap.row_blocks
     m = lay.size
     stretch = 2 * m * m + 1
     chunks = -(-mesh.n_triangles // _HESSIAN_CHUNK)
     per_chunk = -(-(lay.count - 1) // chunks)  # bands, as even as they go
-    fixed_row = lay.row[~lay.free]
-    fixed_at = lay.pos[~lay.free] * (m + 1)     # on the diagonal of a block
     diag = coupling = None              # from the chunk before: its last row
     for first in range(0, lay.count - 1, per_chunk):
         last = min(first + per_chunk, lay.count - 1)
-        part = slice(bins.start[first], bins.start[last])
+        part = slice(lay.start[first], lay.start[last])
         hess = _element_hessians(mesh, q, params, slip, part)
-        at = np.add(bins.pattern[bins.kind[part]].T,
-                    (bins.band[part] - first) * stretch, order="C")
+        at = np.add(lay.pattern[lay.kind[part]].T,
+                    (lay.band[part] - first) * stretch, order="C")
         flat = np.bincount(at.ravel(), weights=hess.ravel(),
                            minlength=(last - first) * stretch + m * m)
         del hess, at
         # row ``last``'s diagonal block is completed by the next chunk, if any
-        row = fixed_row - first
+        row = lay.fixed_row - first
         done = (row >= 0) & (row < last - first + (last == lay.count - 1))
-        flat[row[done] * stretch + fixed_at[done]] += 1.0
+        flat[row[done] * stretch + lay.fixed_at[done]] += 1.0
         if diag is not None:
             flat[:m * m] += diag.ravel()
         for j in range(last - first):
@@ -558,6 +557,40 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
         diag, coupling = flat[-m * m:].reshape(m, m).copy(), coupling.copy()
         del flat
     yield diag, coupling
+
+
+def _certified(mesh, dofmap, params, slip, q) -> bool:
+    """Whether the stored energy's Hessian over the free DOFs at the (3, n)
+    nodal values q is positive definite, by block Cholesky on its row blocks
+    (``hessian_rows``); the first block that fails ends it.
+
+    With S the Schur complement of the rows before row j (S = D_0 for
+    j = 1), the Cholesky factor of [[S, B_j^T], [B_j, D_j]] is
+    [[L, 0], [Z, L_j]], and D_j - Z Z^T is the next Schur complement: the
+    factor exists exactly when S and that complement are both positive
+    definite, so the pairs test every row of a mesh with at least two rows
+    (every structured mesh).  The step's functional adds to this
+    Hessian the dissipation's, which is positive semidefinite, so a
+    certified stationary point is a strict local minimizer of the step.
+
+    Every pair is factored in one (2m, 2m) buffer, m the size of the first
+    block, whose top-left block takes each Schur complement in place.
+    ``np.linalg.cholesky`` reads only the lower triangle, so the buffer's
+    B_j^T block is never written."""
+    rows = hessian_rows(mesh, dofmap, q, params, slip)
+    diag = next(rows)[0]
+    m = len(diag)
+    pair = np.zeros((2 * m, 2 * m))
+    pair[:m, :m] = diag
+    try:
+        for diag, coupling in rows:
+            pair[m:, :m], pair[m:, m:] = coupling, diag
+            del diag, coupling          # a chunk's blocks go before the next's
+            z = np.linalg.cholesky(pair)[m:, :m]
+            np.subtract(pair[m:, m:], z @ z.T, out=pair[:m, :m])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def curvature_scale(mesh: Mesh2D, dofmap: DofMap,

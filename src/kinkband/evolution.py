@@ -4,8 +4,8 @@ Each step minimizes H(q) = D_delta(gamma_prev, gamma) + I(t_next, y, gamma)
 over the free coefficients, with the moving Dirichlet data imposed at
 t_next before minimization.  A step first assembles the lifted previous
 state.  If that state is stationary, has no penalty point and the stored
-energy's Hessian there is positive definite (``_certified``: block
-Cholesky on ``energy.hessian_rows``), it is a strict local minimizer of
+energy's Hessian there is positive definite (``energy._certified``:
+block Cholesky on its row blocks), it is a strict local minimizer of
 the step, and the step keeps it with 0 iterations: the local solution
 concept.  Otherwise the step compares two starts: one minimization from
 the previous elastic coefficients with zero slip, then one from the
@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, MaterialParams, _assemble,
+from .energy import (EnergyBreakdown, MaterialParams, _assemble, _certified,
                      _field_at_points, _patch_oracle, curvature_scale,
-                     dissipation_increment, element_grad_y, hessian_rows)
+                     dissipation_increment, element_grad_y)
 from .kinematics import SlipSystem
 from .mesh import TOP, DofMap, Mesh2D, build_dofmap, build_structured_mesh
 from .optimizer import GRAD_TOL, InvalidStartError, gradient_check, minimize
@@ -157,40 +157,6 @@ def _make_objective(mesh, dofmap, params, slip, template: State, b_prev):
 
     fun_grad.last = last
     return fun_grad
-
-
-def _certified(mesh, dofmap, params, slip, q) -> bool:
-    """Whether the stored energy's Hessian over the free DOFs at the (3, n)
-    nodal values q is positive definite, by block Cholesky on its row blocks
-    (``energy.hessian_rows``); the first block that fails ends it.
-
-    With S the Schur complement of the rows before row j (S = D_0 for
-    j = 1), the Cholesky factor of [[S, B_j^T], [B_j, D_j]] is
-    [[L, 0], [Z, L_j]], and D_j - Z Z^T is the next Schur complement: the
-    factor exists exactly when S and that complement are both positive
-    definite, so the pairs test every row of a mesh with at least two rows
-    (every structured mesh).  The step's functional adds to this
-    Hessian the dissipation's, which is positive semidefinite, so a
-    certified stationary point is a strict local minimizer of the step.
-
-    Every pair is factored in one (2m, 2m) buffer, m the size of the first
-    block, whose top-left block takes each Schur complement in place.
-    ``np.linalg.cholesky`` reads only the lower triangle, so the buffer's
-    B_j^T block is never written."""
-    rows = hessian_rows(mesh, dofmap, q, params, slip)
-    diag = next(rows)[0]
-    m = len(diag)
-    pair = np.zeros((2 * m, 2 * m))
-    pair[:m, :m] = diag
-    try:
-        for diag, coupling in rows:
-            pair[m:, :m], pair[m:, m:] = coupling, diag
-            del diag, coupling          # a chunk's blocks go before the next's
-            z = np.linalg.cholesky(pair)[m:, :m]
-            np.subtract(pair[m:, m:], z @ z.T, out=pair[:m, :m])
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,

@@ -130,30 +130,21 @@ def build_structured_mesh(Lx: float, Ly: float, nx: int, ny: int) -> Mesh2D:
 class RowBlocks(NamedTuple):
     """The block-tridiagonal layout of a matrix over the nodal vector
     [a1, a2, b] (length 3n) of a mesh whose nodes are numbered row by row, w
-    to a row: block j holds node row j, and entry (field f, node v) sits in
-    block v // w at position f w + v % w, so every block has 3 w positions.
-    An element that spans two adjacent rows couples only their blocks."""
+    to a row, and where the entries of the element Hessians land in it.
 
-    row: np.ndarray         # (3n,) block of each entry
-    pos: np.ndarray         # (3n,) position of each entry in its block
-    free: np.ndarray        # (3n,) bool, the entry is a free DOF
-    count: int              # number of blocks, the node rows
-    size: int               # positions per block, 3 w
-
-
-class HessianBins(NamedTuple):
-    """Where the entries of the element Hessians land in the ``RowBlocks``
-    layout, band by band, a band being the elements between node rows j and
-    j + 1.  The elements come band by band, so the bands from j to k - 1
-    are the element slice ``start[j]:start[k]``.  With m positions per
-    block, band j fills a stretch of 2 m^2 + 1 bins, each block row-major:
-    D_j, the diagonal block of row j; B_j+1, the coupling H[row j + 1,
-    row j]; one bin that is discarded; and the next band's stretch begins
-    with D_j+1.  An entry at positions p and r, on local rows u and w of
-    its band (0 for row j, 1 for row j + 1), lands (u + w) m^2 + p m + r
-    bins into the stretch, plus 1 when u = w = 1, except that the upper
-    coupling (u = 0, w = 1), which mirrors B, and every entry at a fixed
-    DOF land in the discarded bin, 2 m^2.
+    Block j holds node row j, and entry (field f, node v) sits in block
+    v // w at position f w + v % w, so every block has m = 3 w positions.
+    An element that spans two adjacent rows couples only their blocks.  A
+    band is the elements between node rows j and j + 1; the elements come
+    band by band, so the bands from j to k - 1 are the element slice
+    ``start[j]:start[k]``.  Band j fills a stretch of 2 m^2 + 1 bins, each
+    block row-major: D_j, the diagonal block of row j; B_j+1, the coupling
+    H[row j + 1, row j]; one bin that is discarded; and the next band's
+    stretch begins with D_j+1.  An entry at positions p and r, on local
+    rows u and w of its band (0 for row j, 1 for row j + 1), lands
+    (u + w) m^2 + p m + r bins into the stretch, plus 1 when u = w = 1,
+    except that the upper coupling (u = 0, w = 1), which mirrors B, and
+    every entry at a fixed DOF land in the discarded bin, 2 m^2.
 
     Those 81 bins depend on the element only through its columns and its
     fixed DOFs, so most elements share them with elements of other bands:
@@ -161,6 +152,13 @@ class HessianBins(NamedTuple):
     lives as long as the problem at 19 kB at 20x36 (81 bins per element
     would take 0.23 MB)."""
 
+    row: np.ndarray         # (3n,) block of each entry
+    pos: np.ndarray         # (3n,) position of each entry in its block
+    free: np.ndarray        # (3n,) bool, the entry is a free DOF
+    count: int              # number of blocks, the node rows
+    size: int               # positions per block, 3 w
+    fixed_row: np.ndarray   # (fixed,) block of each fixed entry
+    fixed_at: np.ndarray    # (fixed,) its diagonal entry in the flat block
     band: np.ndarray        # (n_tri,) the band of each element, ascending
     start: np.ndarray       # (count,) the first element of band j
     kind: np.ndarray        # (n_tri,) the pattern of each element
@@ -188,25 +186,19 @@ class DofMap:
 
     @cached_property
     def row_blocks(self) -> RowBlocks:
-        """The Hessian's layout, one block per node row; built on first use,
-        as only the stability certificate needs it."""
+        """The Hessian's layout, one block per node row, with the bin of
+        every element Hessian entry in it; built on first use, as only the
+        stability certificate needs it.  Local DOF 3 f + c is corner c of
+        field f, the order of ``Mesh2D.slots``.  Each element must span at
+        most two adjacent node rows, and the elements must be numbered band
+        by band, as ``build_structured_mesh`` numbers them; a ValueError
+        says so when the bands ever decrease."""
         rows, width = self.grid
+        m = 3 * width
         field, node = np.divmod(np.arange(3 * rows * width), rows * width)
+        row, pos = node // width, field * width + node % width
         free = np.zeros(len(node), dtype=bool)
         free[self.free] = True
-        return RowBlocks(row=node // width, pos=field * width + node % width,
-                         free=free, count=rows, size=3 * width)
-
-    @cached_property
-    def hessian_bins(self) -> HessianBins:
-        """The bin of every element Hessian entry in ``row_blocks``; built
-        on first use, as only the stability certificate needs it.  Local DOF
-        3 f + c is corner c of field f, the order of ``Mesh2D.slots``.  Each
-        element must span at most two adjacent node rows, and the elements
-        must be numbered band by band, as ``build_structured_mesh`` numbers
-        them; a ValueError says so when the bands ever decrease."""
-        lay = self.row_blocks
-        m, width = lay.size, self.grid[1]
         corners = self.corners
         band = (corners // width).min(axis=0)
         if np.any(band[1:] < band[:-1]):
@@ -214,7 +206,7 @@ class DofMap:
                              "numbered band by band, the bands ascending")
         # an element's bins follow from each corner's row in the band, its
         # column and its fixed fields: one key per corner, one per element
-        fixed = (~lay.free).reshape(3, -1)
+        fixed = (~free).reshape(3, -1)
         nodes = fixed.shape[1]
         node_key = (np.arange(nodes) % width * 8
                     + fixed[0] + 2 * fixed[1] + 4 * fixed[2])
@@ -224,17 +216,20 @@ class DofMap:
         _, first, kind = np.unique(key, return_index=True, return_inverse=True)
         at = (corners[:, first][None]
               + nodes * np.arange(3)[:, None, None]).reshape(9, -1)
-        up = lay.row[at] - band[first]          # (9, kinds), 0 or 1
-        pos, free = lay.pos[at], lay.free[at]
-        pattern = ((up[:, None] + up) * m + pos[:, None]) * m + pos \
+        up = row[at] - band[first]              # (9, kinds), 0 or 1
+        pos_at, free_at = pos[at], free[at]
+        pattern = ((up[:, None] + up) * m + pos_at[:, None]) * m + pos_at \
             + (up[:, None] & up)
-        pattern[(up[:, None] < up) | ~(free[:, None] & free)] = 2 * m * m
+        pattern[(up[:, None] < up) | ~(free_at[:, None] & free_at)] = 2 * m * m
         pattern = pattern.reshape(81, -1).T.astype(
             np.min_scalar_type(3 * m * m))
-        start = np.searchsorted(band, np.arange(lay.count))
-        for a in (band, start, kind, pattern):
-            a.flags.writeable = False
-        return HessianBins(band, start, kind, pattern)
+        lay = RowBlocks(row, pos, free, rows, m, row[~free],
+                        pos[~free] * (m + 1), band,
+                        np.searchsorted(band, np.arange(rows)), kind, pattern)
+        for a in lay:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return lay
 
     def pack(self, q) -> np.ndarray:
         """The free entries of the (3, n) nodal values q, rows a1, a2, b."""

@@ -12,8 +12,8 @@ import pytest
 from seed_hessian import seed_certified, seed_hessian_rows
 
 from kinkband import energy
-from kinkband.energy import hessian_rows, material_law
-from kinkband.evolution import (LoadProgram, _certified, _make_objective,
+from kinkband.energy import _certified, hessian_rows, material_law
+from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions, initial_state,
                                 lift_state)
 from kinkband.kinematics import SlipSystem
@@ -144,6 +144,11 @@ def test_a_hessian_without_the_slip_gradient_fails_the_difference_test(
 
 
 @pytest.mark.parametrize("nx,ny,slip_name,verdicts", [
+    # the smallest layouts: one band (two rows, one pair factored), one
+    # cell column (every node lateral, so a1 has no free DOF), and both
+    pytest.param(1, 1, "default", None, id="1-1-None"),
+    pytest.param(3, 1, "default", None, id="3-1-None"),
+    pytest.param(1, 4, "default", None, id="1-4-None"),
     pytest.param(4, 6, "default", None, id="4-6-None"),
     pytest.param(10, 18, "default", (True, False), id="10-18-verdicts1"),
     pytest.param(10, 18, "rotated", (True, False), id="10-18-rotated")])
@@ -288,26 +293,26 @@ def test_rows_and_verdicts_match_the_seed_at_strained_slipped_states(
 
 
 def _with_one_discarded_entry_kept(mesh, dofmap, upper):
-    """A copy of ``dofmap`` whose ``hessian_bins`` keep one entry of one
+    """A copy of ``dofmap`` whose ``row_blocks`` keep one entry of one
     element that belongs in the discarded bin: an upper coupling between
     free DOFs (``upper``), else an entry of a fixed row.  It is sent where
     the layout's formula puts it when nothing is discarded."""
-    lay, bins = dofmap.row_blocks, dofmap.hessian_bins
+    lay = dofmap.row_blocks
     m = lay.size
     at = (mesh.corners[None]
           + mesh.n_nodes * np.arange(3)[:, None, None]).reshape(9, -1)
-    up, pos, free = lay.row[at] - bins.band, lay.pos[at], lay.free[at]
+    up, pos, free = lay.row[at] - lay.band, lay.pos[at], lay.free[at]
     if upper:
         pick = (up[:, None] == 0) & (up == 1) & free[:, None] & free
     else:
         pick = (up[:, None] == up) & ~free[:, None] & free
     a, b, e = (int(i[0]) for i in np.nonzero(pick))
-    pattern = bins.pattern[bins.kind].copy()    # one row per element
+    pattern = lay.pattern[lay.kind].copy()      # one row per element
     assert pattern[e, 9 * a + b] == 2 * m * m   # discarded so far
     pattern[e, 9 * a + b] = (((up[a, e] + up[b, e]) * m + pos[a, e]) * m
                              + pos[b, e] + (up[a, e] & up[b, e]))
     tampered = replace(dofmap)
-    tampered.__dict__["hessian_bins"] = bins._replace(
+    tampered.__dict__["row_blocks"] = lay._replace(
         kind=np.arange(len(pattern)), pattern=pattern)
     return tampered
 
