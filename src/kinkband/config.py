@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 
 from .energy import MaterialParams
 from .evolution import GRADIENT_CHECK_STEP
-from .kinematics import SlipSystem
 
 
 # The geometry the solver's fixed lengths suit [mm].  The start-up check's
@@ -56,9 +55,10 @@ class SimulationConfig:
     nx: int = 34
     ny: int = 61
     material: MaterialParams = field(default_factory=MaterialParams)
-    # slip system: the glide direction; the normal is derived from it
+    # slip system: the x component of the glide direction s, which
+    # ``build_problem`` completes to (s1, sqrt(1 - s1^2)); -s is the same
+    # model, and the normal is derived from s
     s1: float = 0.0
-    s2: float = 1.0
     # load program
     speed: float = 0.18
     T: float = 100.0
@@ -70,15 +70,13 @@ class SimulationConfig:
 
 # key -> (attribute, constraint, description of the constraint) of the
 # fields but ``material``, a MaterialParams, which sets the ``material.*``
-# keys and validates itself; the glide direction (s1, s2) is checked as a
-# whole by SlipSystem
+# keys and validates itself
 _KEYS = {
     "geometry.Lx": ("Lx", _positive, "must be positive"),
     "geometry.Ly": ("Ly", _positive, "must be positive"),
     "mesh.nx": ("nx", _at_least_one, "must be at least 1"),
     "mesh.ny": ("ny", _at_least_one, "must be at least 1"),
-    "slip.s1": ("s1", None, ""),
-    "slip.s2": ("s2", None, ""),
+    "slip.s1": ("s1", lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]"),
     "load.speed": ("speed", _nonnegative, "must be nonnegative"),
     "load.T": ("T", _positive, "must be positive"),
     "load.K": ("K", _at_least_one, "must be at least 1"),
@@ -133,16 +131,12 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
     for key, (attr, check, msg) in _KEYS.items():
-        if check is not None and not check(getattr(config, attr)):
+        if not check(getattr(config, attr)):
             raise ConfigError(f"{key} {msg}, got {getattr(config, attr)}")
     try:
         config.material.validate()
     except ValueError as exc:           # the message starts with the field
         raise ConfigError(f"material.{exc}") from None
-    try:
-        SlipSystem(s=(config.s1, config.s2))
-    except ValueError as exc:
-        raise ConfigError(f"slip: {exc}") from None
     if not config.speed * config.T < config.Ly:
         raise ConfigError(
             "load.speed * load.T must stay below geometry.Ly "

@@ -297,9 +297,12 @@ def _startup_gradient_check(mesh, dofmap, params, slip, program):
 
 def build_problem(config):
     """Mesh, dofmap, material, slip system and load program of a validated
-    SimulationConfig, in the argument order of the solver functions."""
+    SimulationConfig, in the argument order of the solver functions.  The
+    glide direction is (s1, +sqrt(1 - s1^2)): every unit s is that or its
+    negative, which is the same model (s and m both change sign)."""
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
-    slip = SlipSystem(s=np.array([config.s1, config.s2]))
+    s1 = config.s1
+    slip = SlipSystem(s=np.array([s1, np.sqrt(1.0 - s1 * s1)]))
     program = LoadProgram(speed=config.speed, Ly=config.Ly)
     return mesh, build_dofmap(mesh), config.material, slip, program
 

@@ -2,7 +2,10 @@
 the material law's first-derivative rows, assembled over the free DOFs
 against differences of the assembled gradient and against the frozen first
 version (tests/seed_hessian.py), and the block-Cholesky certificate against
-the eigenvalues of the dense matrix and against that version's verdicts."""
+the eigenvalues of the dense matrix and against that version's verdicts;
+the onset of the homogeneous state under refinement against the continuum
+symbol's estimate in the box; and the rows, the verdict and the gradient
+check's oracle unchanged when the glide direction is negated."""
 
 import tracemalloc
 from dataclasses import replace
@@ -12,13 +15,14 @@ import pytest
 from seed_hessian import seed_certified, seed_hessian_rows
 
 from kinkband import energy
-from kinkband.energy import _certified, hessian_rows, material_law
+from kinkband.energy import (_certified, _field_at_points, _patch_oracle,
+                             hessian_rows, material_law)
 from kinkband.evolution import (LoadProgram, _make_objective,
                                 apply_boundary_conditions, initial_state,
                                 lift_state)
 from kinkband.kinematics import SlipSystem
 from kinkband.mesh import build_dofmap, build_structured_mesh
-from rotations import aligned_slip
+from rotations import aligned_slip, box_onset
 
 SLIPS = {"default": aligned_slip(),
          "rotated": SlipSystem(s=np.array([-0.6, 0.8]))}
@@ -248,15 +252,69 @@ def _onset_strain(params, slip, nx, ny, bisections=20):
     return program.speed * unstable / program.Ly
 
 
-def test_the_homogeneous_states_onset_falls_toward_the_box_estimate(params,
-                                                                   slip):
-    # t_c = 47.89 s on 10x18 and 22.29 s on 20x36 (steps 9.6 of K = 20 and
-    # 16.9 of K = 76); the continuum estimate in the 42 x 75 mm box is 2.36%
+@pytest.fixture(scope="module")
+def box_estimates(params, slip):
+    """c -> (onset strain, wavelength [mm]) of the continuum symbol in the
+    42 x 75 mm box, for c = sigma / delta = 0 and 100 (the default)."""
+    return {c: box_onset(params, slip, c) for c in (0.0, 100.0)}
+
+
+def test_the_continuum_symbols_box_onset(box_estimates):
+    # the lowest lateral mode, k1 = pi / Lx, loses stability at 2.36% with
+    # the stored energy alone and at 5.55% with the default dissipation
+    # curvature, both with a vertical wavelength of 16.6 to 16.7 mm
+    for c, strain, wavelength in ((0.0, 0.023616, 16.62),
+                                  (100.0, 0.055532, 16.67)):
+        onset, length = box_estimates[c]
+        assert abs(onset - strain) <= 1e-4, (c, onset)
+        assert abs(length - wavelength) <= 0.2, (c, length)
+
+
+def test_the_homogeneous_states_onset_falls_toward_the_box_estimate(
+        params, slip, box_estimates):
+    # t_c = 47.89 s on 10x18, 22.29 s on 20x36 and 14.67 s on 34x61 (steps
+    # 9.6 of K = 20, 16.9 and 11.2 of K = 76); the refined meshes approach
+    # the continuum estimate in the 42 x 75 mm box (c = 0) from above
     coarse = _onset_strain(params, slip, 10, 18)
     fine = _onset_strain(params, slip, 20, 36)
+    finest = _onset_strain(params, slip, 34, 61)
     assert abs(coarse - 0.11494) <= 1e-4
     assert abs(fine - 0.05349) <= 1e-4
-    assert coarse > fine > 0.0236
+    assert abs(finest - 0.035219) <= 1e-4
+    assert coarse > fine > finest > box_estimates[0.0][0]
+
+
+@pytest.mark.parametrize("s", [(0.0, 1.0), (1.0, 0.0), (-0.6, 0.8)],
+                         ids=["default", "swapped", "rotated"])
+@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18), (20, 36)])
+def test_negated_glide_direction_gives_the_same_rows_verdict_and_oracle(
+        params, nx, ny, s):
+    # -s turns m into -m, so s (x) m and the model do not change: the config
+    # gives s up to its sign.  At a strained, slipped state and at the
+    # homogeneous lift to t = 20 s (certified or not, by mesh and slip
+    # system), the Hessian's row blocks, the certificate and every value of
+    # the gradient check's oracle are equal
+    slip, flipped = SlipSystem(s=np.array(s)), SlipSystem(s=-np.array(s))
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    dofmap = build_dofmap(mesh)
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    state, x = _strained_slipped(mesh, dofmap, program)
+    strained = dofmap.unpack(x, state.q)
+    lifted = lift_state(initial_state(mesh), mesh, program, 0.0, 20.0).q
+    gam_prev = _field_at_points(mesh, strained[2] - 0.1)
+    for q in (strained, lifted):
+        rows = _copied(hessian_rows(mesh, dofmap, q, params, slip))
+        rows1 = _copied(hessian_rows(mesh, dofmap, q, params, flipped))
+        assert len(rows) == len(rows1)
+        for (d, b), (d1, b1) in zip(rows, rows1):
+            assert np.array_equal(d, d1)
+            assert (b is None and b1 is None) or np.array_equal(b, b1)
+        assert (_certified(mesh, dofmap, params, slip, q)
+                == _certified(mesh, dofmap, params, flipped, q))
+        oracle = _patch_oracle(mesh, q, params, slip, gam_prev)
+        oracle1 = _patch_oracle(mesh, q, params, flipped, gam_prev)
+        for t in (-1e-6, 0.0, 1e-6):
+            assert np.array_equal(oracle(t), oracle1(t))
 
 
 @pytest.mark.parametrize("slip_name", sorted(SLIPS))

@@ -14,7 +14,7 @@ from kinkband import (ConfigError, MaterialParams, SimulationConfig,
                       StepFailureError, parse_config, run_simulation)
 from kinkband.cli import cli_main
 from kinkband.config import _TABLE, serialize_config
-from kinkband.evolution import initial_state
+from kinkband.evolution import build_problem, initial_state
 from kinkband.mesh import INTERIOR, build_dofmap, build_structured_mesh
 from kinkband.output import (CSV_HEADER, write_history_csv,
                              write_snapshot_vtk)
@@ -38,7 +38,7 @@ def test_empty_config_gives_reference_defaults():
     assert config.speed == 0.18
     assert config.K == 76
     assert config.Lx == 42.0 and config.Ly == 75.0
-    assert (config.s1, config.s2) == (0.0, 1.0)
+    assert config.s1 == 0.0
     assert (config.snapshot_stride, config.formats) == (1, "csv,vtk")
 
 
@@ -52,6 +52,8 @@ def test_penalty_guards_are_constants():
 # the penalty guards were material keys; they are MaterialParams constants
 # now.  The slip-plane normal was set by slip.m1 and slip.m2; it is s turned
 # clockwise now, as the opposite normal is the same model with gamma negated.
+# The glide direction's y component was slip.s2; it is +sqrt(1 - s1^2) now,
+# as -s is the same model.
 # The optimizer's tolerances were keys; the solver runs at the optimizer's
 # module constants now, and the output directory is run's --out alone.  A
 # config that sets one of these keys, to any value, names it as unknown
@@ -59,7 +61,7 @@ _GUARD_KEYS = ["material.det_penalty", "material.det_floor"]
 _NORMAL_KEYS = ["slip.m1", "slip.m2"]
 _OPTION_KEYS = ["optimizer.tol_step", "optimizer.tol_fun",
                 "optimizer.max_iters", "output.directory"]
-_REMOVED_KEYS = _GUARD_KEYS + _NORMAL_KEYS + _OPTION_KEYS
+_REMOVED_KEYS = _GUARD_KEYS + _NORMAL_KEYS + ["slip.s2"] + _OPTION_KEYS
 
 
 def _assert_unknown_key(tmp_path, capsys, key):
@@ -187,19 +189,43 @@ def test_bad_type_rejected():
 
 
 def test_slip_vector_validation():
-    with pytest.raises(ConfigError, match="unit"):
-        parse_config("slip.s2 = 2")
+    # the glide direction is (s1, sqrt(1 - s1^2)), a unit vector for every
+    # s1 in [-1, 1] and for no other
+    for value in ("-1", "1", "0.999"):
+        assert parse_config(f"slip.s1 = {value}").s1 == float(value)
+    for value in ("1.5", "-1.0000001", "2"):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"slip.s1 = {value}")
+        assert str(info.value) == \
+            f"slip.s1 must lie in [-1, 1], got {float(value)}"
 
 
 @pytest.mark.parametrize("text", ["slip.s2 = 2", "slip.m1 = 0.5",
                                   "slip.m1 = 0\nslip.m2 = 1"])
 def test_slip_vector_errors_name_slip(text):
+    # each is a former key, the first on line 1
     with pytest.raises(ConfigError) as info:
         parse_config(text)
-    if text.startswith("slip.m1"):      # a former normal key, on line 1
-        assert str(info.value) == "line 1: unknown key 'slip.m1'"
-    else:
-        assert str(info.value).startswith("slip: ")
+    assert str(info.value) == f"line 1: unknown key '{text.split()[0]}'"
+
+
+@pytest.mark.parametrize("value", ["1.5", "-inf"])
+def test_cli_slip_s1_out_of_range_exits_1(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"slip.s1 = {value}\n")
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "slip.s1 must " in captured.err
+
+
+@pytest.mark.parametrize("s1, s", [
+    ("0", (0.0, 1.0)), ("1", (1.0, 0.0)), ("-1", (-1.0, 0.0)),
+    ("-0.6", (-0.6, 0.8))])
+def test_build_problem_completes_s1_to_the_unit_glide_direction(s1, s):
+    # exactly: the default and the rotated system keep their bits
+    config = parse_config(f"mesh.nx = 2\nmesh.ny = 2\nslip.s1 = {s1}")
+    slip = build_problem(config)[3]
+    assert np.array_equal(slip.s, s)
 
 
 def test_platen_through_floor_rejected():
@@ -311,7 +337,6 @@ material.p = 2.2000000000000002
 material.r = 2
 material.delta = 1.0000000000000001e-05
 slip.s1 = 0
-slip.s2 = 1
 load.speed = 0.17999999999999999
 load.T = 100
 load.K = 76
