@@ -3,18 +3,18 @@
 Each step minimizes H(q) = D_delta(gamma_prev, gamma) + I(t_next, y, gamma)
 over the free coefficients, with the moving Dirichlet data imposed at
 t_next before minimization.  A step first assembles the lifted previous
-state.  If that state is stationary, has no penalty point and the stored
-energy's Hessian there is positive definite (``energy._certified``:
-block Cholesky on its row blocks), it is a strict local minimizer of
-the step, and the step keeps it with 0 iterations: the local solution
-concept.  Otherwise the step compares two starts: one minimization from
-the previous elastic coefficients with zero slip, then one from the
-lifted previous state if that is lower.  There is no retry: a step ends
-the run with the steps before it when it cannot start, when its accepted
-state has penalty energy, or when that state breaks the discrete energy
-upper estimate I + D <= I(lift) + sigma * delta * |Omega| against the
-lifted previous state, whose stored energy the step assembled first.  The
-stop test is not checked yet.
+state.  It is certified, a strict local minimizer of the step (the local
+solution concept), if it is stationary, has no penalty point and the
+stored energy's Hessian there is positive definite (``energy._certified``:
+block Cholesky on its row blocks).  Every step minimizes from the lifted
+state if it is certified (0 iterations), else from the previous elastic
+coefficients with zero slip, then from the lifted state if that is lower
+than the minimizer found.  There is no retry: a step ends the run with
+the steps before it when it cannot start, when its accepted state has
+penalty energy, or when that state breaks the discrete energy upper
+estimate I + D <= I(lift) + sigma * delta * |Omega| against the lifted
+previous state, whose stored energy the step assembled first.  The stop
+test is not checked yet.
 """
 
 from __future__ import annotations
@@ -166,20 +166,20 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     """Advance one step: minimize H over free DOFs with boundary data at t_next.
 
     The step first assembles the affinely lifted previous state, an
-    admissible competitor that keeps the slip.  If it is stationary (|g|inf
-    at most ``GRAD_TOL``, ``minimize``'s test for returning its start
-    unmoved), has no penalty point and ``_certified`` passes, it is a
-    strict local minimizer and the step keeps it: the minimization from it
-    ends at its start.  Otherwise the step minimizes from the previous elastic
-    coefficients (top row re-imposed) with the slip restarted at zero and,
-    if the lifted state is lower than that minimizer, once more from the
-    lifted state, keeping that result, which ``minimize`` never leaves
-    above its start.  StepFailureError is raised for a start where H is
-    not finite, and for an accepted state with penalty energy or one that
-    breaks the energy upper estimate I + D <= I(lift) + sigma * delta *
-    |Omega| by more than ``ENERGY_ESTIMATE_TOL``.  prev_cumulative is the
-    cumulative dissipation before the step and k the step number, both for
-    the record.
+    admissible competitor that keeps the slip, certified if it is
+    stationary (|g|inf at most ``GRAD_TOL``, ``minimize``'s test for
+    returning its start unmoved), has no penalty point and ``_certified``
+    passes.  The step minimizes from the lifted state if it is certified,
+    else from the previous elastic coefficients (top row re-imposed) with
+    zero slip, then from the lifted state if that is lower than the
+    minimizer found, which ``minimize`` never leaves above its start.  A
+    certified start ends unmoved at its own value, so neither
+    ``curvature_scale`` nor the restart runs for it.  StepFailureError is
+    raised for a start where H is not finite, and for an accepted state
+    with penalty energy or one that breaks the energy upper estimate
+    I + D <= I(lift) + sigma * delta * |Omega| by more than
+    ``ENERGY_ESTIMATE_TOL``.  prev_cumulative is the cumulative dissipation
+    before the step and k the step number, both for the record.
     """
     template = apply_boundary_conditions(prev, mesh, dofmap, program, t_next)
     template.q[2] = 0.0
@@ -194,15 +194,12 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
                              dofmap.unpack(x_lift, template.q)))
 
     try:
-        if stable:                      # ends at its start, reading no h
-            res = minimize(fun_grad, x_lift)
-        else:
-            h = curvature_scale(mesh, dofmap, params)
-            res = minimize(fun_grad, x0, h=h)
+        h = None if stable else curvature_scale(mesh, dofmap, params)
+        res = minimize(fun_grad, x_lift if stable else x0, h=h)
         iterations = res.iterations
-        # else descend from the lifted state, from its assembly, if it is
-        # below the found minimizer
-        if not stable and f_lift < res.f_min:
+        # descend from the lifted state, from its assembly, if it is below
+        # the found minimizer
+        if f_lift < res.f_min:
             fun_grad.last[:] = lift_assembly
             res = minimize(fun_grad, x_lift, h=h)
             iterations += res.iterations

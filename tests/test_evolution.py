@@ -604,3 +604,26 @@ def test_every_step_minimizes_and_a_certified_step_once_unmoved(monkeypatch):
             assert iterations == 0, k
             assert np.array_equal(x0, dofmap.pack(lifted.q))
     assert verdicts == [True] * 9 + [False]
+
+
+def test_a_certified_step_computes_no_curvature_scale(monkeypatch):
+    # only a minimization that moves reads the scale: steps 1 to 9 of the
+    # 10x18 K=20 program are certified and compute none, step 10 one
+    mesh = build_structured_mesh(42.0, 75.0, 10, 18)
+    dofmap = build_dofmap(mesh)
+    params, slip = MaterialParams(), aligned_slip()
+    program = LoadProgram(speed=0.18, Ly=75.0)
+    scales = []
+    real_scale = evolution.curvature_scale
+
+    def counting(*args):
+        scales[-1] += 1
+        return real_scale(*args)
+
+    monkeypatch.setattr(evolution, "curvature_scale", counting)
+    state = initial_state(mesh)
+    for t in np.linspace(0.0, 100.0, 21)[1:11]:
+        scales.append(0)
+        state, _ = incremental_step(state, float(t), mesh, dofmap, params,
+                                    slip, program)
+    assert scales == [0] * 9 + [1]

@@ -1,11 +1,13 @@
 """The stored energy's second derivatives: pointwise against differences of
 the material law's first-derivative rows, assembled over the free DOFs
-against differences of the assembled gradient and against the frozen first
-version (tests/seed_hessian.py), and the block-Cholesky certificate against
-the eigenvalues of the dense matrix and against that version's verdicts;
-the onset of the homogeneous state under refinement against the continuum
-symbol's estimate in the box; and the rows, the verdict and the gradient
-check's oracle unchanged when the glide direction is negated."""
+against differences of the assembled gradient, against the frozen first
+version (tests/seed_hessian.py) and by the Taylor remainder of the energy
+at the start-up probe, and the block-Cholesky certificate against the
+eigenvalues of the dense matrix and against that version's verdicts; the
+onset of the homogeneous state under refinement against the continuum
+symbol's estimate in the box, and its Koiter coefficients; and the rows,
+the verdict and the gradient check's oracle unchanged when the glide
+direction is negated."""
 
 import tracemalloc
 from dataclasses import replace
@@ -15,14 +17,15 @@ import pytest
 from seed_hessian import seed_certified, seed_hessian_rows
 
 from kinkband import energy
-from kinkband.energy import (_certified, _field_at_points, _patch_oracle,
-                             hessian_rows, material_law)
-from kinkband.evolution import (LoadProgram, _make_objective,
+from kinkband.energy import (_assemble, _certified, _field_at_points,
+                             _patch_oracle, hessian_rows, material_law)
+from kinkband.evolution import (LoadProgram, _make_objective, _startup_probe,
                                 apply_boundary_conditions, initial_state,
                                 lift_state)
 from kinkband.kinematics import SlipSystem
 from kinkband.mesh import build_dofmap, build_structured_mesh
-from rotations import aligned_slip, box_onset
+from rotations import (aligned_slip, box_onset, dense_hessian,
+                       homogeneous_state, koiter_onset)
 
 SLIPS = {"default": aligned_slip(),
          "rotated": SlipSystem(s=np.array([-0.6, 0.8]))}
@@ -72,24 +75,6 @@ def test_pointwise_second_derivatives_at_a_penalty_point(params, slip):
     curvature = np.zeros((5, 5))
     curvature[4, 4] = 2.0 * params.beta
     assert np.allclose(jac[:, :, 1], curvature, rtol=1e-14, atol=0.0)
-
-
-def dense_hessian(mesh, dofmap, q, params, slip):
-    """The rows of ``hessian_rows`` as one dense matrix over the free DOFs,
-    in the packed order; also the full block matrix."""
-    lay = dofmap.row_blocks
-    m = lay.size
-    full = np.zeros((lay.count * m, lay.count * m))
-    for j, (diag, coupling) in enumerate(hessian_rows(mesh, dofmap, q, params,
-                                                      slip)):
-        rows = slice(j * m, (j + 1) * m)
-        full[rows, rows] = diag
-        if coupling is not None:
-            before = slice((j - 1) * m, j * m)
-            full[rows, before] = coupling
-            full[before, rows] = coupling.T
-    at = lay.row[dofmap.free] * m + lay.pos[dofmap.free]
-    return full[np.ix_(at, at)], full
 
 
 def _strained_slipped(mesh, dofmap, program):
@@ -239,9 +224,8 @@ def _onset_strain(params, slip, nx, ny, bisections=20):
     program = LoadProgram(speed=0.18, Ly=75.0)
 
     def certified(t):
-        lifted = lift_state(initial_state(mesh), mesh, program, 0.0, t)
-        q = apply_boundary_conditions(lifted, mesh, dofmap, program, t).q
-        return _certified(mesh, dofmap, params, slip, q)
+        return _certified(mesh, dofmap, params, slip,
+                          homogeneous_state(mesh, dofmap, program, t))
 
     stable, unstable = 0.0, 100.0
     assert certified(stable) and not certified(unstable)
@@ -282,6 +266,116 @@ def test_the_homogeneous_states_onset_falls_toward_the_box_estimate(
     assert abs(fine - 0.05349) <= 1e-4
     assert abs(finest - 0.035219) <= 1e-4
     assert coarse > fine > finest > box_estimates[0.0][0]
+
+
+def test_the_onsets_koiter_coefficients(params, slip):
+    # on the aligned 10x18 mesh the onset t_c is where the bisection of the
+    # certificate puts it, and b > 0 with lam < 0: a stable-symmetric
+    # (supercritical) pitchfork, along which slip grows as
+    # xi = sqrt(-lam (t - t_c) / (4 b)); a is not zero, as the mesh's
+    # diagonals break the mirror symmetry.  Halving h moves a by 2.1e-4 and
+    # b by 1.4e-3, and halving dt moves lam by 1.0e-7 (h not at all); the
+    # tolerances are about ten times those for a and b, a hundred for lam
+    koiter = koiter_onset(params, slip)
+    onset = _onset_strain(params, slip, 10, 18)     # within 1e-4 s above t_c
+    speed, Ly = 0.18, 75.0
+    assert 0.0 <= onset - speed * koiter.t_c / Ly <= speed * 1e-4 / Ly
+    assert abs(koiter.t_c - 47.891645) <= 1e-6
+    assert koiter.b > 0.0 and koiter.lam < 0.0
+    assert abs(koiter.lam - -4415.1116395) <= 1e-5
+    assert abs(koiter.a - -3412.4285) <= 2e-3
+    assert abs(koiter.b - 112966.8776) <= 2e-2
+
+
+def _quadratic_form(mesh, dofmap, q, params, slip, d):
+    """d^T H d of the stored energy's Hessian at the (3, n) nodal values q,
+    d over the free DOFs, by a block matvec streamed over the row blocks of
+    ``hessian_rows``: y_j += D_j x_j + B_j x_{j-1} and y_{j-1} += B_j^T x_j."""
+    lay = dofmap.row_blocks
+    x = np.zeros((lay.count, lay.size))
+    x[lay.row[dofmap.free], lay.pos[dofmap.free]] = d
+    y = np.zeros_like(x)
+    for j, (diag, coupling) in enumerate(hessian_rows(mesh, dofmap, q, params,
+                                                      slip)):
+        y[j] += diag @ x[j]
+        if coupling is not None:
+            y[j] += coupling @ x[j - 1]
+            y[j - 1] += coupling.T @ x[j]
+    return float((x * y).sum())
+
+
+def _taylor_rates(params, slip, nx, ny, hessian_factor=1.0, slope_factor=1.0):
+    """The fitted rates, over eps = 2^-3 ... 2^-7, of the Taylor remainders
+    r1 = |f(q + eps d) - f - eps g^T d| and r2 = |r1's difference -
+    eps^2 d^T H d / 2| of the stored energy f (no dissipation) at the
+    start-up probe q, along the fixed smooth direction d: bumps of 0.02 mm
+    in a1 and a2 and 0.05 in b, zero on the edges where a1 or a2 is fixed.
+    a1 and b share sin(pi x / Lx), so the coupling of a1's y-derivative
+    with the slip does not integrate to zero.  The factors scale d^T H d
+    and g^T d, for the negative controls."""
+    mesh = build_structured_mesh(42.0, 75.0, nx, ny)
+    dofmap = build_dofmap(mesh)
+    q = _startup_probe(mesh, dofmap, LoadProgram(speed=0.18, Ly=75.0)).q
+    x, y = mesh.nodes.T
+    u, v = np.pi * x / mesh.Lx, np.pi * y / mesh.Ly
+    d = dofmap.pack(np.array((0.02 * np.sin(u) * np.sin(v),
+                              0.02 * np.cos(u) * np.sin(v),
+                              0.05 * np.sin(u) * np.cos(v))))
+    breakdown, _, grads = _assemble(mesh, q, params, slip, need_grad=True)
+    slope = float(dofmap.pack(grads) @ d) * slope_factor
+    curvature = _quadratic_form(mesh, dofmap, q, params, slip, d) \
+        * hessian_factor
+    eps = 2.0 ** -np.arange(3, 8)
+    x0 = dofmap.pack(q)
+    first = np.array([_assemble(mesh, dofmap.unpack(x0 + e * d, q), params,
+                                slip)[0].total - breakdown.total - e * slope
+                      for e in eps])
+    second = first - 0.5 * eps * eps * curvature
+    return [float(np.polyfit(np.log(eps), np.log(np.abs(r)), 1)[0])
+            for r in (first, second)]
+
+
+def _taylor_holds(rates):
+    return rates[0] >= 1.9 and rates[1] >= 2.5
+
+
+@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18)])
+def test_the_hessians_taylor_remainder_falls_at_third_order(params, slip, nx,
+                                                            ny):
+    # measured: r1 at rate 2.00 and r2 at 2.98 (4x6) and 3.05 (10x18),
+    # where r2 falls to about 1e-8
+    rates = _taylor_rates(params, slip, nx, ny)
+    assert _taylor_holds(rates), rates
+
+
+def _without_m_in_a_gamma(real):
+    """``_frame_jacobian`` with the -M term of its (a, gamma) entries
+    dropped."""
+    def mutated(jac, a0, a1, e0, e1, frob2, det, coef_p, coef_det, sm0, sm1,
+                *rest):
+        real(jac, a0, a1, e0, e1, frob2, det, coef_p, coef_det, sm0, sm1,
+             *rest)
+        for i, sm in enumerate((sm0, sm1)):
+            jac[i, 4] += sm
+            jac[4, i] += sm
+    return mutated
+
+
+@pytest.mark.parametrize("hessian_factor,slope_factor,drop_m", [
+    (1.0 + 1e-3, 1.0, False), (1.0, 1.0 + 1e-4, False), (1.0, 1.0, True)],
+    ids=["hessian", "slope", "no_m"])
+@pytest.mark.parametrize("nx,ny", [(4, 6), (10, 18)])
+def test_a_wrong_hessian_or_slope_fails_the_taylor_test(
+        monkeypatch, params, slip, nx, ny, hessian_factor, slope_factor,
+        drop_m):
+    # negative controls, each measured at both sizes: r2 falls at rate 2.00
+    # with d^T H d 0.1% too large, at 1.00 with g^T d 0.01% too large, and
+    # at 2.00 with the Hessian's (a, gamma) entries missing their -M
+    if drop_m:
+        monkeypatch.setattr(energy, "_frame_jacobian",
+                            _without_m_in_a_gamma(energy._frame_jacobian))
+    rates = _taylor_rates(params, slip, nx, ny, hessian_factor, slope_factor)
+    assert not _taylor_holds(rates), rates
 
 
 @pytest.mark.parametrize("s", [(0.0, 1.0), (1.0, 0.0), (-0.6, 0.8)],

@@ -984,3 +984,53 @@ def test_history_agrees_across_code_paths(request, tmp_path, setting):
         onset = next(int(r["k"]) for r in history
                      if float(r["max_abs_gamma"]) > 0.0)
         assert onset == 10
+
+
+# ---------------------------------------------------------------------------
+# rate independence: speed x c over T / c only reparametrizes time
+
+def _history_rows(records, config, path):
+    """The history.csv rows a run's records write."""
+    write_history_csv(records, path, config.Lx, config.Ly, config.speed)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_doubled_speed_over_half_the_time_writes_the_same_history(
+        tmp_path, run_10x18_k20):
+    # doubling the speed and halving T and every step time are exact, so
+    # each platen position and with it every step is the same
+    config, records, _ = run_10x18_k20
+    fast = replace(config, speed=0.36, T=50.0)
+    default = _history_rows(records, config, tmp_path / "default.csv")
+    rows = _history_rows(run_simulation(fast)[0], fast, tmp_path / "fast.csv")
+    assert len(rows) == len(default) == 20
+    for a, b in zip(default, rows):
+        assert float(b.pop("time_s")) == 0.5 * float(a.pop("time_s"))
+        assert a == b
+
+
+def test_tripled_speed_over_a_third_of_the_time_agrees_to_the_code_path_spread(
+        tmp_path, run_10x18_k20):
+    # a third of a step time is inexact, so the platen positions differ by
+    # up to 7e-15 mm, and the minimizer's stop on a small decrease turns
+    # that into a spread like another code path's: measured, the force
+    # moves by up to 1.16 N, the energy by 3.9e-4 N mm, max|gamma| by
+    # 5.7e-5 and a step's iterations by 8; slip starts at step 10 in both
+    config, records, _ = run_10x18_k20
+    fast = replace(config, speed=0.54, T=100.0 / 3.0)
+    default = _history_rows(records, config, tmp_path / "default.csv")
+    rows = _history_rows(run_simulation(fast)[0], fast, tmp_path / "fast.csv")
+    assert len(rows) == len(default) == 20
+    for column in CSV_HEADER.split(","):
+        if column == "time_s":
+            continue
+        tol = (1e-12 if column in ("top_displacement_mm", "engineering_strain")
+               else CODE_PATH_TOLERANCES.get(column, 0.0))
+        worst = max(abs(float(a[column]) - float(b[column]))
+                    for a, b in zip(default, rows))
+        assert worst <= tol, (column, worst, tol)
+    for history in (default, rows):
+        onset = next(int(r["k"]) for r in history
+                     if float(r["max_abs_gamma"]) > 0.0)
+        assert onset == 10
