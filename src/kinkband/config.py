@@ -4,16 +4,17 @@ The format is plain text, one ``section.key = value`` per line, ``#``
 comments, unknown keys rejected.  Every key has a default, so an empty file
 yields the reference compression setup: a 42 x 75 mm specimen compressed at
 0.18 mm/s for 100 s in 76 steps.  The ``material.*`` keys are the fields
-of ``MaterialParams``, which declares their defaults and checks its own
-values.  The solver's tolerances and the output directory are not keys:
-the optimizer runs at its defaults and ``run`` takes ``--out``.
+of ``MaterialParams``, which declares their defaults; one table here holds
+every key's section, attribute and rule.  The solver's tolerances and the
+output directory are not keys: the optimizer runs at its defaults and
+``run`` takes ``--out``.
 ``parse_config`` takes the text; the CLI reads the file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .energy import MaterialParams
 from .evolution import GRADIENT_CHECK_STEP
@@ -68,49 +69,41 @@ class SimulationConfig:
     formats: str = "csv,vtk"
 
 
-# key -> (attribute, constraint, description of the constraint) of the
-# fields but ``material``, a MaterialParams, which sets the ``material.*``
-# keys and validates itself
-_KEYS = {
-    "geometry.Lx": ("Lx", _positive, "must be positive"),
-    "geometry.Ly": ("Ly", _positive, "must be positive"),
-    "mesh.nx": ("nx", _at_least_one, "must be at least 1"),
-    "mesh.ny": ("ny", _at_least_one, "must be at least 1"),
-    "slip.s1": ("s1", lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]"),
-    "load.speed": ("speed", _nonnegative, "must be nonnegative"),
-    "load.T": ("T", _positive, "must be positive"),
-    "load.K": ("K", _at_least_one, "must be at least 1"),
-    "output.snapshot_stride": ("snapshot_stride", _at_least_one,
+# key -> (section or None, attribute, rule, the rule in words), one row per
+# key in field order, ``material`` expanded to the fields of MaterialParams;
+# ``parse_config`` reads a value as the type of its field's default
+_RULES = {
+    "geometry.Lx": (None, "Lx", _positive, "must be positive"),
+    "geometry.Ly": (None, "Ly", _positive, "must be positive"),
+    "mesh.nx": (None, "nx", _at_least_one, "must be at least 1"),
+    "mesh.ny": (None, "ny", _at_least_one, "must be at least 1"),
+    "material.C": ("material", "C", _positive, "must be positive"),
+    "material.D": ("material", "D", _positive, "must be positive"),
+    "material.aniso": ("material", "aniso", _positive, "must be positive"),
+    "material.beta": ("material", "beta", _nonnegative, "must be nonnegative"),
+    "material.eps_grad": ("material", "eps_grad", _positive, "must be positive"),
+    "material.sigma": ("material", "sigma", _positive, "must be positive"),
+    "material.p": ("material", "p", lambda v: v > 2, "must exceed 2"),
+    "material.r": ("material", "r", _at_least_one, "must be at least 1"),
+    "material.delta": ("material", "delta", _positive, "must be positive"),
+    "slip.s1": (None, "s1", lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]"),
+    "load.speed": (None, "speed", _nonnegative, "must be nonnegative"),
+    "load.T": (None, "T", _positive, "must be positive"),
+    "load.K": (None, "K", _at_least_one, "must be at least 1"),
+    "output.snapshot_stride": (None, "snapshot_stride", _at_least_one,
                                "must be at least 1"),
-    "output.formats": ("formats",
+    "output.formats": (None, "formats",
                        lambda v: v != "" and set(v.split(",")) <= {"csv", "vtk"},
                        "must be a comma list drawn from csv,vtk"),
 }
-
-
-def _key_table():
-    """key -> (section or None, attribute, type) for every key, in field
-    order; a value parses as the type of its field's default."""
-    attr_to_key = {attr: key for key, (attr, _, _) in _KEYS.items()}
-    table = {}
-    for f in fields(SimulationConfig):
-        if f.name == "material":
-            for g in fields(MaterialParams):
-                table[f"material.{g.name}"] = ("material", g.name,
-                                               type(g.default))
-        else:
-            table[attr_to_key[f.name]] = (None, f.name, type(f.default))
-    return table
-
-
-_TABLE = _key_table()
 
 
 def _owner(config, section):
     return config if section is None else getattr(config, section)
 
 
-def _convert(key, kind, raw, line_no):
+def _convert(key, default, raw, line_no):
+    kind = type(default)
     raw = raw.strip()
     try:
         if kind is int:
@@ -125,18 +118,18 @@ def _convert(key, kind, raw, line_no):
 
 
 def validate_config(config: SimulationConfig) -> SimulationConfig:
-    """Check all per-key and cross-key invariants, naming the bad key."""
-    for key, (section, attr, kind) in _TABLE.items():
+    """Check every key, then the cross-key invariants, naming the bad key.
+
+    The keys are checked in the order ``serialize_config`` prints them, and
+    the first bad one is reported: a non-finite float as ``must be
+    finite``, any other bad value by its key's rule.
+    """
+    for key, (section, attr, rule, words) in _RULES.items():
         value = getattr(_owner(config, section), attr)
-        if kind is float and not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-    for key, (attr, check, msg) in _KEYS.items():
-        if not check(getattr(config, attr)):
-            raise ConfigError(f"{key} {msg}, got {getattr(config, attr)}")
-    try:
-        config.material.validate()
-    except ValueError as exc:           # the message starts with the field
-        raise ConfigError(f"material.{exc}") from None
+        if not rule(value):
+            raise ConfigError(f"{key} {words}, got {value}")
     if not config.speed * config.T < config.Ly:
         raise ConfigError(
             "load.speed * load.T must stay below geometry.Ly "
@@ -166,21 +159,22 @@ def parse_config(text: str) -> SimulationConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _TABLE:
+        if key not in _RULES:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {line_no}: key {key!r} is already set "
                               f"on line {seen[key]}")
         seen[key] = line_no
-        section, attr, kind = _TABLE[key]
-        setattr(_owner(config, section), attr, _convert(key, kind, value, line_no))
+        section, attr, _, _ = _RULES[key]
+        owner = _owner(config, section)     # still holds the default
+        setattr(owner, attr, _convert(key, getattr(owner, attr), value, line_no))
     return validate_config(config)
 
 
 def serialize_config(config: SimulationConfig) -> str:
     """Canonical text for a config; parse(serialize(c)) == c."""
     lines = []
-    for key, (section, attr, _) in _TABLE.items():
+    for key, (section, attr, _, _) in _RULES.items():
         value = getattr(_owner(config, section), attr)
         if isinstance(value, float):
             text = format(value, ".17g")

@@ -106,7 +106,8 @@ class MaterialParams:
     Defaults are the reference compression setup: C = 0.6 GPa, D = 0.2 GPa,
     aniso = 0.1 GPa, beta = 20 kPa, eps_grad = 500 N, sigma = 1 kPa,
     delta = 1e-5.  The model only constrains the growth exponent to p > 2;
-    see the README for why the default sits just above 2.
+    see the README for why the default sits just above 2.  The range of
+    each constant is its row in ``config``'s rule table, which checks it.
     """
 
     C: float = 600.0            # MPa
@@ -120,18 +121,6 @@ class MaterialParams:
     delta: float = 1e-5         # dissipation smoothing
     det_penalty: ClassVar[float] = 1e6    # MPa, density where det Fe <= det_floor
     det_floor: ClassVar[float] = 1e-8
-
-    def validate(self) -> None:
-        """Raise ValueError whose message starts with the bad field's name."""
-        for name in ("C", "D", "aniso", "eps_grad", "sigma", "delta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if not self.p > 2:
-            raise ValueError(f"p must exceed 2, got {self.p}")
-        if not self.r >= 1:
-            raise ValueError(f"r must be at least 1, got {self.r}")
 
 
 @dataclass
@@ -526,10 +515,11 @@ def hessian_rows(mesh: Mesh2D, dofmap: DofMap, q, params: MaterialParams,
     bands' stretches laid end to end; the upper couplings and the fixed
     entries land in bins that are dropped, and the fixed diagonal gets its
     ones in one indexed add.  Only one chunk's blocks are held at a time,
-    0.8 MB at 20x36 (3 chunks).  A first certificate's traced memory, the
-    row layout and bins it builds included, peaks at 0.78 MB at 10x18,
-    1.74 MB at 20x36 and 2.90 MB at 34x61 (an (f, g) assembly at 20x36:
-    0.81 MB)."""
+    0.8 MB at 20x36 (3 chunks), and a chunk is formed only when its first
+    row is asked for, so a certificate that fails forms none after it.  A
+    first certificate's traced memory, the row layout and bins it builds
+    included, peaks at 0.78 MB at 10x18, 1.74 MB at 20x36 and 2.90 MB at
+    34x61 (an (f, g) assembly at 20x36: 0.81 MB)."""
     lay = dofmap.row_blocks
     m = lay.size
     stretch = 2 * m * m + 1

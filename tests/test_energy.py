@@ -400,17 +400,6 @@ def test_penalty_branch_gradient_is_zero(params, slip, mesh_4x6, dofmap_4x6):
     assert np.max(np.abs(g)) < 1e-12
 
 
-def test_material_params_validation():
-    MaterialParams().validate()
-    bad = MaterialParams(C=-1.0)
-    with pytest.raises(ValueError, match="C"):
-        bad.validate()
-    with pytest.raises(ValueError, match="p"):
-        MaterialParams(p=2.0).validate()
-    with pytest.raises(ValueError, match="beta"):
-        MaterialParams(beta=-0.1).validate()
-
-
 # ---------------------------------------------------------------------------
 # L-BFGS curvature scale
 

@@ -529,3 +529,25 @@ def test_a_certificate_at_20x36_peaks_under_2_mb(params, slip):
 def test_a_certificate_at_10x18_peaks_under_1_mb(params, slip):
     # one chunk, step 9 of the K = 20 program
     assert _first_certificate_peak(params, slip, 10, 18, 45.0) <= 2 ** 20
+
+
+@pytest.mark.parametrize("t,chunks,verdict", [(20.0, 3, True),
+                                              (30.0, 1, False)])
+def test_a_failing_certificate_forms_only_the_chunks_it_factors(
+        monkeypatch, params, slip, t, chunks, verdict):
+    # 20x36 has 3 chunks; past the onset (22.29 s) the first block that
+    # fails ends the certificate, and the chunks after it are never formed
+    # (at 23 s, 2 of 3; at 30 s, 1)
+    mesh = build_structured_mesh(42.0, 75.0, 20, 36)
+    dofmap = build_dofmap(mesh)
+    q = homogeneous_state(mesh, dofmap, LoadProgram(speed=0.18, Ly=75.0), t)
+    calls = []
+    real = energy._element_hessians
+
+    def counted(*args):
+        calls.append(args[-1])              # the chunk's element slice
+        return real(*args)
+
+    monkeypatch.setattr(energy, "_element_hessians", counted)
+    assert _certified(mesh, dofmap, params, slip, q) is verdict
+    assert len(calls) == chunks

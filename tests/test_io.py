@@ -13,7 +13,7 @@ import pytest
 from kinkband import (ConfigError, MaterialParams, SimulationConfig,
                       StepFailureError, parse_config, run_simulation)
 from kinkband.cli import cli_main
-from kinkband.config import _TABLE, serialize_config
+from kinkband.config import _RULES, _owner, serialize_config, validate_config
 from kinkband.evolution import build_problem, initial_state
 from kinkband.mesh import INTERIOR, build_dofmap, build_structured_mesh
 from kinkband.output import (CSV_HEADER, write_history_csv,
@@ -122,12 +122,64 @@ def test_out_of_range_section_value_names_full_key(key, value):
         assert str(info.value).startswith(f"{key} must ")
 
 
-_FLOAT_KEYS = [key for key, (_, _, kind) in _TABLE.items() if kind is float]
+_FLOAT_KEYS = [key for key, (section, attr, _, _) in _RULES.items()
+               if isinstance(getattr(_owner(SimulationConfig(), section), attr),
+                             float)]
 
 
 def test_float_keys_cover_every_section():
     assert {key.split(".")[0] for key in _FLOAT_KEYS} == {
         "geometry", "slip", "load", "material"}
+
+
+def test_the_rule_table_has_one_row_per_field_in_field_order():
+    expected = []
+    for f in fields(SimulationConfig):
+        if f.name == "material":
+            expected += [("material", g.name) for g in fields(MaterialParams)]
+        else:
+            expected.append((None, f.name))
+    assert [(section, attr) for section, attr, _, _ in _RULES.values()] \
+        == expected
+
+
+# each material rule at its boundary: the value accepted, or the message
+@pytest.mark.parametrize("key, value, message", [
+    ("material.p", "2", "material.p must exceed 2, got 2.0"),
+    ("material.p", "2.0001", None),
+    ("material.r", "1", None),
+    ("material.r", "0.9999", "material.r must be at least 1, got 0.9999"),
+    ("material.beta", "0", None),
+    ("material.beta", "-0.1", "material.beta must be nonnegative, got -0.1"),
+] + [(f"material.{name}", "0", f"material.{name} must be positive, got 0.0")
+     for name in ("C", "D", "aniso", "eps_grad", "sigma", "delta")])
+def test_material_rules_at_their_boundaries(key, value, message):
+    if message is None:
+        attr = key.split(".")[1]
+        assert getattr(parse_config(f"{key} = {value}").material, attr) \
+            == float(value)
+    else:
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = {value}")
+        assert str(info.value) == message
+
+
+def test_a_config_built_in_code_is_checked_by_the_same_rules():
+    with pytest.raises(ConfigError) as info:
+        validate_config(SimulationConfig(material=MaterialParams(C=-1.0)))
+    assert str(info.value) == "material.C must be positive, got -1.0"
+
+
+# of several bad values, the first in the printed key order is reported,
+# a non-finite one as such
+@pytest.mark.parametrize("text, message", [
+    ("load.K = 0\nmaterial.C = -1", "material.C must be positive, got -1.0"),
+    ("material.C = nan\ngeometry.Lx = -1",
+     "geometry.Lx must be positive, got -1.0")])
+def test_the_first_bad_key_in_print_order_is_reported(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
