@@ -629,15 +629,14 @@ def total_energy(state, mesh: Mesh2D, params: MaterialParams,
 
 def dissipation_increment(gamma_prev, gamma, mesh: Mesh2D,
                           params: MaterialParams) -> float:
-    """Smoothed dissipation sigma * int sqrt(delta^2 + (g1-g2)^2) dx  [N mm].
-
-    Always at least sigma * delta * |Omega| and symmetric in its arguments.
-    """
+    """Dissipation distance sigma * int |g2 - g1| dx  [N mm] by the kernel's
+    rule and summation order; ``params.delta`` does not enter it.  The
+    record's cumulative dissipation is its sum over the steps."""
     gamma_prev = np.asarray(gamma_prev, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     _check_lengths(mesh, gamma_prev, gamma)
     diff = _field_at_points(mesh, gamma - gamma_prev)
-    root = np.empty((mesh.n_triangles, 3))      # (nt, 3), as _assemble sums it
-    np.sqrt(params.delta ** 2 + diff * diff, out=root.T)
-    return params.sigma * float(mesh.element_area @ (root @ _WEIGHTS))
+    gap = np.empty((mesh.n_triangles, 3))       # (nt, 3), as _assemble sums it
+    np.abs(diff, out=gap.T)
+    return params.sigma * float(mesh.element_area @ (gap @ _WEIGHTS))
 

@@ -20,7 +20,7 @@ test is not checked yet.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,8 +204,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
             res = minimize(fun_grad, x_lift, h=h)
             iterations += res.iterations
     except InvalidStartError as exc:
-        raise StepFailureError(
-            f"step to t={t_next:g} failed to start: {exc}") from exc
+        raise StepFailureError(f"its start is not finite: {exc}") from exc
 
     state = State(dofmap.unpack(res.x_min, template.q), t_next)
     # the record from one assembly, the minimizer's latest if it ended there
@@ -213,8 +212,7 @@ def incremental_step(prev: State, t_next: float, mesh: Mesh2D, dofmap: DofMap,
     breakdown, diss, grads = fun_grad.last[1]
     # the smoothed increment is what the step minimized; the cumulative
     # variation uses the raw dissipation distance sigma * int |dgamma|
-    var_inc = dissipation_increment(prev.b, state.b, mesh,
-                                    replace(params, delta=0.0))
+    var_inc = dissipation_increment(prev.b, state.b, mesh, params)
     record = StepRecord(
         k=k,
         time=t_next,

@@ -1,8 +1,9 @@
 """Test oracles that a run never executes: the plastic/elastic split at one
 point (criterion 1), the stability inequality probed with random smooth
-competitors (criterion 4), the two-sided discrete energy estimate on step
-records (criterion 5, an independent reference for the step's own upper
-estimate) and the history CSV reader (criterion 9)."""
+competitors (criterion 4), the smoothed dissipation of a step record, the
+two-sided discrete energy estimate on step records (criterion 5, an
+independent reference for the step's own upper estimate) and the history
+CSV reader (criterion 9)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import csv
 
 import numpy as np
 
-from kinkband.energy import EnergyBreakdown, MaterialParams, total_energy
+from kinkband.energy import (_WEIGHTS, EnergyBreakdown, MaterialParams,
+                             _field_at_points, total_energy)
 from kinkband.evolution import (LoadProgram, State, StepRecord,
                                 _make_objective, apply_boundary_conditions,
                                 lift_state)
@@ -78,6 +80,17 @@ def stability_check(state: State, t: float, mesh: Mesh2D, dofmap: DofMap,
         xc = x + _smooth_bumps(mesh, dofmap, rng)
         worst = max(worst, f_state - fun_grad(xc)[0])
     return float(worst)
+
+
+def smoothed_dissipation(gamma_prev, gamma, mesh: Mesh2D,
+                         params: MaterialParams) -> float:
+    """sigma * int sqrt(delta^2 + (g2 - g1)^2) dx  [N mm] by the edge-midpoint
+    rule, from the nodal difference: the reference for a step record's
+    smoothed increment, which the kernel forms from the point values of
+    each field."""
+    diff = _field_at_points(mesh, np.asarray(gamma) - np.asarray(gamma_prev))
+    root = np.sqrt(params.delta ** 2 + diff * diff)     # (3, nt)
+    return params.sigma * float(mesh.element_area @ (root.T @ _WEIGHTS))
 
 
 def energy_inequality_check(record_k: StepRecord, record_km1: StepRecord | None,

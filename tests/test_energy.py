@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,54 +216,61 @@ def test_energy_deterministic(params, slip, mesh_4x6):
 # dissipation
 
 
-def test_dissipation_equal_fields_floor(params, mesh_4x6):
+def _smoothed(gamma_prev, gamma, mesh, params, slip):
+    """The smoothed dissipation that a step minimizes and records:
+    ``_assemble``'s second result at slip ``gamma``."""
+    q = initial_state(mesh).q
+    q[2] = gamma
+    return _assemble(mesh, q, params, slip,
+                     gam_prev=_field_at_points(mesh, gamma_prev))[1]
+
+
+def test_dissipation_equal_fields_floor(params, slip, mesh_4x6):
     g = np.full(mesh_4x6.n_nodes, 0.37)
     expected = params.sigma * params.delta * DOMAIN_AREA
-    assert dissipation_increment(g, g, mesh_4x6, params) == pytest.approx(
+    assert _smoothed(g, g, mesh_4x6, params, slip) == pytest.approx(
         expected, rel=1e-12)
 
 
-def test_dissipation_unsmoothed_constant_field(mesh_4x6):
-    # with delta = 0 the formula reduces to the raw l1 dissipation
-    params = MaterialParams(delta=1e-300)
-    params.delta = 0.0
+def test_dissipation_unsmoothed_constant_field(params, mesh_4x6):
+    # the record's variation is the raw l1 dissipation, whatever delta is
     c = -0.42
     g1 = np.zeros(mesh_4x6.n_nodes)
     g2 = np.full(mesh_4x6.n_nodes, c)
-    assert dissipation_increment(g1, g2, mesh_4x6, params) == pytest.approx(
-        params.sigma * abs(c) * DOMAIN_AREA, rel=1e-12)
+    for delta in (params.delta, 1.0):
+        assert dissipation_increment(
+            g1, g2, mesh_4x6, replace(params, delta=delta)) == pytest.approx(
+                params.sigma * abs(c) * DOMAIN_AREA, rel=1e-12)
 
 
-def test_dissipation_symmetric_and_bounded_below(params, mesh_4x6):
+def test_dissipation_symmetric_and_bounded_below(params, slip, mesh_4x6):
     rng = np.random.default_rng(36)
     g1 = rng.standard_normal(mesh_4x6.n_nodes)
     g2 = rng.standard_normal(mesh_4x6.n_nodes)
-    d12 = dissipation_increment(g1, g2, mesh_4x6, params)
-    d21 = dissipation_increment(g2, g1, mesh_4x6, params)
+    d12 = _smoothed(g1, g2, mesh_4x6, params, slip)
+    d21 = _smoothed(g2, g1, mesh_4x6, params, slip)
     assert d12 == d21
     assert d12 >= params.sigma * params.delta * DOMAIN_AREA
 
 
-def test_dissipation_monotone_in_gap(params, mesh_4x6):
+def test_dissipation_monotone_in_gap(params, slip, mesh_4x6):
     rng = np.random.default_rng(37)
     g1 = rng.standard_normal(mesh_4x6.n_nodes)
     step = np.abs(rng.standard_normal(mesh_4x6.n_nodes))
-    values = [dissipation_increment(g1, g1 + s * step, mesh_4x6, params)
+    values = [_smoothed(g1, g1 + s * step, mesh_4x6, params, slip)
               for s in (0.0, 0.5, 1.0, 2.0)]
     assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
 
 
-def test_dissipation_smoothing_converges(mesh_4x6):
+def test_dissipation_smoothing_converges(slip, mesh_4x6):
     rng = np.random.default_rng(38)
     g1 = rng.standard_normal(mesh_4x6.n_nodes)
     g2 = rng.standard_normal(mesh_4x6.n_nodes)
-    p0 = MaterialParams()
-    p0.delta = 0.0
-    base = dissipation_increment(g1, g2, mesh_4x6, p0)
+    base = dissipation_increment(g1, g2, mesh_4x6, MaterialParams())
     gaps = []
     for delta in (1e-3, 1e-5, 1e-7):
         pd = MaterialParams(delta=delta)
-        d = dissipation_increment(g1, g2, mesh_4x6, pd)
+        d = _smoothed(g1, g2, mesh_4x6, pd, slip)
         assert d >= base
         # sqrt(delta^2 + s^2) <= delta + |s| gives a linear-in-delta bound
         assert d - base <= pd.sigma * delta * DOMAIN_AREA + 1e-12
@@ -270,7 +278,7 @@ def test_dissipation_smoothing_converges(mesh_4x6):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_dissipation_against_dense_quadrature(params):
+def test_dissipation_against_dense_quadrature(params, slip):
     # degree-5 rule on each triangle as an independent integration oracle;
     # the difference field keeps one sign per element so the smoothed
     # integrand has no interior kink
@@ -278,7 +286,7 @@ def test_dissipation_against_dense_quadrature(params):
     rng = np.random.default_rng(39)
     g1 = rng.standard_normal(mesh.n_nodes)
     g2 = g1 + rng.uniform(0.2, 1.0, size=mesh.n_nodes)
-    d3 = dissipation_increment(g1, g2, mesh, params)
+    d3 = _smoothed(g1, g2, mesh, params, slip)
 
     w_c = 9.0 / 40.0
     a1 = (6.0 - math.sqrt(15.0)) / 21.0

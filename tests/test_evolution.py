@@ -17,7 +17,8 @@ from kinkband.evolution import (LoadProgram, _make_objective, _min_det,
 from kinkband.mesh import (BOTTOM, INTERIOR, LATERAL, TOP, build_dofmap,
                            build_structured_mesh)
 from kinkband.optimizer import minimize
-from oracles import energy_inequality_check, stability_check
+from oracles import (energy_inequality_check, smoothed_dissipation,
+                     stability_check)
 from rotations import aligned_slip
 
 
@@ -411,15 +412,12 @@ def test_cumulative_dissipation_bookkeeping(run_10x18_k20, params):
 def test_dissipation_increment_consistency(run_10x18_k20, params, slip):
     config, records, states = run_10x18_k20
     mesh = build_structured_mesh(config.Lx, config.Ly, config.nx, config.ny)
-    raw = MaterialParams()
-    raw.delta = 0.0
     cum = 0.0
     for k in range(1, len(records) + 1):
-        d = dissipation_increment(states[k - 1].b, states[k].b, mesh, params)
+        d = smoothed_dissipation(states[k - 1].b, states[k].b, mesh, params)
         assert records[k - 1].dissipation_increment == pytest.approx(d, rel=1e-12)
-        cum += dissipation_increment(states[k - 1].b, states[k].b, mesh, raw)
-        assert records[k - 1].cumulative_dissipation == pytest.approx(
-            cum, rel=1e-10, abs=1e-15)
+        cum += dissipation_increment(states[k - 1].b, states[k].b, mesh, params)
+        assert records[k - 1].cumulative_dissipation == cum
 
 
 def test_rate_independence_probe():

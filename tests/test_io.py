@@ -924,6 +924,37 @@ def test_cli_run_rejects_an_accepted_state_above_the_energy_estimate(
     assert "the accepted state breaks the energy upper estimate" in err
 
 
+def test_cli_run_names_the_step_once_when_its_start_is_not_finite(
+        tmp_path, monkeypatch, capsys):
+    # the objective of step 3, whose template is at t = 3, is NaN
+    # everywhere, so its minimizer cannot start
+    import kinkband.evolution as evolution
+
+    real_objective = evolution._make_objective
+
+    def nan_at_t_3(mesh, dofmap, params, slip, template, b_prev):
+        fun_grad = real_objective(mesh, dofmap, params, slip, template, b_prev)
+        if template.time != 3.0:
+            return fun_grad
+
+        def nan_objective(x):
+            return np.nan, fun_grad(x)[1]
+
+        nan_objective.last = fun_grad.last
+        return nan_objective
+
+    monkeypatch.setattr(evolution, "_make_objective", nan_at_t_3)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("mesh.nx = 2\nmesh.ny = 3\nload.K = 4\nload.T = 4\n")
+    out_dir = tmp_path / "o"
+    code = cli_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    _assert_partial_results_of_two_steps(code, err, out_dir)
+    assert err.splitlines()[0] == (
+        "simulation failed: step 3 to t=3 failed: its start is not finite: "
+        "objective is nan at the starting point")
+
+
 def test_cli_run_fails_on_bad_startup_gradient_check(tmp_path, monkeypatch,
                                                      capsys):
     # a failed start-up check must stop the run, not switch gradients
